@@ -78,7 +78,6 @@ type config struct {
 	fsync           string
 	fsyncInterval   time.Duration
 	fsyncGroup      bool
-	fsyncWindow     time.Duration
 	checkpointEvery time.Duration
 	journalSegBytes int64
 	journalMaxBytes int64
@@ -138,7 +137,6 @@ func parseFlags(args []string) (config, error) {
 	fs.StringVar(&cfg.fsync, "fsync", "interval", "journal fsync policy: always, interval, or never")
 	fs.DurationVar(&cfg.fsyncInterval, "fsync-interval", time.Second, "fsync cadence for -fsync interval")
 	fs.BoolVar(&cfg.fsyncGroup, "fsync-group-commit", false, "coalesce concurrent -fsync always appends behind shared fsyncs (group commit)")
-	fs.DurationVar(&cfg.fsyncWindow, "fsync-window", 0, "group-commit leader waits this long for stragglers before syncing (default 0)")
 	fs.DurationVar(&cfg.checkpointEvery, "checkpoint-every", 30*time.Second, "session checkpoint cadence")
 	fs.Int64Var(&cfg.journalSegBytes, "journal-segment-bytes", 0, "rotate journal segments at this size (default 8 MiB)")
 	fs.Int64Var(&cfg.journalMaxBytes, "journal-max-bytes", 0, "cap closed journal segments at this total size, dropping the oldest (default unlimited)")
@@ -198,7 +196,7 @@ func parseFlags(args []string) (config, error) {
 		var set []string
 		fs.Visit(func(f *flag.Flag) {
 			switch f.Name {
-			case "fsync", "fsync-interval", "fsync-group-commit", "fsync-window", "checkpoint-every", "journal-segment-bytes", "journal-max-bytes", "degraded-on-wal-error", "recover-force":
+			case "fsync", "fsync-interval", "fsync-group-commit", "checkpoint-every", "journal-segment-bytes", "journal-max-bytes", "degraded-on-wal-error", "recover-force":
 				set = append(set, "-"+f.Name)
 			}
 		})
@@ -208,12 +206,6 @@ func parseFlags(args []string) (config, error) {
 	}
 	if cfg.fsyncGroup && cfg.fsync != "always" {
 		return config{}, fmt.Errorf("-fsync-group-commit requires -fsync always, got -fsync %s", cfg.fsync)
-	}
-	if cfg.fsyncWindow != 0 && !cfg.fsyncGroup {
-		return config{}, fmt.Errorf("-fsync-window requires -fsync-group-commit")
-	}
-	if cfg.fsyncWindow < 0 {
-		return config{}, fmt.Errorf("-fsync-window must be non-negative, got %v", cfg.fsyncWindow)
 	}
 	if cfg.retrainEvery <= 0 {
 		var set []string
@@ -387,14 +379,13 @@ func run(ctx context.Context, cfg config, ready chan<- string) error {
 			return err
 		}
 		journal, err = wal.Open(wal.Config{
-			Dir:               cfg.journalDir,
-			SegmentBytes:      cfg.journalSegBytes,
-			MaxBytes:          cfg.journalMaxBytes,
-			Fsync:             policy,
-			FsyncEvery:        cfg.fsyncInterval,
-			GroupCommit:       cfg.fsyncGroup,
-			GroupCommitWindow: cfg.fsyncWindow,
-			Logf:              log.Printf,
+			Dir:          cfg.journalDir,
+			SegmentBytes: cfg.journalSegBytes,
+			MaxBytes:     cfg.journalMaxBytes,
+			Fsync:        policy,
+			FsyncEvery:   cfg.fsyncInterval,
+			GroupCommit:  cfg.fsyncGroup,
+			Logf:         log.Printf,
 		})
 		if err != nil {
 			return err

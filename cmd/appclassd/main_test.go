@@ -491,20 +491,17 @@ func TestParseJournalFlags(t *testing.T) {
 
 func TestParseGroupCommitFlags(t *testing.T) {
 	cfg, err := parseFlags([]string{
-		"-journal-dir", "/tmp/j", "-fsync", "always",
-		"-fsync-group-commit", "-fsync-window", "200us",
+		"-journal-dir", "/tmp/j", "-fsync", "always", "-fsync-group-commit",
 	})
 	if err != nil {
 		t.Fatalf("parse: %v", err)
 	}
-	if !cfg.fsyncGroup || cfg.fsyncWindow != 200*time.Microsecond {
+	if !cfg.fsyncGroup {
 		t.Errorf("parsed = %+v", cfg)
 	}
 	for _, args := range [][]string{
-		{"-journal-dir", "/tmp/j", "-fsync-group-commit"},                      // default fsync is interval
-		{"-journal-dir", "/tmp/j", "-fsync", "never", "-fsync-group-commit"},   // wrong policy
-		{"-journal-dir", "/tmp/j", "-fsync", "always", "-fsync-window", "1ms"}, // window without group commit
-		{"-journal-dir", "/tmp/j", "-fsync", "always", "-fsync-group-commit", "-fsync-window", "-1ms"},
+		{"-journal-dir", "/tmp/j", "-fsync-group-commit"},                    // default fsync is interval
+		{"-journal-dir", "/tmp/j", "-fsync", "never", "-fsync-group-commit"}, // wrong policy
 	} {
 		if _, err := parseFlags(args); err == nil {
 			t.Errorf("%v: want error", args)

@@ -19,12 +19,12 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"path/filepath"
 	"sort"
 	"sync"
 
 	"repro/internal/appstore"
 	"repro/internal/phase"
+	"repro/internal/seglog"
 )
 
 // Record is one historical run of an application (see appstore.Record
@@ -346,37 +346,11 @@ func Load(r io.Reader) (*DB, error) {
 	return db, nil
 }
 
-// SaveFile persists the database to a file path atomically: the JSON is
-// written to a temporary file in the same directory, fsynced, and
-// renamed over the target, so a crash or failed write mid-save never
-// corrupts an existing database.
+// SaveFile persists the database to a file path atomically with
+// seglog.WriteFile (temp file, fsync, rename, directory fsync), so a
+// crash or failed write mid-save never corrupts an existing database.
 func (db *DB) SaveFile(path string) error {
-	dir := filepath.Dir(path)
-	f, err := os.CreateTemp(dir, filepath.Base(path)+".tmp*")
-	if err != nil {
-		return fmt.Errorf("appdb: create temp in %s: %w", dir, err)
-	}
-	tmp := f.Name()
-	// On any failure, remove the temp file and leave the target alone.
-	fail := func(err error) error {
-		f.Close()
-		os.Remove(tmp)
-		return err
-	}
-	if err := db.Save(f); err != nil {
-		return fail(err)
-	}
-	if err := f.Sync(); err != nil {
-		return fail(fmt.Errorf("appdb: sync %s: %w", tmp, err))
-	}
-	if err := f.Close(); err != nil {
-		return fail(fmt.Errorf("appdb: close %s: %w", tmp, err))
-	}
-	if err := os.Rename(tmp, path); err != nil {
-		os.Remove(tmp)
-		return fmt.Errorf("appdb: rename %s -> %s: %w", tmp, path, err)
-	}
-	return nil
+	return seglog.WriteFile(path, db.Save)
 }
 
 // LoadFile reads a database from a file path.

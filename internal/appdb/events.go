@@ -56,11 +56,27 @@ func (db *DB) PutEvent(e Event) error {
 		return nil
 	}
 	path := filepath.Join(db.store.Dir(), eventsFile)
-	f, err := os.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
+	f, err := os.OpenFile(path, os.O_CREATE|os.O_RDWR|os.O_APPEND, 0o644)
 	if err != nil {
 		return fmt.Errorf("appdb: open event log: %w", err)
 	}
 	defer f.Close()
+	st, err := f.Stat()
+	if err != nil {
+		return fmt.Errorf("appdb: stat event log: %w", err)
+	}
+	if n := st.Size(); n > 0 {
+		// A crash mid-append leaves a fragment without its newline; end
+		// it first, or this event would be glued onto it and skipped
+		// with it.
+		var last [1]byte
+		if _, err := f.ReadAt(last[:], n-1); err != nil {
+			return fmt.Errorf("appdb: read event log: %w", err)
+		}
+		if last[0] != '\n' {
+			line = append([]byte{'\n'}, line...)
+		}
+	}
 	if _, err := f.Write(append(line, '\n')); err != nil {
 		return fmt.Errorf("appdb: append event: %w", err)
 	}

@@ -72,4 +72,17 @@ func TestEventsPersistAndSkipTornLines(t *testing.T) {
 	if evs[2].AtUnixNS != 2 {
 		t.Errorf("last event = %+v", evs[2])
 	}
+
+	// The first event written after the tear must not be glued onto the
+	// fragment and skipped with it.
+	if err := db2.PutEvent(Event{Type: "model_rollback", AtUnixNS: 100}); err != nil {
+		t.Fatal(err)
+	}
+	evs, err = db2.Events(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(evs) != 4 || evs[3].Type != "model_rollback" || evs[3].AtUnixNS != 100 {
+		t.Fatalf("events after appending past the tear = %+v, want the new model_rollback last", evs)
+	}
 }

@@ -1,9 +1,11 @@
 package appstore
 
 import (
-	"encoding/binary"
 	"fmt"
+	"io"
 	"os"
+
+	"repro/internal/seglog"
 )
 
 // Prune keeps at most keep most-recent records per application,
@@ -151,106 +153,98 @@ func (s *Store) Compact() error {
 	return s.compactLocked()
 }
 
-// compactLocked copies the live records of every closed segment that
-// carries dead ones into a fresh segment (raw frame bytes — payloads
-// are immutable, so no re-encode), publishes it with an atomic rename,
-// then deletes the victims. Crash anywhere in between is safe: before
-// the rename the .tmp file is invisible (and swept at open); after it,
-// records existing in both the new segment and an undeleted victim are
-// deduplicated by sequence number at open.
+// compactLocked rewrites every closed segment that carries dead
+// records without them.
 func (s *Store) compactLocked() error {
 	victims := make(map[uint64]bool)
-	copies := 0
 	for no, info := range s.segs {
-		if no == s.seg || info.dead == 0 {
-			continue
+		if no != s.w.Seq() && info.dead > 0 {
+			victims[no] = true
 		}
-		victims[no] = true
-		copies += info.live
 	}
 	if len(victims) == 0 {
 		return nil
+	}
+	copies, removed, err := s.rewriteLocked(victims, false)
+	if err != nil {
+		return err
+	}
+	s.stats.Compactions++
+	s.stats.DroppedRecords += int64(removed)
+	s.opt.Logf("appstore: compacted %d segment(s): dropped %d dead record(s), carried %d live", len(victims), removed, copies)
+	return s.persistTombstonesLocked()
+}
+
+// rewriteLocked copies the live records of the victim segments into one
+// fresh segment (raw frame bytes — payloads are immutable, so no
+// re-encode), publishes it with seglog.WriteFile, then deletes the
+// victims — or, with quarantine set, moves them aside as .corrupt — and
+// repoints the index, returning how many records it carried and
+// dropped. Crash anywhere in between is safe: before the rename the
+// temp file is invisible (and swept at open); after it, records
+// existing in both the new segment and an undeleted victim are
+// deduplicated by sequence number at open.
+func (s *Store) rewriteLocked(victims map[uint64]bool, quarantine bool) (copies, removed int, err error) {
+	for no := range victims {
+		copies += s.segs[no].live
 	}
 	var newSeg uint64
 	newOff := make(map[uint64]int64) // seq -> offset in the new segment
 	if copies > 0 {
 		newSeg = s.nextSegNoLocked()
-		path := segPath(s.dir, newSeg)
-		tmp := path + ".tmp"
-		f, err := os.OpenFile(tmp, os.O_CREATE|os.O_TRUNC|os.O_WRONLY, 0o644)
+		hdr := segFormat.EncodeHeader(segVersion, nil)
+		off := int64(len(hdr))
+		err := seglog.WriteFile(segFormat.Path(s.dir, newSeg), func(w io.Writer) error {
+			if _, err := w.Write(hdr); err != nil {
+				return err
+			}
+			var frame []byte
+			for i := range s.entries {
+				e := &s.entries[i]
+				if e.dead || !victims[e.seg] {
+					continue
+				}
+				var err error
+				if frame, err = s.readFrame(e, frame); err != nil {
+					return err
+				}
+				if _, err := w.Write(frame); err != nil {
+					return err
+				}
+				newOff[e.seq] = off
+				off += e.n
+			}
+			return nil
+		})
 		if err != nil {
-			return fmt.Errorf("appstore: create %s: %w", tmp, err)
-		}
-		fail := func(err error) error {
-			f.Close()
-			os.Remove(tmp)
-			return err
-		}
-		var hdr [headerSize]byte
-		copy(hdr[:4], segMagic[:])
-		binary.LittleEndian.PutUint32(hdr[4:8], segVersion)
-		if _, err := f.Write(hdr[:]); err != nil {
-			return fail(fmt.Errorf("appstore: write header %s: %w", tmp, err))
-		}
-		off := int64(headerSize)
-		frame := make([]byte, 0, 4096)
-		for i := range s.entries {
-			e := &s.entries[i]
-			if e.dead || !victims[e.seg] {
-				continue
-			}
-			if cap(frame) < int(e.n) {
-				frame = make([]byte, e.n)
-			}
-			frame = frame[:e.n]
-			rd, err := s.readHandle(e.seg, s.segs[e.seg])
-			if err != nil {
-				return fail(fmt.Errorf("appstore: open victim segment %d: %w", e.seg, err))
-			}
-			if _, err := rd.ReadAt(frame, e.off); err != nil {
-				return fail(fmt.Errorf("appstore: read record %d for compaction: %w", e.seq, err))
-			}
-			if _, err := f.Write(frame); err != nil {
-				return fail(fmt.Errorf("appstore: write %s: %w", tmp, err))
-			}
-			newOff[e.seq] = off
-			off += e.n
-		}
-		if err := f.Sync(); err != nil {
-			return fail(fmt.Errorf("appstore: sync %s: %w", tmp, err))
-		}
-		if err := f.Close(); err != nil {
-			os.Remove(tmp)
-			return fmt.Errorf("appstore: close %s: %w", tmp, err)
-		}
-		if err := os.Rename(tmp, path); err != nil {
-			os.Remove(tmp)
-			return fmt.Errorf("appstore: publish segment %d: %w", newSeg, err)
-		}
-		if err := syncDir(s.dir); err != nil {
-			return err
+			return 0, 0, fmt.Errorf("appstore: rewrite into segment %d: %w", newSeg, err)
 		}
 		s.segs[newSeg] = &segInfo{size: off}
 	}
-	// The new segment is durable; deleting the victims is now safe (a
+	// The new segment is durable; retiring the victims is now safe (a
 	// crash mid-delete leaves duplicates, deduplicated by seq at open).
 	for no := range victims {
 		info := s.segs[no]
 		if info.rd != nil {
 			info.rd.Close()
+			info.rd = nil
 		}
-		if err := os.Remove(segPath(s.dir, no)); err != nil {
+		path := segFormat.Path(s.dir, no)
+		if quarantine {
+			if _, err := seglog.Quarantine(path, false); err != nil {
+				return 0, 0, fmt.Errorf("appstore: %w", err)
+			}
+		} else if err := os.Remove(path); err != nil {
 			s.opt.Logf("appstore: delete compacted segment %d: %v", no, err)
 		}
 		delete(s.segs, no)
 	}
-	if err := syncDir(s.dir); err != nil {
-		return err
+	if err := seglog.SyncDir(s.dir); err != nil {
+		return 0, 0, fmt.Errorf("appstore: %w", err)
 	}
 	// Rebuild the index: drop the dead entries that lived in victim
 	// segments, repoint the copied ones.
 	kept := s.entries[:0]
-	removed := 0
 	for i := range s.entries {
 		e := s.entries[i]
 		if victims[e.seg] {
@@ -268,8 +262,5 @@ func (s *Store) compactLocked() error {
 	if copies > 0 {
 		s.segs[newSeg].live = copies
 	}
-	s.stats.Compactions++
-	s.stats.DroppedRecords += int64(removed)
-	s.opt.Logf("appstore: compacted %d segment(s): dropped %d dead record(s), carried %d live", len(victims), removed, copies)
-	return s.persistTombstonesLocked()
+	return copies, removed, nil
 }

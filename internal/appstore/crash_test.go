@@ -7,10 +7,12 @@ import (
 	"path/filepath"
 	"reflect"
 	"sort"
+	"syscall"
 	"testing"
 	"time"
 
 	"repro/internal/appclass"
+	"repro/internal/faultinject"
 )
 
 // lastSegment returns the path of the highest-numbered segment file.
@@ -23,7 +25,7 @@ func lastSegment(t *testing.T, dir string) string {
 	var best uint64
 	var path string
 	for _, e := range ents {
-		if no, ok := parseSegName(e.Name()); ok && no >= best {
+		if no, ok := segFormat.Parse(e.Name()); ok && no >= best {
 			best, path = no, filepath.Join(dir, e.Name())
 		}
 	}
@@ -201,7 +203,7 @@ func onDiskSegBytes(t *testing.T, dir string) int64 {
 	}
 	var total int64
 	for _, e := range ents {
-		if _, ok := parseSegName(e.Name()); ok {
+		if _, ok := segFormat.Parse(e.Name()); ok {
 			fi, err := e.Info()
 			if err != nil {
 				t.Fatal(err)
@@ -238,7 +240,7 @@ func TestCorruptHeaderQuarantine(t *testing.T) {
 	var best uint64
 	var path string
 	for _, e := range ents {
-		no, ok := parseSegName(e.Name())
+		no, ok := segFormat.Parse(e.Name())
 		if !ok || no < best {
 			continue
 		}
@@ -399,7 +401,7 @@ func TestChurnAndReopenConsistency(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, e := range ents {
-		if _, ok := parseSegName(e.Name()); ok {
+		if _, ok := segFormat.Parse(e.Name()); ok {
 			fi, err := e.Info()
 			if err != nil {
 				t.Fatal(err)
@@ -456,7 +458,7 @@ func TestCrashMidRetentionPrune(t *testing.T) {
 	if err := os.WriteFile(filepath.Join(dir, tombstonesName), doc, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if err := os.Remove(segPath(dir, victim)); err != nil {
+	if err := os.Remove(segFormat.Path(dir, victim)); err != nil {
 		t.Fatal(err)
 	}
 
@@ -496,4 +498,58 @@ func TestCrashMidRetentionPrune(t *testing.T) {
 	if st := s3.Stats(); st.Bytes != onDiskSegBytes(t, dir) {
 		t.Errorf("Stats.Bytes after reopen = %d, on-disk = %d", st.Bytes, onDiskSegBytes(t, dir))
 	}
+}
+
+// TestFsyncFailureCutsRecord fails the fsync of one append through the
+// writer's file-open seam: the append errors, the next one is indexed
+// at its true offset and reads back, and after reopen the failed record
+// is gone rather than resurrected under a reused sequence number.
+func TestFsyncFailureCutsRecord(t *testing.T) {
+	dir := filepath.Join(t.TempDir(), "store")
+	s := openTest(t, dir, Options{})
+	for i := 0; i < 3; i++ {
+		r := testRecord("vm", appclass.CPU, i)
+		if err := s.Append(&r); err != nil {
+			t.Fatal(err)
+		}
+	}
+	fs := faultinject.NewFS()
+	s.mu.Lock()
+	s.w.Open = fs.OpenSegmentFile
+	err := s.w.Rotate(s.nextSegNoLocked()) // the next segment opens through the seam
+	s.trackActiveLocked()
+	s.mu.Unlock()
+	if err != nil {
+		t.Fatal(err)
+	}
+	fs.FailSyncs(syscall.EIO)
+	failed := testRecord("vm", appclass.CPU, 3)
+	if err := s.Append(&failed); err == nil {
+		t.Fatal("append with a failing fsync succeeded")
+	}
+	fs.FailSyncs(nil)
+	for i := 4; i < 6; i++ {
+		r := testRecord("vm", appclass.CPU, i)
+		if err := s.Append(&r); err != nil {
+			t.Fatalf("append %d after the fault healed: %v", i, err)
+		}
+	}
+	want := []int{10, 11, 12, 14, 15} // Samples of every acknowledged record
+	check := func(s *Store, when string) {
+		t.Helper()
+		runs, err := s.Runs("vm")
+		if err != nil {
+			t.Fatalf("%s: %v", when, err)
+		}
+		var got []int
+		for _, r := range runs {
+			got = append(got, r.Samples)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("%s: records %v, want %v", when, got, want)
+		}
+	}
+	check(s, "before reopen")
+	s.Close()
+	check(openTest(t, dir, Options{}), "after reopen")
 }

@@ -4,21 +4,17 @@ import (
 	"encoding/binary"
 	"encoding/json"
 	"fmt"
-	"hash/crc32"
 	"math"
 	"time"
 
 	"repro/internal/appclass"
+	"repro/internal/seglog"
 )
 
-// On-disk format. A segment file starts with an 8-byte header (magic +
-// format version) and carries a sequence of frames:
-//
-//	uint32 payload length | uint32 CRC32C of payload | payload
-//
-// all little-endian, the framing idiom proven in internal/wal: a torn
-// frame header reads as garbage length/CRC, a torn payload fails the
-// CRC, and either stops a scan cleanly at the last valid record.
+// On-disk format: a seglog segment with an 8-byte header (magic +
+// format version, no extra), so a torn frame header reads as garbage
+// length/CRC, a torn payload fails the CRC, and either stops a scan
+// cleanly at the last valid record.
 //
 // A record payload leads with a fixed binary meta header — everything
 // the in-memory index needs (sequence number, finalize time,
@@ -42,7 +38,6 @@ import (
 const (
 	segVersion = 1
 	headerSize = 8 // magic + version
-	frameSize  = 8 // length + CRC
 	// maxPayload rejects garbage frame lengths before any allocation: a
 	// record with full training reservoirs stays well under 16 MiB.
 	maxPayload = 16 << 20
@@ -52,10 +47,14 @@ const (
 	kindRecord = 1
 )
 
-var (
-	segMagic   = [4]byte{'A', 'C', 'D', 'B'}
-	castagnoli = crc32.MakeTable(crc32.Castagnoli)
-)
+// segFormat is the store's segment layout.
+var segFormat = seglog.Format{
+	Names:      seglog.Names{Prefix: "store-", Suffix: ".seg"},
+	Magic:      [4]byte{'A', 'C', 'D', 'B'},
+	Version:    segVersion,
+	Extra:      map[uint32]int{segVersion: 0},
+	MaxPayload: maxPayload,
+}
 
 // meta is the decoded fixed header of one record: the slice of a
 // Record the index keeps in memory.

@@ -1,8 +1,8 @@
 // Package appstore is the fleet-scale storage engine behind the
 // application database (the paper's Figure-1 asset): an embedded,
 // stdlib-only log-structured store of finalized run records. Records
-// are appended to CRC32C-framed segment files — the framing and
-// torn-tail idioms proven in internal/wal — and an in-memory index,
+// are appended to the CRC32C-framed segments of internal/seglog, the
+// segmented log under the journal too, and an in-memory index,
 // rebuilt on open from the records' fixed headers alone (no JSON
 // decode), serves secondary lookups by application, class, verdict,
 // model hash, and finalize time plus a paginated Scan API. Compaction

@@ -1,11 +1,12 @@
 package appstore
 
 import (
-	"encoding/binary"
+	"errors"
 	"fmt"
-	"hash/crc32"
-	"os"
-	"sort"
+	"io/fs"
+	"slices"
+
+	"repro/internal/seglog"
 )
 
 // Scrubbing re-verifies closed segments frame-by-frame so latent
@@ -15,7 +16,10 @@ import (
 // records are copied forward into a fresh segment, and the damaged
 // original is renamed to <segment>.corrupt — the same quarantine idiom
 // load() applies to unreadable headers — instead of deleted, so the
-// rotten bytes stay available for inspection. Only the records inside
+// rotten bytes stay available for inspection. The walk steps over a
+// frame whose CRC fails; one whose length field is unwalkable ends it,
+// so only that frame is known bad and the records after it are carried
+// forward unverified, to be checked when the new segment is scrubbed. Only the records inside
 // damaged frames are lost; everything else survives the repair. A
 // crash anywhere mid-repair is safe for the same reason compaction is:
 // before the rename the fresh segment is an invisible .tmp, after it
@@ -54,40 +58,24 @@ type ScrubSummary struct {
 // off the store locks — closed segments are immutable — and only the
 // repair itself takes the write lock.
 func (s *Store) Scrub(maxSegments int) (ScrubSummary, error) {
-	if maxSegments <= 0 {
-		maxSegments = 1
-	}
 	var sum ScrubSummary
-
-	s.mu.RLock()
+	s.mu.Lock()
 	if s.closed {
-		s.mu.RUnlock()
+		s.mu.Unlock()
 		return sum, fmt.Errorf("appstore: store is closed")
 	}
 	var nos []uint64
 	for no := range s.segs {
-		if no != s.seg {
+		if no != s.w.Seq() {
 			nos = append(nos, no)
 		}
 	}
-	cursor := s.scrubNext
-	s.mu.RUnlock()
-	if len(nos) == 0 {
-		return sum, nil
-	}
-	sort.Slice(nos, func(a, b int) bool { return nos[a] < nos[b] })
-	start := 0
-	for start < len(nos) && nos[start] < cursor {
-		start++
-	}
-	if start == len(nos) {
-		start = 0
-	}
-	picks := nos[start:]
-	if len(picks) > maxSegments {
-		picks = picks[:maxSegments]
-	}
-
+	slices.Sort(nos)
+	picks, next := seglog.Pick(nos, s.scrubNext, maxSegments)
+	s.scrubNext = next
+	s.stats.ScrubScans += int64(len(picks))
+	s.mu.Unlock()
+	sum.Scanned = len(picks)
 	var firstErr error
 	for _, no := range picks {
 		rep, err := s.scrubSegment(no)
@@ -98,62 +86,39 @@ func (s *Store) Scrub(maxSegments int) (ScrubSummary, error) {
 			sum.Damaged = append(sum.Damaged, *rep)
 		}
 	}
-	sum.Scanned = len(picks)
-
-	s.mu.Lock()
-	s.stats.ScrubScans += int64(len(picks))
-	s.scrubNext = picks[len(picks)-1] + 1
-	s.mu.Unlock()
 	return sum, firstErr
 }
 
 // scrubSegment verifies one closed segment and repairs it when
 // damaged, returning a report only when damage was found.
 func (s *Store) scrubSegment(no uint64) (*ScrubReport, error) {
-	data, err := os.ReadFile(segPath(s.dir, no))
+	sc, err := segFormat.Walk(segFormat.Path(s.dir, no), 0, true, nil)
 	if err != nil {
-		if os.IsNotExist(err) {
+		if errors.Is(err, fs.ErrNotExist) {
 			return nil, nil // compacted away between snapshot and read
 		}
-		return nil, fmt.Errorf("appstore: scrub read segment %d: %w", no, err)
+		return nil, fmt.Errorf("appstore: scrub segment %d: %w", no, err)
 	}
-
-	// Snapshot the segment's indexed frame extents, then verify them
-	// against the raw bytes without holding any lock.
-	type ext struct {
-		seq  uint64
-		off  int64
-		n    int64
-		dead bool
+	bad := make(map[int64]bool, len(sc.Bad)+1)
+	for _, off := range sc.Bad {
+		bad[off] = true
 	}
-	s.mu.RLock()
-	var exts []ext
-	for i := range s.entries {
-		if e := &s.entries[i]; e.seg == no {
-			exts = append(exts, ext{seq: e.seq, off: e.off, n: e.n, dead: e.dead})
-		}
+	if sc.Torn {
+		bad[sc.End] = true
 	}
-	s.mu.RUnlock()
-
 	badSeqs := make(map[uint64]bool)
 	rep := &ScrubReport{Seg: no}
-	for _, x := range exts {
-		ok := x.off >= 0 && x.off+x.n <= int64(len(data)) && x.n > frameSize
-		if ok {
-			frame := data[x.off : x.off+x.n]
-			plen := int64(binary.LittleEndian.Uint32(frame[:4]))
-			crc := binary.LittleEndian.Uint32(frame[4:8])
-			payload := frame[frameSize:]
-			ok = plen == x.n-frameSize && crc32.Checksum(payload, castagnoli) == crc
-		}
-		if !ok {
-			badSeqs[x.seq] = true
+	s.mu.RLock()
+	for i := range s.entries {
+		if e := &s.entries[i]; e.seg == no && bad[e.off] {
+			badSeqs[e.seq] = true
 			rep.BadFrames++
-			if !x.dead {
+			if !e.dead {
 				rep.LostRecords++
 			}
 		}
 	}
+	s.mu.RUnlock()
 	if rep.BadFrames == 0 {
 		return nil, nil
 	}
@@ -162,7 +127,7 @@ func (s *Store) scrubSegment(no uint64) (*ScrubReport, error) {
 
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if err := s.repairScrubLocked(no, badSeqs, data, rep); err != nil {
+	if err := s.repairScrubLocked(no, badSeqs, rep); err != nil {
 		rep.SkipReason = fmt.Sprintf("repair failed: %v", err)
 		return rep, err
 	}
@@ -172,114 +137,29 @@ func (s *Store) scrubSegment(no uint64) (*ScrubReport, error) {
 // repairScrubLocked rewrites segment no without its damaged frames —
 // compaction's copy-forward against a single victim, with the victim
 // quarantined rather than deleted. Caller holds the write lock.
-func (s *Store) repairScrubLocked(no uint64, badSeqs map[uint64]bool, data []byte, rep *ScrubReport) error {
-	info := s.segs[no]
-	if info == nil || no == s.seg {
+func (s *Store) repairScrubLocked(no uint64, badSeqs map[uint64]bool, rep *ScrubReport) error {
+	if s.segs[no] == nil || no == s.w.Seq() {
 		rep.SkipReason = "segment vanished before repair"
 		return nil
 	}
 	// Damaged live records are unreadable; tombstone them so the copy
-	// below skips them and readers stop being offered them.
+	// skips them and readers stop being offered them.
 	for i := range s.entries {
 		e := &s.entries[i]
 		if e.seg == no && badSeqs[e.seq] && !e.dead {
 			s.markDeadLocked(e)
 		}
 	}
-
-	// Copy surviving live frames into a fresh segment from the bytes
-	// already read (closed segments are immutable).
-	copies := info.live
-	var newSeg uint64
-	newOff := make(map[uint64]int64)
-	if copies > 0 {
-		newSeg = s.nextSegNoLocked()
-		path := segPath(s.dir, newSeg)
-		tmp := path + ".tmp"
-		f, err := os.OpenFile(tmp, os.O_CREATE|os.O_TRUNC|os.O_WRONLY, 0o644)
-		if err != nil {
-			return fmt.Errorf("appstore: create %s: %w", tmp, err)
-		}
-		fail := func(err error) error {
-			f.Close()
-			os.Remove(tmp)
-			return err
-		}
-		var hdr [headerSize]byte
-		copy(hdr[:4], segMagic[:])
-		binary.LittleEndian.PutUint32(hdr[4:8], segVersion)
-		if _, err := f.Write(hdr[:]); err != nil {
-			return fail(fmt.Errorf("appstore: write header %s: %w", tmp, err))
-		}
-		off := int64(headerSize)
-		for i := range s.entries {
-			e := &s.entries[i]
-			if e.seg != no || e.dead {
-				continue
-			}
-			if _, err := f.Write(data[e.off : e.off+e.n]); err != nil {
-				return fail(fmt.Errorf("appstore: write %s: %w", tmp, err))
-			}
-			newOff[e.seq] = off
-			off += e.n
-		}
-		if err := f.Sync(); err != nil {
-			return fail(fmt.Errorf("appstore: sync %s: %w", tmp, err))
-		}
-		if err := f.Close(); err != nil {
-			os.Remove(tmp)
-			return fmt.Errorf("appstore: close %s: %w", tmp, err)
-		}
-		if err := os.Rename(tmp, path); err != nil {
-			os.Remove(tmp)
-			return fmt.Errorf("appstore: publish segment %d: %w", newSeg, err)
-		}
-		if err := syncDir(s.dir); err != nil {
-			return err
-		}
-		s.segs[newSeg] = &segInfo{size: off, live: copies}
-	}
-
-	// The copies are durable; quarantine the damaged original.
-	if info.rd != nil {
-		info.rd.Close()
-	}
-	victim := segPath(s.dir, no)
-	quarantine := victim + ".corrupt"
-	os.Remove(quarantine) // stale quarantine from an earlier repair
-	if err := os.Rename(victim, quarantine); err != nil {
-		return fmt.Errorf("appstore: quarantine segment %d: %w", no, err)
-	}
-	delete(s.segs, no)
-	if err := syncDir(s.dir); err != nil {
+	copies, removed, err := s.rewriteLocked(map[uint64]bool{no: true}, true)
+	if err != nil {
 		return err
 	}
-
-	// Rebuild the index: entries in the victim either disappear (dead,
-	// including the freshly damaged) or repoint to their copy.
-	kept := s.entries[:0]
-	removed := 0
-	for i := range s.entries {
-		e := s.entries[i]
-		if e.seg == no {
-			if e.dead {
-				removed++
-				continue
-			}
-			e.seg = newSeg
-			e.off = newOff[e.seq]
-		}
-		kept = append(kept, e)
-	}
-	s.entries = kept
-	s.rebuildIndexLocked()
-
 	s.stats.DroppedRecords += int64(removed)
 	s.stats.ScrubRepairedSegments++
 	s.stats.ScrubLostRecords += int64(rep.LostRecords)
 	s.stats.ScrubQuarantined++
 	rep.Repaired = true
-	rep.Quarantined = quarantine
+	rep.Quarantined = segFormat.Path(s.dir, no) + ".corrupt"
 	s.opt.Logf("appstore: scrub repaired segment %d: quarantined original, carried %d live record(s), lost %d to damage",
 		no, copies, rep.LostRecords)
 	return s.persistTombstonesLocked()

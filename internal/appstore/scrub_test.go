@@ -7,6 +7,8 @@ import (
 	"testing"
 
 	"repro/internal/appclass"
+
+	"repro/internal/seglog"
 )
 
 // corruptLiveFrame flips a payload byte of the live record with the
@@ -21,12 +23,12 @@ func corruptLiveFrame(t *testing.T, s *Store, seq uint64) uint64 {
 	}
 	e := s.entries[i]
 	s.mu.RUnlock()
-	path := segPath(s.dir, e.seg)
+	path := segFormat.Path(s.dir, e.seg)
 	b, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b[e.off+frameSize+2] ^= 0x20
+	b[e.off+seglog.FrameSize+2] ^= 0x20
 	if err := os.WriteFile(path, b, 0o644); err != nil {
 		t.Fatal(err)
 	}
@@ -64,10 +66,10 @@ func TestScrubRepairsDamagedSegment(t *testing.T) {
 	if rep.Seg != victim || rep.BadFrames != 1 || rep.LostRecords != 1 || !rep.Repaired {
 		t.Fatalf("report = %+v", rep)
 	}
-	if _, err := os.Stat(segPath(dir, victim) + ".corrupt"); err != nil {
+	if _, err := os.Stat(segFormat.Path(dir, victim) + ".corrupt"); err != nil {
 		t.Errorf("quarantine missing: %v", err)
 	}
-	if _, err := os.Stat(segPath(dir, victim)); !os.IsNotExist(err) {
+	if _, err := os.Stat(segFormat.Path(dir, victim)); !os.IsNotExist(err) {
 		t.Errorf("victim segment still present: %v", err)
 	}
 
@@ -167,7 +169,7 @@ func TestScrubDamagedDeadFrameQuarantines(t *testing.T) {
 	// rot is still quarantined.
 	s.mu.Lock()
 	i := s.findSeqLocked(2)
-	if i < 0 || s.entries[i].seg == s.seg {
+	if i < 0 || s.entries[i].seg == s.w.Seq() {
 		s.mu.Unlock()
 		t.Fatal("seq 2 not in a closed segment")
 	}

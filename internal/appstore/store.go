@@ -1,19 +1,18 @@
 package appstore
 
 import (
-	"encoding/binary"
 	"fmt"
-	"hash/crc32"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
-	"strconv"
 	"strings"
 	"sync"
 	"time"
 
 	"repro/internal/appclass"
 	"repro/internal/phase"
+	"repro/internal/seglog"
 )
 
 // Options parameterizes a store.
@@ -105,8 +104,8 @@ type segInfo struct {
 	size    int64
 	live    int
 	dead    int
-	corrupt bool // undecodable bytes seen at load; never reuse as active
-	dups    int  // frames skipped at load because their seq was already seen
+	corrupt bool     // undecodable bytes seen at load; never reuse as active
+	dups    int      // frames skipped at load because their seq was already seen
 	rd      *os.File // lazily opened read handle
 }
 
@@ -119,10 +118,8 @@ type Store struct {
 	opt Options
 
 	mu      sync.RWMutex
-	rdMu    sync.Mutex // guards lazy opens of segInfo.rd under the read lock
-	f       *os.File   // active segment write handle
-	seg     uint64   // active segment number
-	size    int64    // active segment size
+	rdMu    sync.Mutex    // guards lazy opens of segInfo.rd under the read lock
+	w       seglog.Writer // the active segment
 	nextSeq uint64
 	entries []entry // ascending seq
 	byApp   map[string][]int
@@ -186,6 +183,7 @@ func Open(dir string, opt Options) (*Store, error) {
 		byModel: make(map[string][]int),
 		segs:    make(map[uint64]*segInfo),
 		interns: make(map[string]string),
+		w:       seglog.Writer{Format: &segFormat, Dir: dir},
 	}
 	if err := s.load(); err != nil {
 		return nil, err
@@ -209,21 +207,6 @@ func Open(dir string, opt Options) (*Store, error) {
 // Dir returns the store directory.
 func (s *Store) Dir() string { return s.dir }
 
-func segPath(dir string, seg uint64) string {
-	return filepath.Join(dir, fmt.Sprintf("store-%08d.seg", seg))
-}
-
-func parseSegName(name string) (uint64, bool) {
-	if !strings.HasPrefix(name, "store-") || !strings.HasSuffix(name, ".seg") {
-		return 0, false
-	}
-	n, err := strconv.ParseUint(strings.TrimSuffix(strings.TrimPrefix(name, "store-"), ".seg"), 10, 64)
-	if err != nil || n == 0 {
-		return 0, false
-	}
-	return n, true
-}
-
 // load rebuilds the in-memory index from the segments on disk: every
 // frame is CRC-checked and only its fixed meta header decoded. A torn
 // tail on the newest segment is repaired by truncation (the normal
@@ -237,13 +220,14 @@ func (s *Store) load() error {
 	}
 	var segNos []uint64
 	for _, e := range ents {
-		if strings.HasSuffix(e.Name(), ".tmp") {
-			// A compaction that died before its atomic rename; the segment
-			// never became visible, so its contents are all elsewhere.
+		if strings.Contains(e.Name(), ".tmp") {
+			// A compaction or sidecar rewrite that died before its atomic
+			// rename; the file never became visible, so its contents are
+			// all elsewhere.
 			os.Remove(filepath.Join(s.dir, e.Name()))
 			continue
 		}
-		if n, ok := parseSegName(e.Name()); ok {
+		if n, ok := segFormat.Parse(e.Name()); ok {
 			segNos = append(segNos, n)
 		}
 	}
@@ -281,7 +265,7 @@ func (s *Store) load() error {
 	// elsewhere, so deleting it is safe.
 	for no, info := range s.segs {
 		if info.live == 0 && info.dead == 0 && info.dups > 0 && !info.corrupt {
-			if err := os.Remove(segPath(s.dir, no)); err != nil {
+			if err := os.Remove(segFormat.Path(s.dir, no)); err != nil {
 				s.opt.Logf("appstore: delete fully duplicated segment %d: %v", no, err)
 				continue
 			}
@@ -296,15 +280,9 @@ func (s *Store) load() error {
 	if n := len(segNos); n > 0 {
 		last := segNos[n-1]
 		if info := s.segs[last]; info != nil && !info.corrupt && info.size < s.opt.SegmentBytes {
-			f, err := os.OpenFile(segPath(s.dir, last), os.O_WRONLY, 0o644)
-			if err != nil {
-				return fmt.Errorf("appstore: reopen segment %d: %w", last, err)
+			if err := s.w.Resume(last, info.size); err != nil {
+				return fmt.Errorf("appstore: %w", err)
 			}
-			if _, err := f.Seek(info.size, 0); err != nil {
-				f.Close()
-				return fmt.Errorf("appstore: seek segment %d: %w", last, err)
-			}
-			s.f, s.seg, s.size = f, last, info.size
 			return nil
 		}
 	}
@@ -312,84 +290,74 @@ func (s *Store) load() error {
 	if n := len(segNos); n > 0 {
 		next = segNos[n-1] + 1
 	}
-	return s.openSegment(next)
+	if err := s.w.Create(next); err != nil {
+		return fmt.Errorf("appstore: %w", err)
+	}
+	s.trackActiveLocked()
+	return nil
 }
 
 // loadSegment scans one segment, appending its valid records to
 // s.entries (unindexed; load() indexes after the global seq sort).
 func (s *Store) loadSegment(no uint64, newest bool, seen map[uint64]bool) error {
-	path := segPath(s.dir, no)
-	data, err := os.ReadFile(path)
+	path := segFormat.Path(s.dir, no)
+	info := &segInfo{}
+	sc, err := segFormat.Walk(path, 0, false, func(off int64, p []byte) error {
+		m, _, err := decodeMeta(p)
+		if err != nil {
+			return seglog.Corrupt(err)
+		}
+		if seen[m.seq] {
+			// A crash between a compaction's rename and its victim deletes
+			// leaves the same seq in two segments; the first copy wins.
+			info.dups++
+			return nil
+		}
+		seen[m.seq] = true
+		m.app = s.intern(m.app)
+		m.model = s.intern(m.model)
+		s.entries = append(s.entries, entry{meta: m, seg: no, off: off, n: seglog.FrameSize + int64(len(p))})
+		return nil
+	})
 	if err != nil {
 		return fmt.Errorf("appstore: read segment %d: %w", no, err)
 	}
-	if len(data) < headerSize || [4]byte(data[:4]) != segMagic ||
-		binary.LittleEndian.Uint32(data[4:8]) != segVersion {
+	info.size = sc.Size
+	if sc.Header.Size == 0 {
 		// Nothing in this segment is readable. Quarantine it aside so it
 		// stops counting against the byte cap (and can be inspected), and
 		// so it is never reused as the active segment.
 		s.stats.CorruptFrames++
-		quarantine := path + ".corrupt"
-		if err := os.Rename(path, quarantine); err != nil {
+		quarantine, err := seglog.Quarantine(path, false)
+		if err != nil {
 			// Can't move it; keep tracking its real on-disk size (never a
 			// fabricated one, which would skew Stats.Bytes and retention)
 			// and flag it so it is neither appended to nor deleted.
-			s.segs[no] = &segInfo{size: int64(len(data)), corrupt: true}
+			info.corrupt = true
+			s.segs[no] = info
 			s.opt.Logf("appstore: segment %d has a bad header and could not be quarantined (%v); ignoring its contents", no, err)
 			return nil
 		}
 		s.opt.Logf("appstore: segment %d has a bad header; quarantined to %s", no, quarantine)
 		return nil
 	}
-	info := &segInfo{size: int64(len(data))}
 	s.segs[no] = info
-	off := int64(headerSize)
-	for off < int64(len(data)) {
-		rest := data[off:]
-		if int64(len(rest)) < frameSize {
-			break // torn frame header at the tail
-		}
-		plen := int64(binary.LittleEndian.Uint32(rest[:4]))
-		crc := binary.LittleEndian.Uint32(rest[4:8])
-		if plen <= 0 || plen > maxPayload || frameSize+plen > int64(len(rest)) {
-			break
-		}
-		payload := rest[frameSize : frameSize+plen]
-		if crc32.Checksum(payload, castagnoli) != crc {
-			break
-		}
-		m, _, err := decodeMeta(payload)
-		if err != nil {
-			break
-		}
-		if !seen[m.seq] {
-			seen[m.seq] = true
-			m.app = s.intern(m.app)
-			m.model = s.intern(m.model)
-			s.entries = append(s.entries, entry{meta: m, seg: no, off: off, n: frameSize + plen})
-		} else {
-			// A crash between a compaction's rename and its victim deletes
-			// leaves the same seq in two segments; the first copy wins.
-			info.dups++
-		}
-		off += frameSize + plen
-	}
-	if off < int64(len(data)) {
+	if sc.Torn {
 		s.stats.CorruptFrames++
 		if newest {
 			// The normal crash shape: a torn append at the tail. Repair in
 			// place so the segment can keep taking appends.
-			if err := os.Truncate(path, off); err != nil {
+			if err := os.Truncate(path, sc.End); err != nil {
 				return fmt.Errorf("appstore: repair torn tail of segment %d: %w", no, err)
 			}
-			info.size = off
-			s.opt.Logf("appstore: repaired torn tail of segment %d (truncated %d bytes)", no, int64(len(data))-off)
+			info.size = sc.End
+			s.opt.Logf("appstore: repaired torn tail of segment %d (truncated %d bytes)", no, sc.Size-sc.End)
 		} else {
 			// Corruption inside a closed segment is not a crash artifact;
 			// keep what decoded and say so loudly.
 			info.corrupt = true
 			s.opt.Logf("appstore: CORRUPTION in closed segment %d at offset %d; %d trailing bytes unreadable",
-				no, off, int64(len(data))-off)
+				no, sc.End, sc.Size-sc.End)
 		}
 	}
 	return nil
@@ -430,27 +398,13 @@ func (s *Store) indexEntry(i int) {
 	}
 }
 
-// openSegment creates a fresh active segment.
-func (s *Store) openSegment(no uint64) error {
-	path := segPath(s.dir, no)
-	f, err := os.OpenFile(path, os.O_CREATE|os.O_EXCL|os.O_WRONLY, 0o644)
-	if err != nil {
-		return fmt.Errorf("appstore: create segment %s: %w", path, err)
+// trackActiveLocked registers the writer's active segment in s.segs
+// after the writer started a fresh one.
+func (s *Store) trackActiveLocked() {
+	if s.segs[s.w.Seq()] == nil {
+		s.segs[s.w.Seq()] = &segInfo{}
 	}
-	var hdr [headerSize]byte
-	copy(hdr[:4], segMagic[:])
-	binary.LittleEndian.PutUint32(hdr[4:8], segVersion)
-	if _, err := f.Write(hdr[:]); err != nil {
-		f.Close()
-		os.Remove(path)
-		return fmt.Errorf("appstore: write segment header %s: %w", path, err)
-	}
-	s.f, s.seg, s.size = f, no, headerSize
-	if s.segs[no] == nil {
-		s.segs[no] = &segInfo{}
-	}
-	s.segs[no].size = headerSize
-	return nil
+	s.segs[s.w.Seq()].size = s.w.Size()
 }
 
 // Append validates nothing (appdb.Put validates) and appends one record
@@ -464,36 +418,34 @@ func (s *Store) Append(r *Record) error {
 		return fmt.Errorf("appstore: store is closed")
 	}
 	seq := s.nextSeq
-	buf := append(s.buf[:0], 0, 0, 0, 0, 0, 0, 0, 0)
+	buf, fstart := seglog.BeginFrame(s.buf[:0])
 	buf, err := appendRecordPayload(buf, seq, r)
 	if err != nil {
 		return err
 	}
-	payload := buf[frameSize:]
-	if len(payload) > maxPayload {
-		return fmt.Errorf("appstore: record payload %d bytes exceeds cap %d", len(payload), maxPayload)
+	if n := len(buf) - seglog.FrameSize; n > maxPayload {
+		return fmt.Errorf("appstore: record payload %d bytes exceeds cap %d", n, maxPayload)
 	}
-	binary.LittleEndian.PutUint32(buf[0:4], uint32(len(payload)))
-	binary.LittleEndian.PutUint32(buf[4:8], crc32.Checksum(payload, castagnoli))
-	s.buf = buf
-	if _, err := s.f.Write(buf); err != nil {
-		// The active segment's tail is now suspect; the next open repairs
-		// it by truncation. Refuse further appends to this handle by
-		// rotating to a fresh segment.
-		if rerr := s.rotateLocked(); rerr != nil {
-			s.opt.Logf("appstore: rotate after failed append: %v", rerr)
+	s.buf = seglog.EndFrame(buf, fstart)
+	seg, off := s.w.Seq(), s.w.Size()
+	err = s.w.Write(s.buf)
+	if err == nil && !s.opt.NoFsync {
+		err = s.w.Sync()
+	}
+	if err != nil {
+		// The frame may be partly or wholly on disk without being durable:
+		// cut the segment back to where the record began, so it can never
+		// come back at reopen, and continue in a fresh segment. A failed
+		// cut leaves the store without an active segment; the next append
+		// retries a fresh one.
+		if aerr := s.w.Abandon(off, s.nextSegNoLocked()); aerr != nil {
+			s.opt.Logf("appstore: abandon segment %d after failed append: %v", seg, aerr)
 		}
-		return fmt.Errorf("appstore: append to segment %d: %w", s.seg, err)
+		s.trackActiveLocked()
+		return fmt.Errorf("appstore: %w", err)
 	}
-	if !s.opt.NoFsync {
-		if err := s.f.Sync(); err != nil {
-			return fmt.Errorf("appstore: fsync segment %d: %w", s.seg, err)
-		}
-	}
-	off := s.size
-	s.size += int64(len(buf))
-	s.segs[s.seg].size = s.size
-	s.segs[s.seg].live++
+	s.segs[seg].size = s.w.Size()
+	s.segs[seg].live++
 	s.nextSeq++
 	m := meta{
 		seq: seq, at: r.FinalizedAt, app: s.intern(r.App),
@@ -506,34 +458,27 @@ func (s *Store) Append(r *Record) error {
 			m.comp = append(m.comp, compEntry{class: c, frac: f})
 		}
 	}
-	s.entries = append(s.entries, entry{meta: m, seg: s.seg, off: off, n: int64(len(buf))})
+	s.entries = append(s.entries, entry{meta: m, seg: seg, off: off, n: int64(len(s.buf))})
 	s.indexEntry(len(s.entries) - 1)
 	s.stats.Appends++
 	elapsed := s.opt.Now().Sub(start).Nanoseconds()
 	s.stats.AppendLastNanos = elapsed
 	s.stats.AppendTotalNanos += elapsed
-	if s.size >= s.opt.SegmentBytes {
-		if err := s.rotateLocked(); err != nil {
-			return err
+	if s.w.Size() >= s.opt.SegmentBytes {
+		// The record is stored either way; a failed rotation is retried
+		// by the next append.
+		err := s.w.Rotate(s.nextSegNoLocked())
+		s.trackActiveLocked()
+		if err != nil {
+			s.opt.Logf("appstore: rotate segment %d: %v", seg, err)
 		}
 		s.maybeRetainLocked()
 	}
 	return nil
 }
 
-// rotateLocked closes the active segment and opens the next.
-func (s *Store) rotateLocked() error {
-	if err := s.f.Sync(); err != nil {
-		s.opt.Logf("appstore: sync closing segment %d: %v", s.seg, err)
-	}
-	if err := s.f.Close(); err != nil {
-		s.opt.Logf("appstore: close segment %d: %v", s.seg, err)
-	}
-	return s.openSegment(s.nextSegNoLocked())
-}
-
 func (s *Store) nextSegNoLocked() uint64 {
-	next := s.seg + 1
+	next := s.w.Seq() + 1
 	for no := range s.segs {
 		if no >= next {
 			next = no + 1
@@ -549,8 +494,8 @@ func (s *Store) Sync() error {
 	if s.closed {
 		return fmt.Errorf("appstore: store is closed")
 	}
-	if err := s.f.Sync(); err != nil {
-		return fmt.Errorf("appstore: fsync segment %d: %w", s.seg, err)
+	if err := s.w.Sync(); err != nil {
+		return fmt.Errorf("appstore: %w", err)
 	}
 	return nil
 }
@@ -563,10 +508,7 @@ func (s *Store) Close() error {
 		return nil
 	}
 	s.closed = true
-	err := s.f.Sync()
-	if cerr := s.f.Close(); err == nil {
-		err = cerr
-	}
+	err := s.w.Close()
 	for _, info := range s.segs {
 		if info.rd != nil {
 			info.rd.Close()
@@ -595,29 +537,36 @@ func (s *Store) Stats() Stats {
 // readers share the segment's cached handle — ReadAt carries its own
 // offset, so no further locking is needed here.
 func (s *Store) readEntry(e *entry) (Record, error) {
-	info := s.segs[e.seg]
-	if info == nil {
-		return Record{}, fmt.Errorf("appstore: segment %d vanished from the index", e.seg)
-	}
-	rd, err := s.readHandle(e.seg, info)
+	buf, err := s.readFrame(e, nil)
 	if err != nil {
 		return Record{}, err
 	}
-	buf := make([]byte, e.n)
-	if _, err := rd.ReadAt(buf, e.off); err != nil {
-		return Record{}, fmt.Errorf("appstore: read record %d from segment %d: %w", e.seq, e.seg, err)
+	payload, rest, err := seglog.NextFrame(buf, maxPayload)
+	if err == nil && len(rest) != 0 {
+		err = fmt.Errorf("frame length drifted")
 	}
-	plen := int64(binary.LittleEndian.Uint32(buf[:4]))
-	crc := binary.LittleEndian.Uint32(buf[4:8])
-	if plen != e.n-frameSize {
-		return Record{}, fmt.Errorf("appstore: record %d frame length drifted", e.seq)
-	}
-	payload := buf[frameSize:]
-	if crc32.Checksum(payload, castagnoli) != crc {
-		return Record{}, fmt.Errorf("appstore: record %d failed its checksum", e.seq)
+	if err != nil {
+		return Record{}, fmt.Errorf("appstore: record %d: %w", e.seq, err)
 	}
 	_, r, err := decodeRecordPayload(payload)
 	return r, err
+}
+
+// readFrame preads entry e's raw frame into buf, grown as needed.
+func (s *Store) readFrame(e *entry, buf []byte) ([]byte, error) {
+	info := s.segs[e.seg]
+	if info == nil {
+		return nil, fmt.Errorf("appstore: segment %d vanished from the index", e.seg)
+	}
+	rd, err := s.readHandle(e.seg, info)
+	if err != nil {
+		return nil, err
+	}
+	buf = slices.Grow(buf[:0], int(e.n))[:e.n]
+	if _, err := rd.ReadAt(buf, e.off); err != nil {
+		return nil, fmt.Errorf("appstore: read record %d from segment %d: %w", e.seq, e.seg, err)
+	}
+	return buf, nil
 }
 
 // readHandle returns the segment's cached read handle, opening it
@@ -630,7 +579,7 @@ func (s *Store) readHandle(seg uint64, info *segInfo) (*os.File, error) {
 	s.rdMu.Lock()
 	defer s.rdMu.Unlock()
 	if info.rd == nil {
-		f, err := os.Open(segPath(s.dir, seg))
+		f, err := os.Open(segFormat.Path(s.dir, seg))
 		if err != nil {
 			return nil, fmt.Errorf("appstore: open segment %d: %w", seg, err)
 		}

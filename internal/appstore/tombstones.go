@@ -3,14 +3,16 @@ package appstore
 import (
 	"encoding/json"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
+
+	"repro/internal/seglog"
 )
 
 // Deletions never touch segment files: the set of dead sequence numbers
-// lives in a small JSON sidecar rewritten atomically (temp + fsync +
-// rename, the same idiom as the wal checkpoints and the legacy
-// SaveFile). A segment therefore stays immutable from creation until
+// lives in a small JSON sidecar rewritten atomically by
+// seglog.WriteFile. A segment therefore stays immutable from creation until
 // compaction physically drops its dead records, at which point the
 // sidecar shrinks again.
 
@@ -60,42 +62,11 @@ func (s *Store) persistTombstonesLocked() error {
 	if err != nil {
 		return fmt.Errorf("appstore: encode tombstones: %w", err)
 	}
-	tmp := path + ".tmp"
-	f, err := os.OpenFile(tmp, os.O_CREATE|os.O_TRUNC|os.O_WRONLY, 0o644)
-	if err != nil {
-		return fmt.Errorf("appstore: create %s: %w", tmp, err)
-	}
-	if _, err := f.Write(data); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return fmt.Errorf("appstore: write %s: %w", tmp, err)
-	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return fmt.Errorf("appstore: sync %s: %w", tmp, err)
-	}
-	if err := f.Close(); err != nil {
-		os.Remove(tmp)
-		return fmt.Errorf("appstore: close %s: %w", tmp, err)
-	}
-	if err := os.Rename(tmp, path); err != nil {
-		os.Remove(tmp)
-		return fmt.Errorf("appstore: rename tombstones: %w", err)
-	}
-	return syncDir(s.dir)
-}
-
-// syncDir fsyncs a directory so renames and deletes within it are
-// durable.
-func syncDir(dir string) error {
-	d, err := os.Open(dir)
-	if err != nil {
-		return fmt.Errorf("appstore: open dir %s: %w", dir, err)
-	}
-	defer d.Close()
-	if err := d.Sync(); err != nil {
-		return fmt.Errorf("appstore: sync dir %s: %w", dir, err)
+	if err := seglog.WriteFile(path, func(w io.Writer) error {
+		_, err := w.Write(data)
+		return err
+	}); err != nil {
+		return fmt.Errorf("appstore: persist tombstones: %w", err)
 	}
 	return nil
 }

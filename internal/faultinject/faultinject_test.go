@@ -237,3 +237,40 @@ func TestFSSyncFailure(t *testing.T) {
 		t.Fatalf("append after fsync heal: %v", err)
 	}
 }
+
+// TestFSSyncFailureCutsRecord pins the fsync-failure rule under plain
+// FsyncAlways: the record whose fsync failed is cut from the journal,
+// so after the fault heals and the journal closes, replay returns
+// exactly the appends that were acknowledged.
+func TestFSSyncFailureCutsRecord(t *testing.T) {
+	fs := NewFS()
+	dir := t.TempDir()
+	j, err := wal.Open(wal.Config{Dir: dir, Fsync: wal.FsyncAlways, OpenSegmentFile: fs.OpenSegmentFile})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := j.AppendBatch("vm", testSnaps("vm", 1)); err != nil {
+		t.Fatal(err)
+	}
+	fs.FailSyncs(syscall.EIO)
+	if _, err := j.AppendBatch("vm", testSnaps("vm", 2)); err == nil {
+		t.Fatal("append with a failing fsync succeeded")
+	}
+	fs.FailSyncs(nil)
+	if _, err := j.AppendBatch("vm", testSnaps("vm", 3)); err != nil {
+		t.Fatalf("append after fsync heal: %v", err)
+	}
+	if err := j.Close(); err != nil {
+		t.Fatal(err)
+	}
+	var batches []int
+	if _, err := wal.Replay(dir, wal.Position{}, func(_ wal.Position, rec wal.Record) error {
+		batches = append(batches, len(rec.Snaps))
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if len(batches) != 2 || batches[0] != 1 || batches[1] != 3 {
+		t.Errorf("replayed batches of %v snapshots, want [1 3]: the unacknowledged batch came back", batches)
+	}
+}

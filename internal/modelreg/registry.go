@@ -3,11 +3,11 @@ package modelreg
 import (
 	"fmt"
 	"os"
-	"path/filepath"
 	"sort"
 	"sync"
 
 	"repro/internal/classify"
+	"repro/internal/seglog"
 )
 
 // State is a model's position in the lifecycle.
@@ -78,31 +78,12 @@ func LoadFile(path string, p Params, loadedAtUnixNS int64) (*Model, error) {
 	return NewModel(cl, p, "file:"+path, loadedAtUnixNS)
 }
 
-// SaveFile writes a classifier artifact atomically (temp + fsync +
-// rename), ready for LoadFile or POST /v1/models.
+// SaveFile writes a classifier artifact atomically with
+// seglog.WriteFile (temp file, fsync, rename, directory fsync), ready
+// for LoadFile or POST /v1/models.
 func SaveFile(path string, cl *classify.Classifier) error {
-	f, err := os.CreateTemp(filepath.Dir(path), filepath.Base(path)+".tmp*")
-	if err != nil {
-		return fmt.Errorf("modelreg: create temp artifact: %w", err)
-	}
-	tmp := f.Name()
-	fail := func(err error) error {
-		f.Close()
-		os.Remove(tmp)
-		return err
-	}
-	if err := cl.Save(f); err != nil {
-		return fail(fmt.Errorf("modelreg: write artifact: %w", err))
-	}
-	if err := f.Sync(); err != nil {
-		return fail(fmt.Errorf("modelreg: sync artifact: %w", err))
-	}
-	if err := f.Close(); err != nil {
-		return fail(fmt.Errorf("modelreg: close artifact: %w", err))
-	}
-	if err := os.Rename(tmp, path); err != nil {
-		os.Remove(tmp)
-		return fmt.Errorf("modelreg: rename artifact: %w", err)
+	if err := seglog.WriteFile(path, cl.Save); err != nil {
+		return fmt.Errorf("modelreg: save artifact: %w", err)
 	}
 	return nil
 }

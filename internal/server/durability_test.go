@@ -11,10 +11,12 @@ import (
 	"path/filepath"
 	"strings"
 	"sync"
+	"syscall"
 	"testing"
 	"time"
 
 	"repro/internal/classify"
+	"repro/internal/faultinject"
 	"repro/internal/metrics"
 	"repro/internal/wal"
 )
@@ -626,5 +628,51 @@ func TestCheckpointerLoopTakesCheckpoints(t *testing.T) {
 	}
 	if got := s.counters.checkpoints.Load(); got == 0 {
 		t.Error("checkpoints counter still zero")
+	}
+}
+
+// TestFsyncFailedBatchAbsentAfterRecovery pins the fsync-failure rule
+// end to end, with and without group commit: a batch rejected because
+// its fsync failed is cut from the journal, so the session recovered
+// after a crash holds exactly the acknowledged batches — a prefix of
+// what the clients were told succeeded.
+func TestFsyncFailedBatchAbsentAfterRecovery(t *testing.T) {
+	for _, group := range []bool{false, true} {
+		t.Run(fmt.Sprintf("group-commit=%v", group), func(t *testing.T) {
+			dir := t.TempDir()
+			fs := faultinject.NewFS()
+			j, err := wal.Open(wal.Config{Dir: dir, Fsync: wal.FsyncAlways, GroupCommit: group, OpenSegmentFile: fs.OpenSegmentFile})
+			if err != nil {
+				t.Fatal(err)
+			}
+			a := crashServer(t, j)
+			ingest := func(at float64) int {
+				return postJSON(t, a.Handler(), "/v1/ingest", map[string]any{"snapshots": []any{zeroSnapshot("f-vm", at)}}).Code
+			}
+			if code := ingest(0); code != 200 {
+				t.Fatalf("healthy ingest = %d", code)
+			}
+			fs.FailSyncs(syscall.EIO)
+			if code := ingest(5); code != 500 {
+				t.Fatalf("ingest with a failing fsync = %d, want 500", code)
+			}
+			fs.FailSyncs(nil)
+			if code := ingest(10); code != 200 {
+				t.Fatalf("ingest after the fault healed = %d", code)
+			}
+			// Crash: abandon a without shutdown and recover on the same dir.
+			jb, err := wal.Open(wal.Config{Dir: dir, Fsync: wal.FsyncNever})
+			if err != nil {
+				t.Fatal(err)
+			}
+			t.Cleanup(func() { jb.Close() })
+			b := newTestServer(t, Config{Journal: jb})
+			if _, err := b.Recover(); err != nil {
+				t.Fatalf("recover: %v", err)
+			}
+			if view := sessionView(t, b, "f-vm"); view.Total != 2 {
+				t.Errorf("recovered session saw %d snapshots, want the 2 acknowledged", view.Total)
+			}
+		})
 	}
 }

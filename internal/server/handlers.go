@@ -245,7 +245,7 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 	}()
 	var snaps []metrics.Snapshot
 	var classes []appclass.Class
-	var durable int64
+	var tokens []int64
 	for gi, vm := range order {
 		if !deadline.IsZero() && s.now().After(deadline) {
 			s.counters.deadlineExceeded.Add(1)
@@ -270,8 +270,8 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 			writeError(w, http.StatusInternalServerError, "classify %s: %v", vm, err)
 			return
 		}
-		if token > durable {
-			durable = token
+		if token != 0 {
+			tokens = append(tokens, token)
 		}
 		for g, i := range idxs {
 			results[i] = ingestResult{VM: vm, Class: string(classes[g])}
@@ -279,7 +279,7 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 	}
 	// One durability wait covers every group's journal record: under
 	// group commit the appends above coalesce behind a shared fsync.
-	if err := s.waitJournalDurable(durable); err != nil {
+	if err := s.waitJournalDurable(tokens...); err != nil {
 		writeError(w, http.StatusInternalServerError, "%v", err)
 		return
 	}

@@ -158,6 +158,7 @@ type binScratch struct {
 	groups  []binGroup
 	snaps   []metrics.Snapshot
 	classes []appclass.Class
+	tokens  []int64 // the request's group-commit durability tokens
 	// rows are the schema-length value buffers snapshots scatter into;
 	// observeBatch does not retain them (sessions copy what they keep),
 	// so the scratch owns them outright.
@@ -255,7 +256,7 @@ func (s *Server) handleIngestBin(w http.ResponseWriter, r *http.Request) {
 	buf := sc.body
 	sc.resp = sc.resp[:0]
 	frames := 0
-	var durable int64
+	sc.tokens = sc.tokens[:0]
 	for {
 		payload, rest, ferr := wire.NextFrame(buf)
 		if ferr != nil {
@@ -276,12 +277,8 @@ func (s *Server) handleIngestBin(w http.ResponseWriter, r *http.Request) {
 			s.handleBinHello(w, payload)
 			return
 		case wire.FrameBatch:
-			token, ok := s.handleBinBatch(w, r, sc, payload, deadline)
-			if !ok {
+			if !s.handleBinBatch(w, r, sc, payload, deadline) {
 				return
-			}
-			if token > durable {
-				durable = token
 			}
 		default:
 			s.counters.binDecodeErrors.Add(1)
@@ -298,7 +295,7 @@ func (s *Server) handleIngestBin(w http.ResponseWriter, r *http.Request) {
 	}
 	// One durability wait covers every batch frame in the request: the
 	// per-group journal appends above coalesce behind a shared fsync.
-	if err := s.waitJournalDurable(durable); err != nil {
+	if err := s.waitJournalDurable(sc.tokens...); err != nil {
 		writeBinError(w, http.StatusInternalServerError, modelreg.Hash{}, "%v", err)
 		return
 	}
@@ -386,21 +383,21 @@ func (s *Server) handleBinHello(w http.ResponseWriter, payload []byte) {
 }
 
 // handleBinBatch decodes, validates, scatters, and classifies one
-// Batch frame, appending its framed BatchAck to sc.resp. It returns
-// the frame's largest group-commit durability token and whether the
+// Batch frame, appending its framed BatchAck to sc.resp and its
+// group-commit durability tokens to sc.tokens. It returns whether the
 // caller should keep processing frames; on false the response has
 // already been written.
-func (s *Server) handleBinBatch(w http.ResponseWriter, r *http.Request, sc *binScratch, payload []byte, deadline time.Time) (int64, bool) {
+func (s *Server) handleBinBatch(w http.ResponseWriter, r *http.Request, sc *binScratch, payload []byte, deadline time.Time) bool {
 	id, err := wire.PeekStreamID(payload)
 	if err != nil {
 		s.counters.binDecodeErrors.Add(1)
 		writeBinError(w, http.StatusBadRequest, modelreg.Hash{}, "%v", err)
-		return 0, false
+		return false
 	}
 	st, ok := s.binStreams.get(id)
 	if !ok {
 		writeBinError(w, http.StatusConflict, s.active.Load().model.Hash, "unknown stream %d (expired or never opened); re-handshake", id)
-		return 0, false
+		return false
 	}
 	// A hot swap since the handshake invalidates the stream: the column
 	// table was validated against a model that is no longer serving.
@@ -410,13 +407,13 @@ func (s *Server) handleBinBatch(w http.ResponseWriter, r *http.Request, sc *binS
 		s.counters.binStaleStreams.Add(1)
 		s.binStreams.remove(id)
 		writeBinError(w, http.StatusConflict, am.model.Hash, "stream %d was negotiated under model %s; active is %s", id, st.hash.Short(), am.model.ID)
-		return 0, false
+		return false
 	}
 	v, err := wire.ParseBatchHeader(payload, len(st.cols))
 	if err != nil {
 		s.counters.binDecodeErrors.Add(1)
 		writeBinError(w, http.StatusBadRequest, modelreg.Hash{}, "%v", err)
-		return 0, false
+		return false
 	}
 
 	// Decode, validate, and scatter every group before classifying any
@@ -427,14 +424,13 @@ func (s *Server) handleBinBatch(w http.ResponseWriter, r *http.Request, sc *binS
 	schemaLen := s.cfg.Schema.Len()
 	sc.groups = sc.groups[:0]
 	sc.snaps = sc.snaps[:0]
-	var durable int64
 	nrows := 0
 	for gi := 0; gi < v.Groups(); gi++ {
 		g, gerr := v.Next()
 		if gerr != nil {
 			s.counters.binDecodeErrors.Add(1)
 			writeBinError(w, http.StatusBadRequest, modelreg.Hash{}, "%v", gerr)
-			return 0, false
+			return false
 		}
 		vm := st.internVM(g.VM)
 		start := len(sc.snaps)
@@ -443,7 +439,7 @@ func (s *Server) handleBinBatch(w http.ResponseWriter, r *http.Request, sc *binS
 			if ts-ts != 0 { // NaN or ±Inf
 				s.counters.binDecodeErrors.Add(1)
 				writeBinError(w, http.StatusBadRequest, modelreg.Hash{}, "group %d (%s) row %d has non-finite time", gi, vm, row)
-				return 0, false
+				return false
 			}
 			vals := sc.rowbuf(nrows, schemaLen)
 			nrows++
@@ -452,7 +448,7 @@ func (s *Server) handleBinBatch(w http.ResponseWriter, r *http.Request, sc *binS
 				if x-x != 0 { // NaN or ±Inf
 					s.counters.binDecodeErrors.Add(1)
 					writeBinError(w, http.StatusBadRequest, modelreg.Hash{}, "group %d (%s) row %d column %d has non-finite value", gi, vm, row, c)
-					return 0, false
+					return false
 				}
 				vals[idx] = x
 			}
@@ -471,20 +467,20 @@ func (s *Server) handleBinBatch(w http.ResponseWriter, r *http.Request, sc *binS
 		if !deadline.IsZero() && s.now().After(deadline) {
 			s.counters.deadlineExceeded.Add(1)
 			writeBinError(w, http.StatusServiceUnavailable, modelreg.Hash{}, "ingest deadline exceeded after %d of %d vm groups", gi, len(sc.groups))
-			return 0, false
+			return false
 		}
 		if cerr := r.Context().Err(); cerr != nil {
 			s.counters.deadlineExceeded.Add(1)
 			writeBinError(w, http.StatusServiceUnavailable, modelreg.Hash{}, "ingest request cancelled: %v", cerr)
-			return 0, false
+			return false
 		}
 		classes, token, oerr := s.observeBatch(gr.vm, sc.snaps[gr.start:gr.end], sc.classes[:0], true)
 		if oerr != nil {
 			writeBinError(w, http.StatusInternalServerError, modelreg.Hash{}, "classify %s: %v", gr.vm, oerr)
-			return 0, false
+			return false
 		}
-		if token > durable {
-			durable = token
+		if token != 0 {
+			sc.tokens = append(sc.tokens, token)
 		}
 		sc.classes = classes
 		for _, cl := range classes {
@@ -497,5 +493,5 @@ func (s *Server) handleBinBatch(w http.ResponseWriter, r *http.Request, sc *binS
 	resp, start := wire.BeginFrame(sc.resp)
 	resp = wire.AppendBatchAck(resp, sc.ids)
 	sc.resp = wire.EndFrame(resp, start)
-	return durable, true
+	return true
 }

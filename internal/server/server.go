@@ -739,16 +739,21 @@ func (s *Server) observe(vm string, at time.Duration, values []float64) (string,
 }
 
 // waitJournalDurable blocks until the journal's group-commit fsync
-// covers token (the durability token observeBatch returned); callers
-// making several observeBatch calls per request wait once on the
-// largest token before acknowledging. An fsync failure follows the
-// same policy as a failed append: fatal to the request, unless
+// covers every token (the ascending durability tokens observeBatch
+// returned for one request). The wait on the largest covers them all;
+// each earlier one then only checks that its record survived, because
+// a failed fsync can cut an earlier group's record while a later
+// group's lands in a fresh segment. An fsync failure follows the same
+// policy as a failed append: fatal to the request, unless
 // DegradeOnWALError trades durability for liveness.
-func (s *Server) waitJournalDurable(token int64) error {
-	if token == 0 || s.cfg.Journal == nil {
+func (s *Server) waitJournalDurable(tokens ...int64) error {
+	if s.cfg.Journal == nil {
 		return nil
 	}
-	err := s.cfg.Journal.WaitDurable(token)
+	var err error
+	for i := len(tokens) - 1; i >= 0 && err == nil; i-- {
+		err = s.cfg.Journal.WaitDurable(tokens[i])
+	}
 	if err == nil {
 		return nil
 	}
@@ -769,8 +774,8 @@ func (s *Server) waitJournalDurable(token int64) error {
 // durability: live ingest journals the batch before classifying it (so
 // a crash replays it), the recovery path passes false because its
 // records come from the journal. The returned token is the batch's
-// group-commit durability token: the caller must pass it (or the
-// largest token of a multi-batch request) to waitJournalDurable before
+// group-commit durability token: the caller must pass it, with every
+// other token of a multi-batch request, to waitJournalDurable before
 // acknowledging; zero means no wait is due.
 func (s *Server) observeBatch(vm string, snaps []metrics.Snapshot, classes []appclass.Class, journal bool) ([]appclass.Class, int64, error) {
 	if len(snaps) == 0 {

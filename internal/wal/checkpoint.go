@@ -2,13 +2,14 @@ package wal
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
+	"io"
+	"io/fs"
 	"os"
-	"path/filepath"
-	"sort"
-	"strconv"
-	"strings"
 	"time"
+
+	"repro/internal/seglog"
 )
 
 // Checkpoint is a durable snapshot of serving state (the server's
@@ -44,59 +45,36 @@ func (c Checkpoint) TakenAt() time.Time { return time.Unix(0, c.TakenAtUnixNS) }
 // a crash mid-write).
 const checkpointsToKeep = 2
 
-func checkpointPath(dir string, seq uint64) string {
-	return filepath.Join(dir, fmt.Sprintf("checkpoint-%08d.ckpt", seq))
-}
+// checkpointNames names checkpoint files checkpoint-%08d.ckpt.
+var checkpointNames = seglog.Names{Prefix: "checkpoint-", Suffix: ".ckpt"}
 
-func parseCheckpointName(name string) (uint64, bool) {
-	if !strings.HasPrefix(name, "checkpoint-") || !strings.HasSuffix(name, ".ckpt") {
-		return 0, false
+// listCheckpoints returns the checkpoints in dir, oldest first; a
+// missing directory has none.
+func listCheckpoints(dir string) ([]seglog.Seg, error) {
+	cps, err := checkpointNames.List(dir)
+	if errors.Is(err, fs.ErrNotExist) {
+		return nil, nil
 	}
-	mid := strings.TrimSuffix(strings.TrimPrefix(name, "checkpoint-"), ".ckpt")
-	seq, err := strconv.ParseUint(mid, 10, 64)
-	if err != nil || seq == 0 {
-		return 0, false
-	}
-	return seq, true
-}
-
-// listCheckpoints returns the checkpoint sequence numbers in dir,
-// oldest first.
-func listCheckpoints(dir string) ([]uint64, error) {
-	entries, err := os.ReadDir(dir)
-	if err != nil {
-		if os.IsNotExist(err) {
-			return nil, nil
-		}
-		return nil, fmt.Errorf("wal: read %s: %w", dir, err)
-	}
-	var out []uint64
-	for _, e := range entries {
-		if seq, ok := parseCheckpointName(e.Name()); ok {
-			out = append(out, seq)
-		}
-	}
-	sort.Slice(out, func(a, b int) bool { return out[a] < out[b] })
-	return out, nil
+	return cps, err
 }
 
 // SaveCheckpoint atomically writes a new checkpoint covering pos into
-// the journal directory — temp file, fsync, rename, exactly like the
-// application database's SaveFile — then prunes all but the newest
-// checkpointsToKeep files. modelHash is the hex compatibility hash of
-// the model the payload was serialized under ("" to leave the
-// checkpoint unstamped). It returns the new checkpoint's sequence.
+// the journal directory (seglog.WriteFile: temp file, fsync, rename,
+// directory fsync), then prunes all but the newest checkpointsToKeep
+// files. modelHash is the hex compatibility hash of the model the
+// payload was serialized under ("" to leave the checkpoint unstamped).
+// It returns the new checkpoint's sequence.
 func SaveCheckpoint(dir string, pos Position, takenAt time.Time, modelHash string, payload []byte) (uint64, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return 0, fmt.Errorf("wal: create %s: %w", dir, err)
 	}
-	seqs, err := listCheckpoints(dir)
+	cps, err := listCheckpoints(dir)
 	if err != nil {
 		return 0, err
 	}
 	seq := uint64(1)
-	if n := len(seqs); n > 0 {
-		seq = seqs[n-1] + 1
+	if n := len(cps); n > 0 {
+		seq = cps[n-1].Seq + 1
 	}
 	doc, err := json.Marshal(Checkpoint{
 		Seq:           seq,
@@ -108,34 +86,16 @@ func SaveCheckpoint(dir string, pos Position, takenAt time.Time, modelHash strin
 	if err != nil {
 		return 0, fmt.Errorf("wal: encode checkpoint: %w", err)
 	}
-	path := checkpointPath(dir, seq)
-	f, err := os.CreateTemp(dir, filepath.Base(path)+".tmp*")
-	if err != nil {
-		return 0, fmt.Errorf("wal: create temp in %s: %w", dir, err)
-	}
-	tmp := f.Name()
-	fail := func(err error) (uint64, error) {
-		f.Close()
-		os.Remove(tmp)
-		return 0, err
-	}
-	if _, err := f.Write(doc); err != nil {
-		return fail(fmt.Errorf("wal: write %s: %w", tmp, err))
-	}
-	if err := f.Sync(); err != nil {
-		return fail(fmt.Errorf("wal: sync %s: %w", tmp, err))
-	}
-	if err := f.Close(); err != nil {
-		return fail(fmt.Errorf("wal: close %s: %w", tmp, err))
-	}
-	if err := os.Rename(tmp, path); err != nil {
-		os.Remove(tmp)
-		return 0, fmt.Errorf("wal: rename %s -> %s: %w", tmp, path, err)
+	if err := seglog.WriteFile(checkpointNames.Path(dir, seq), func(w io.Writer) error {
+		_, err := w.Write(doc)
+		return err
+	}); err != nil {
+		return 0, fmt.Errorf("wal: save checkpoint: %w", err)
 	}
 	// Prune older checkpoints; failures here are cosmetic (stale files),
 	// not correctness problems, so they do not fail the save.
-	for i := 0; i+checkpointsToKeep <= len(seqs); i++ {
-		os.Remove(checkpointPath(dir, seqs[i]))
+	for i := 0; i+checkpointsToKeep <= len(cps); i++ {
+		os.Remove(checkpointNames.Path(dir, cps[i].Seq))
 	}
 	return seq, nil
 }
@@ -144,12 +104,12 @@ func SaveCheckpoint(dir string, pos Position, takenAt time.Time, modelHash strin
 // nil if none exists. An unreadable newer checkpoint is skipped in
 // favour of an older readable one.
 func LatestCheckpoint(dir string) (*Checkpoint, error) {
-	seqs, err := listCheckpoints(dir)
+	cps, err := listCheckpoints(dir)
 	if err != nil {
 		return nil, err
 	}
-	for i := len(seqs) - 1; i >= 0; i-- {
-		b, err := os.ReadFile(checkpointPath(dir, seqs[i]))
+	for i := len(cps) - 1; i >= 0; i-- {
+		b, err := os.ReadFile(checkpointNames.Path(dir, cps[i].Seq))
 		if err != nil {
 			continue
 		}

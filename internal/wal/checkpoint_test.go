@@ -67,7 +67,7 @@ func TestCorruptLatestFallsBackToPrevious(t *testing.T) {
 	if _, err := SaveCheckpoint(dir, Position{Seg: 2, Off: 20}, time.Unix(2, 0), "", []byte(`{}`)); err != nil {
 		t.Fatal(err)
 	}
-	if err := os.WriteFile(checkpointPath(dir, 2), []byte("not json"), 0o644); err != nil {
+	if err := os.WriteFile(checkpointNames.Path(dir, 2), []byte("not json"), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	cp, err := LatestCheckpoint(dir)

@@ -111,45 +111,18 @@ func TestGroupCommitDurableBeforeAck(t *testing.T) {
 	}
 }
 
-// TestGroupCommitWindow exercises the optional leader wait: appends
-// still complete and are durable, just on a wider coalescing window.
-func TestGroupCommitWindow(t *testing.T) {
-	var syncs atomic.Int64
-	j := openTestJournal(t, Config{
-		Fsync:             FsyncAlways,
-		GroupCommit:       true,
-		GroupCommitWindow: time.Millisecond,
-		OpenSegmentFile:   slowSyncOpener(0, &syncs, nil),
-	})
-	const writers = 4
-	var wg sync.WaitGroup
-	for w := 0; w < writers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			vm := fmt.Sprintf("vm-%d", w)
-			for i := 0; i < 5; i++ {
-				if _, err := j.AppendBatch(vm, testSnaps(vm, 1, 4, 1)); err != nil {
-					t.Errorf("append: %v", err)
-					return
-				}
-			}
-		}(w)
-	}
-	wg.Wait()
-	if syncs.Load() == 0 {
-		t.Fatal("no fsync happened")
-	}
-}
-
 // TestGroupCommitLeaderError asserts a failing fsync surfaces to every
 // waiting appender — a follower whose leader failed self-elects, tries
 // its own sync, and gets its own error — matching plain FsyncAlways
-// semantics where no record is acknowledged past a failed sync.
+// semantics where no record is acknowledged past a failed sync. The
+// failed records are cut from the journal: replay returns exactly the
+// appends that were acknowledged.
 func TestGroupCommitLeaderError(t *testing.T) {
 	var syncs atomic.Int64
 	var fail atomic.Bool
+	dir := t.TempDir()
 	j := openTestJournal(t, Config{
+		Dir:             dir,
 		Fsync:           FsyncAlways,
 		GroupCommit:     true,
 		OpenSegmentFile: slowSyncOpener(time.Millisecond, &syncs, &fail),
@@ -184,6 +157,16 @@ func TestGroupCommitLeaderError(t *testing.T) {
 	fail.Store(false)
 	if _, err := j.AppendBatch("vm", testSnaps("vm", 1, 4, 1)); err != nil {
 		t.Errorf("append after heal: %v", err)
+	}
+	if err := j.Close(); err != nil {
+		t.Fatal(err)
+	}
+	stats, err := Replay(dir, Position{}, func(Position, Record) error { return nil })
+	if err != nil {
+		t.Fatal(err)
+	}
+	if stats.Records != 2 || stats.Truncated {
+		t.Errorf("replay after failed fsyncs = %+v, want only the 2 acknowledged records", stats)
 	}
 }
 
@@ -236,5 +219,38 @@ func TestGroupCommitReplayComplete(t *testing.T) {
 		if perVM[vm] != each*2 {
 			t.Errorf("%s replayed %d snapshots, want %d", vm, perVM[vm], each*2)
 		}
+	}
+}
+
+// TestGroupCommitCutRecordStaysFailed: a record cut after a failed
+// fsync keeps failing its wait even once later records are durable —
+// the shape of a multi-group request whose earlier group was cut while
+// a later group landed in the fresh segment.
+func TestGroupCommitCutRecordStaysFailed(t *testing.T) {
+	var syncs atomic.Int64
+	var fail atomic.Bool
+	j := openTestJournal(t, Config{
+		Fsync:           FsyncAlways,
+		GroupCommit:     true,
+		OpenSegmentFile: slowSyncOpener(0, &syncs, &fail),
+	})
+	_, cut, err := j.AppendBatchDeferred("vm", testSnaps("vm", 1, 4, 1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	fail.Store(true)
+	if err := j.WaitDurable(cut); err == nil {
+		t.Fatal("wait over a failing fsync succeeded")
+	}
+	fail.Store(false)
+	_, later, err := j.AppendBatchDeferred("vm", testSnaps("vm", 1, 4, 2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := j.WaitDurable(later); err != nil {
+		t.Fatalf("wait after heal: %v", err)
+	}
+	if err := j.WaitDurable(cut); err == nil {
+		t.Fatal("cut record reported durable once a later sync succeeded")
 	}
 }

@@ -8,19 +8,14 @@
 package wal
 
 import (
-	"encoding/binary"
 	"fmt"
-	"hash/crc32"
-	"io"
 	"os"
-	"path/filepath"
-	"sort"
-	"strconv"
 	"strings"
 	"sync"
 	"time"
 
 	"repro/internal/metrics"
+	"repro/internal/seglog"
 )
 
 // Policy selects when the journal calls fsync.
@@ -105,14 +100,9 @@ type Config struct {
 	// append count covers their record — so durability stops
 	// serializing throughput under concurrency while every acknowledged
 	// record is still on stable storage before its append returns.
-	// Ignored under other policies.
+	// Followers that arrive during the in-flight fsync coalesce into the
+	// next one. Ignored under other policies.
 	GroupCommit bool
-	// GroupCommitWindow makes the group-commit leader wait this long
-	// before syncing, widening the coalescing window at the price of
-	// that much added append latency. Zero means the leader syncs
-	// immediately (followers that arrive during the in-flight fsync
-	// still coalesce into the next one).
-	GroupCommitWindow time.Duration
 	// Now supplies wall-clock time; tests inject fake clocks. Nil means
 	// time.Now.
 	Now func() time.Time
@@ -128,11 +118,7 @@ type Config struct {
 // SegmentFile is the subset of *os.File the journal needs from its
 // active segment. Production journals use real files; chaos tests
 // substitute failing ones via Config.OpenSegmentFile.
-type SegmentFile interface {
-	io.Writer
-	Sync() error
-	Close() error
-}
+type SegmentFile = seglog.File
 
 // Stats is a point-in-time view of the journal's depth and activity,
 // rendered as gauges in the daemon's /metricsz.
@@ -167,12 +153,6 @@ type Stats struct {
 	ScrubQuarantined int64
 }
 
-// closedSegment is one immutable, fully written segment on disk.
-type closedSegment struct {
-	seq  uint64
-	size int64
-}
-
 // Journal is an append-only write-ahead log. It is safe for concurrent
 // use; appends from many ingest goroutines serialize on one mutex, with
 // the encoding done into a reused buffer so the fsync=never append path
@@ -181,21 +161,18 @@ type Journal struct {
 	cfg Config
 
 	mu     sync.Mutex
-	f      SegmentFile
-	seq    uint64 // active segment sequence
-	size   int64  // active segment size, including header
-	closed []closedSegment
+	w      seglog.Writer // the active segment
+	closed []seglog.Seg
 	buf    []byte // reused record encode buffer
-	dirty  bool   // unsynced bytes in the active segment
 	// syncedThrough is the append count covered by the last successful
 	// sync. Closed segments are always synced before close, so one
 	// successful syncLocked makes every append so far durable.
 	syncedThrough int64
 	stats         Stats
-	done   bool
-	// failed poisons the journal: set when a segment write failed and a
-	// fresh segment could not be opened, so the file offset may no longer
-	// match size and further appends would land after garbage bytes.
+	done          bool
+	// failed poisons the journal: set when a failed segment could not
+	// be cut back to its last good offset or no fresh segment could be
+	// opened, so further appends would land after garbage bytes.
 	failed error
 	// retainSeg is the retention floor: prune never deletes a segment
 	// with seq >= retainSeg, so every record at or after the newest
@@ -211,14 +188,17 @@ type Journal struct {
 
 	// gc is the group-commit ticket state (see waitDurable): durable is
 	// the append count known to be on stable storage, syncing marks the
-	// in-flight leader. Guarded by gc.mu, never held together with j.mu
-	// — the leader drops gc.mu before taking j.mu to sync, so appends
-	// keep flowing (and coalescing) while the fsync is in flight.
+	// in-flight leader, lost holds the append counts cut off after failed
+	// fsyncs. Guarded by gc.mu, which may be taken inside j.mu (to record
+	// a cut) but never around it — the leader drops gc.mu before taking
+	// j.mu to sync, so appends keep flowing (and coalescing) while the
+	// fsync is in flight.
 	gc struct {
 		mu      sync.Mutex
 		cond    *sync.Cond
 		syncing bool
 		durable int64
+		lost    []lostSpan
 	}
 
 	stopc chan struct{}
@@ -253,18 +233,16 @@ func Open(cfg Config) (*Journal, error) {
 	if err := os.MkdirAll(cfg.Dir, 0o755); err != nil {
 		return nil, fmt.Errorf("wal: create %s: %w", cfg.Dir, err)
 	}
-	segs, err := listSegments(cfg.Dir)
+	segs, err := segFormat.List(cfg.Dir)
 	if err != nil {
 		return nil, err
 	}
-	j := &Journal{cfg: cfg, stopc: make(chan struct{})}
+	j := &Journal{cfg: cfg, closed: segs, stopc: make(chan struct{})}
+	j.w = seglog.Writer{Format: &segFormat, Dir: cfg.Dir, Open: cfg.OpenSegmentFile}
 	j.gc.cond = sync.NewCond(&j.gc.mu)
 	next := uint64(1)
-	for _, s := range segs {
-		j.closed = append(j.closed, s)
-		if s.seq >= next {
-			next = s.seq + 1
-		}
+	if n := len(segs); n > 0 {
+		next = segs[n-1].Seq + 1
 	}
 	// Seed the retention floor from the newest checkpoint so MaxBytes
 	// pruning never deletes segments the next recovery still needs.
@@ -273,8 +251,8 @@ func Open(cfg Config) (*Journal, error) {
 	} else if cp != nil {
 		j.retainSeg, j.retainSet = cp.Pos.Seg, true
 	}
-	if err := j.openSegment(next); err != nil {
-		return nil, err
+	if err := j.w.Create(next); err != nil {
+		return nil, fmt.Errorf("wal: %w", err)
 	}
 	if cfg.Fsync == FsyncInterval {
 		j.wg.Add(1)
@@ -285,71 +263,6 @@ func Open(cfg Config) (*Journal, error) {
 
 // Dir returns the journal directory.
 func (j *Journal) Dir() string { return j.cfg.Dir }
-
-// segmentPath names segment seq inside dir.
-func segmentPath(dir string, seq uint64) string {
-	return filepath.Join(dir, fmt.Sprintf("journal-%08d.wal", seq))
-}
-
-// listSegments returns the existing segments in dir, oldest first.
-func listSegments(dir string) ([]closedSegment, error) {
-	entries, err := os.ReadDir(dir)
-	if err != nil {
-		return nil, fmt.Errorf("wal: read %s: %w", dir, err)
-	}
-	var out []closedSegment
-	for _, e := range entries {
-		seq, ok := parseSegmentName(e.Name())
-		if !ok {
-			continue
-		}
-		info, err := e.Info()
-		if err != nil {
-			return nil, fmt.Errorf("wal: stat %s: %w", e.Name(), err)
-		}
-		out = append(out, closedSegment{seq: seq, size: info.Size()})
-	}
-	sort.Slice(out, func(a, b int) bool { return out[a].seq < out[b].seq })
-	return out, nil
-}
-
-// parseSegmentName extracts the sequence number from a segment file
-// name, reporting whether the name is a segment at all.
-func parseSegmentName(name string) (uint64, bool) {
-	if !strings.HasPrefix(name, "journal-") || !strings.HasSuffix(name, ".wal") {
-		return 0, false
-	}
-	mid := strings.TrimSuffix(strings.TrimPrefix(name, "journal-"), ".wal")
-	seq, err := strconv.ParseUint(mid, 10, 64)
-	if err != nil || seq == 0 {
-		return 0, false
-	}
-	return seq, true
-}
-
-// openSegment creates and headers a new active segment. Caller holds
-// j.mu (or is the constructor).
-func (j *Journal) openSegment(seq uint64) error {
-	path := segmentPath(j.cfg.Dir, seq)
-	f, err := j.cfg.OpenSegmentFile(path, os.O_CREATE|os.O_EXCL|os.O_WRONLY, 0o644)
-	if err != nil {
-		return fmt.Errorf("wal: create segment %s: %w", path, err)
-	}
-	var hdr [headerSize]byte
-	copy(hdr[:4], segmentMagic[:])
-	binary.LittleEndian.PutUint32(hdr[4:headerPrefixSize], segmentVersion)
-	copy(hdr[headerPrefixSize:], j.modelHash[:])
-	if _, err := f.Write(hdr[:]); err != nil {
-		f.Close()
-		os.Remove(path)
-		return fmt.Errorf("wal: write segment header %s: %w", path, err)
-	}
-	j.f = f
-	j.seq = seq
-	j.size = headerSize
-	j.dirty = true
-	return nil
-}
 
 // ModelHash returns the model compatibility hash stamped into segment
 // headers (all zero if never set).
@@ -373,22 +286,26 @@ func (j *Journal) SetModelHash(h [modelHashSize]byte) error {
 		return nil
 	}
 	j.modelHash = h
+	j.w.Extra = h[:]
 	if j.done || j.failed != nil {
-		// No active segment to stamp; the next openSegment (Revive, or a
-		// fresh Open) picks the hash up.
+		// No active segment to stamp; the next one (Revive, or a fresh
+		// Open) picks the hash up.
 		return nil
 	}
-	if j.size == headerSize {
+	if j.w.Size() == headerSize {
 		// Empty active segment: replace it in place under the same
 		// sequence number rather than burning a rotation.
-		if err := j.f.Close(); err != nil {
-			return fmt.Errorf("wal: close empty segment %d: %w", j.seq, err)
+		seq := j.w.Seq()
+		if err := j.w.File().Close(); err != nil {
+			return fmt.Errorf("wal: close empty segment %d: %w", seq, err)
 		}
-		path := segmentPath(j.cfg.Dir, j.seq)
-		if err := os.Remove(path); err != nil {
-			return fmt.Errorf("wal: remove empty segment %s: %w", path, err)
+		if err := os.Remove(segFormat.Path(j.cfg.Dir, seq)); err != nil {
+			return fmt.Errorf("wal: remove empty segment %d: %w", seq, err)
 		}
-		return j.openSegment(j.seq)
+		if err := j.w.Create(seq); err != nil {
+			return fmt.Errorf("wal: %w", err)
+		}
+		return nil
 	}
 	return j.rotateLocked()
 }
@@ -408,8 +325,11 @@ func (j *Journal) AppendBatch(vm string, snaps []metrics.Snapshot) (Position, er
 // error surfaces immediately), but under group commit the durability
 // wait is deferred — the returned token must be passed to WaitDurable
 // before the batch is acknowledged. Tokens are monotone, so a caller
-// appending many records waits once on the largest. A zero token needs
-// no wait (the record is already as durable as the policy promises).
+// appending many records waits once on the largest; it then checks
+// each smaller one with WaitDurable too, which returns at once, since
+// a failed fsync may have cut an earlier record (see waitDurable). A
+// zero token needs no wait (the record is already as durable as the
+// policy promises).
 func (j *Journal) AppendBatchDeferred(vm string, snaps []metrics.Snapshot) (Position, int64, error) {
 	j.mu.Lock()
 	pos, target, grouped, err := j.appendLocked(func(buf []byte) ([]byte, error) {
@@ -425,9 +345,10 @@ func (j *Journal) AppendBatchDeferred(vm string, snaps []metrics.Snapshot) (Posi
 	return pos, target, nil
 }
 
-// WaitDurable blocks until every record appended at or before token
-// (from AppendBatchDeferred) is on stable storage. Zero tokens return
-// immediately.
+// WaitDurable blocks until the record token was issued for (by
+// AppendBatchDeferred), and every surviving record before it, is on
+// stable storage; it fails if that record was cut after a failed
+// fsync. Zero tokens return immediately.
 func (j *Journal) WaitDurable(token int64) error {
 	if token == 0 {
 		return nil
@@ -472,34 +393,22 @@ func (j *Journal) appendLocked(encode func([]byte) ([]byte, error)) (pos Positio
 	}
 	// Frame placeholder first so payload bytes land at their final
 	// offset in the shared buffer and one Write emits the whole record.
-	buf := append(j.buf[:0], 0, 0, 0, 0, 0, 0, 0, 0)
+	buf, start := seglog.BeginFrame(j.buf[:0])
 	buf, err = encode(buf)
 	if err != nil {
 		return Position{}, 0, false, err
 	}
-	payload := buf[frameSize:]
-	if len(payload) > maxPayload {
-		return Position{}, 0, false, fmt.Errorf("wal: record payload %d bytes exceeds cap %d", len(payload), maxPayload)
+	if n := len(buf) - start - seglog.FrameSize; n > maxPayload {
+		return Position{}, 0, false, fmt.Errorf("wal: record payload %d bytes exceeds cap %d", n, maxPayload)
 	}
-	binary.LittleEndian.PutUint32(buf[0:4], uint32(len(payload)))
-	binary.LittleEndian.PutUint32(buf[4:8], crc32.Checksum(payload, castagnoli))
-	j.buf = buf
-	if _, err := j.f.Write(buf); err != nil {
-		// A failed (possibly partial) write leaves the file offset ahead
-		// of j.size — the segments are not O_APPEND — so continuing to
-		// append here would land records after garbage bytes and replay
-		// would stop at the corruption, losing acknowledged records.
-		// Abandon the segment for a fresh one; if even that fails, poison
-		// the journal so every later append fails fast instead of
-		// corrupting the stream.
-		if aerr := j.abandonSegmentLocked(); aerr != nil {
-			j.failed = fmt.Errorf("wal: journal poisoned by failed append to segment %d: %w", j.seq, aerr)
-			j.cfg.Logf("%v", j.failed)
-		}
-		return Position{}, 0, false, fmt.Errorf("wal: append to segment %d: %w", j.seq, err)
+	j.buf = seglog.EndFrame(buf, start)
+	if err := j.w.Write(j.buf); err != nil {
+		// A failed (possibly partial) write leaves garbage past the last
+		// whole record; appending after it would hide every later record
+		// from replay.
+		j.abandonLocked(false)
+		return Position{}, 0, false, fmt.Errorf("wal: %w", err)
 	}
-	j.size += int64(len(buf))
-	j.dirty = true
 	j.stats.Appends++
 	if j.cfg.Fsync == FsyncAlways {
 		if j.cfg.GroupCommit {
@@ -508,11 +417,12 @@ func (j *Journal) appendLocked(encode func([]byte) ([]byte, error)) (pos Positio
 			// count reaches what it is now.
 			grouped, target = true, j.stats.Appends
 		} else if err := j.syncLocked(); err != nil {
+			j.abandonLocked(true)
 			return Position{}, 0, false, err
 		}
 	}
-	pos = Position{Seg: j.seq, Off: j.size}
-	if j.size >= j.cfg.SegmentBytes {
+	pos = Position{Seg: j.w.Seq(), Off: j.w.Size()}
+	if j.w.Size() >= j.cfg.SegmentBytes {
 		// Rotation syncs the outgoing segment before closing it, so a
 		// grouped record that triggers rotation is already durable; the
 		// later waitDurable no-ops via the dirty check.
@@ -523,18 +433,33 @@ func (j *Journal) appendLocked(encode func([]byte) ([]byte, error)) (pos Positio
 	return pos, target, grouped, nil
 }
 
+// lostSpan is a run of append counts (lo, hi] cut off the journal
+// after a failed fsync, with the failure.
+type lostSpan struct {
+	lo, hi int64
+	err    error
+}
+
 // waitDurable blocks until the journal's durable append count covers
 // target, electing the calling goroutine fsync leader if nobody is
-// syncing: the leader optionally sleeps the commit window, captures
-// the segment file and append count under j.mu, then fsyncs OUTSIDE
-// both locks — so appends keep flowing into the segment while the disk
-// works, stacking behind the next fsync instead of each paying their
-// own. A follower whose leader failed self-elects and surfaces its own
+// syncing: the leader captures the segment file and append count under
+// j.mu, then fsyncs OUTSIDE both locks — so appends keep flowing into
+// the segment while the disk works, stacking behind the next fsync
+// instead of each paying their own. A failed fsync cuts every record
+// past the last good one (see abandonLocked), so a target inside a lost
+// span fails for good, however far later syncs get. A follower whose
+// leader failed for any other reason self-elects and surfaces its own
 // error, matching non-grouped FsyncAlways semantics.
 func (j *Journal) waitDurable(target int64) error {
 	gc := &j.gc
 	gc.mu.Lock()
 	for {
+		for _, sp := range gc.lost {
+			if target > sp.lo && target <= sp.hi {
+				gc.mu.Unlock()
+				return fmt.Errorf("wal: record cut from the journal after a failed fsync: %w", sp.err)
+			}
+		}
 		if gc.durable >= target {
 			gc.mu.Unlock()
 			return nil
@@ -547,29 +472,25 @@ func (j *Journal) waitDurable(target int64) error {
 	gc.syncing = true
 	gc.mu.Unlock()
 
-	if w := j.cfg.GroupCommitWindow; w > 0 {
-		time.Sleep(w)
-	}
-
 	j.mu.Lock()
 	var (
-		synced int64
-		seq    uint64
-		f      SegmentFile
-		err    error
+		synced, size int64
+		seq          uint64
+		f            SegmentFile
+		err          error
 	)
 	switch {
 	case j.done:
 		err = fmt.Errorf("wal: journal is closed")
 	case j.failed != nil:
 		err = j.failed
-	case !j.dirty:
+	case !j.w.Dirty():
 		// Nothing unsynced anywhere (rotation syncs outgoing segments
 		// before closing them), so every append so far is durable.
 		synced = j.stats.Appends
 		j.syncedThrough = synced
 	default:
-		synced, seq, f = j.stats.Appends, j.seq, j.f
+		synced, seq, size, f = j.stats.Appends, j.w.Seq(), j.w.Size(), j.w.File()
 	}
 	j.mu.Unlock()
 
@@ -585,15 +506,16 @@ func (j *Journal) waitDurable(target int64) error {
 			}
 			// Appends that landed while the fsync was in flight are not
 			// covered; the segment stays dirty for the next leader.
-			if j.seq == seq && j.stats.Appends == synced {
-				j.dirty = false
-			}
+			j.w.MarkSynced(seq, size)
 		case j.syncedThrough >= synced:
 			// The segment rotated away mid-fsync and its close raced our
 			// Sync; the rotation's own sync already covered every record
 			// in this group, so the error is moot.
 		default:
 			err = fmt.Errorf("wal: fsync segment %d: %w", seq, serr)
+			if j.w.Seq() == seq && !j.done && j.failed == nil {
+				j.abandonLocked(true)
+			}
 		}
 		j.mu.Unlock()
 	}
@@ -608,28 +530,34 @@ func (j *Journal) waitDurable(target int64) error {
 	return err
 }
 
-// abandonSegmentLocked retires an active segment whose tail is suspect
-// after a failed write: the valid prefix is synced and closed
-// best-effort (its records up to j.size replay fine; the garbage tail
-// is dropped like any torn tail), and a fresh segment takes over so
-// later appends start at a known-good offset. Caller holds j.mu.
-func (j *Journal) abandonSegmentLocked() error {
-	if j.dirty {
-		if err := j.f.Sync(); err != nil {
-			j.cfg.Logf("wal: sync abandoned segment %d: %v", j.seq, err)
-		} else {
-			j.dirty = false
-			j.stats.Syncs++
-			j.stats.LastSync = j.cfg.Now()
+// abandonLocked retires the active segment after a failed write, or a
+// failed fsync when syncFailed, so later appends start at a known-good
+// offset in a fresh segment. Under FsyncAlways only what an fsync
+// covered may outlive a failure: the segment is cut back to the last
+// good fsync (taking one first when the write failed), and every
+// append past it is recorded lost so its append — or its group-commit
+// wait — fails instead of being replayed after a crash. Other policies
+// keep every whole record. If the cut or the fresh segment fails, the
+// journal is poisoned. Caller holds j.mu.
+func (j *Journal) abandonLocked(syncFailed bool) {
+	seq, keep := j.w.Seq(), j.w.Size()
+	if j.w.File() != nil {
+		if j.cfg.Fsync == FsyncAlways && (syncFailed || j.syncLocked() != nil) {
+			keep = j.w.Synced()
+			j.gc.mu.Lock()
+			j.gc.lost = append(j.gc.lost, lostSpan{lo: j.syncedThrough, hi: j.stats.Appends,
+				err: fmt.Errorf("segment %d cut back to offset %d", seq, keep)})
+			j.gc.mu.Unlock()
 		}
+		j.closed = append(j.closed, seglog.Seg{Seq: seq, Size: keep})
+		j.stats.Rotations++
 	}
-	if err := j.f.Close(); err != nil {
-		j.cfg.Logf("wal: close abandoned segment %d: %v", j.seq, err)
+	if err := j.w.Abandon(keep, seq+1); err != nil {
+		j.failed = fmt.Errorf("wal: journal poisoned by failed append to segment %d: %w", seq, err)
+		j.cfg.Logf("%v", j.failed)
+		return
 	}
-	j.closed = append(j.closed, closedSegment{seq: j.seq, size: j.size})
-	j.stats.Rotations++
-	j.cfg.Logf("wal: abandoned segment %d after failed append (valid to %d bytes)", j.seq, j.size)
-	return j.openSegment(j.seq + 1)
+	j.cfg.Logf("wal: abandoned segment %d after a failed append (valid to %d bytes)", seq, keep)
 }
 
 // Sync flushes the active segment to stable storage.
@@ -646,13 +574,12 @@ func (j *Journal) Sync() error {
 }
 
 func (j *Journal) syncLocked() error {
-	if !j.dirty {
+	if !j.w.Dirty() {
 		return nil
 	}
-	if err := j.f.Sync(); err != nil {
-		return fmt.Errorf("wal: fsync segment %d: %w", j.seq, err)
+	if err := j.w.Sync(); err != nil {
+		return fmt.Errorf("wal: %w", err)
 	}
-	j.dirty = false
 	j.syncedThrough = j.stats.Appends
 	j.stats.Syncs++
 	j.stats.LastSync = j.cfg.Now()
@@ -696,13 +623,13 @@ func (j *Journal) Revive() error {
 	if j.failed == nil {
 		return nil
 	}
-	// The poisoned active segment was already retired by
-	// abandonSegmentLocked; only a fresh segment is needed.
-	if err := j.openSegment(j.seq + 1); err != nil {
+	// The poisoned active segment was already retired by abandonLocked;
+	// only a fresh segment is needed.
+	if err := j.w.Create(j.w.Seq() + 1); err != nil {
 		return fmt.Errorf("wal: revive: %w", err)
 	}
 	j.failed = nil
-	j.cfg.Logf("wal: revived with fresh segment %d", j.seq)
+	j.cfg.Logf("wal: revived with fresh segment %d", j.w.Seq())
 	return nil
 }
 
@@ -724,15 +651,21 @@ func (j *Journal) rotateLocked() error {
 	// A rotation is the last write to the outgoing segment; sync it
 	// regardless of policy so a closed segment is always fully durable.
 	if err := j.syncLocked(); err != nil {
+		if j.cfg.Fsync == FsyncAlways {
+			j.abandonLocked(true)
+		}
 		return err
 	}
-	if err := j.f.Close(); err != nil {
-		return fmt.Errorf("wal: close segment %d: %w", j.seq, err)
-	}
-	j.closed = append(j.closed, closedSegment{seq: j.seq, size: j.size})
+	seq, size := j.w.Seq(), j.w.Size()
+	err := j.w.Rotate(seq + 1)
+	j.closed = append(j.closed, seglog.Seg{Seq: seq, Size: size})
 	j.stats.Rotations++
-	if err := j.openSegment(j.seq + 1); err != nil {
-		return err
+	if err != nil {
+		// The outgoing segment is closed and no fresh one could be
+		// opened: fail fast until Revive opens one.
+		j.failed = fmt.Errorf("wal: journal poisoned by failed rotation: %w", err)
+		j.cfg.Logf("%v", j.failed)
+		return j.failed
 	}
 	if j.cfg.MaxBytes > 0 {
 		// Prune off the append path; deletions only touch closed
@@ -756,22 +689,22 @@ func (j *Journal) prune() {
 	defer j.mu.Unlock()
 	var total int64
 	for _, s := range j.closed {
-		total += s.size
+		total += s.Size
 	}
 	for len(j.closed) > 0 && total > j.cfg.MaxBytes {
 		victim := j.closed[0]
-		if j.retainSet && victim.seq >= j.retainSeg {
+		if j.retainSet && victim.Seq >= j.retainSeg {
 			j.cfg.Logf("wal: retention over cap by %d bytes but segment %d is needed by the newest checkpoint; not pruning",
-				total-j.cfg.MaxBytes, victim.seq)
+				total-j.cfg.MaxBytes, victim.Seq)
 			return
 		}
-		path := segmentPath(j.cfg.Dir, victim.seq)
+		path := segFormat.Path(j.cfg.Dir, victim.Seq)
 		if err := os.Remove(path); err != nil && !os.IsNotExist(err) {
 			j.cfg.Logf("wal: retention: remove %s: %v", path, err)
 			return
 		}
-		j.cfg.Logf("wal: retention dropped segment %d (%d bytes)", victim.seq, victim.size)
-		total -= victim.size
+		j.cfg.Logf("wal: retention dropped segment %d (%d bytes)", victim.Seq, victim.Size)
+		total -= victim.Size
 		j.closed = j.closed[1:]
 		j.stats.TruncatedSegments++
 	}
@@ -802,7 +735,7 @@ func (j *Journal) syncLoop() {
 func (j *Journal) Pos() Position {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	return Position{Seg: j.seq, Off: j.size}
+	return Position{Seg: j.w.Seq(), Off: j.w.Size()}
 }
 
 // Stats returns a snapshot of the journal's depth and activity.
@@ -810,15 +743,14 @@ func (j *Journal) Stats() Stats {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	st := j.stats
-	st.ActiveSeg = j.seq
-	st.Segments = len(j.closed) + 1
-	st.Bytes = j.size
+	st.ActiveSeg = j.w.Seq()
+	st.Segments = len(j.closed)
 	for _, s := range j.closed {
-		st.Bytes += s.size
+		st.Bytes += s.Size
 	}
-	if j.done {
-		st.Segments--
-		st.Bytes -= j.size
+	if !j.done && j.failed == nil {
+		st.Segments++
+		st.Bytes += j.w.Size()
 	}
 	return st
 }
@@ -835,13 +767,11 @@ func (j *Journal) Close() error {
 	err := j.failed
 	if err == nil {
 		// A poisoned journal's active file was already retired by
-		// abandonSegmentLocked; only a healthy one needs the final
-		// sync-and-close.
-		err = j.syncLocked()
-		if cerr := j.f.Close(); err == nil && cerr != nil {
-			err = fmt.Errorf("wal: close segment %d: %w", j.seq, cerr)
+		// abandonLocked; only a healthy one needs the final sync-and-close.
+		j.closed = append(j.closed, seglog.Seg{Seq: j.w.Seq(), Size: j.w.Size()})
+		if err = j.w.Close(); err != nil {
+			err = fmt.Errorf("wal: %w", err)
 		}
-		j.closed = append(j.closed, closedSegment{seq: j.seq, size: j.size})
 	}
 	j.done = true
 	close(j.stopc)

@@ -143,7 +143,7 @@ func TestReplayFromPosition(t *testing.T) {
 		t.Errorf("replayed %d records from mid position, want 4 (stats %+v)", records, stats)
 	}
 	// Replaying from the journal's end position yields nothing.
-	stats, err = Replay(j.Dir(), Position{Seg: j.seq, Off: j.size}, func(Position, Record) error {
+	stats, err = Replay(j.Dir(), Position{Seg: j.w.Seq(), Off: j.w.Size()}, func(Position, Record) error {
 		t.Error("unexpected record past end position")
 		return nil
 	})
@@ -178,13 +178,13 @@ func TestSegmentRotationAndRetention(t *testing.T) {
 	if st.TruncatedSegments == 0 {
 		t.Fatalf("stats = %+v, want retention-truncated segments > 0", st)
 	}
-	segs, err := listSegments(dir)
+	segs, err := segFormat.List(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
 	var onDisk int64
 	for _, s := range segs {
-		onDisk += s.size
+		onDisk += s.Size
 	}
 	// Retention bounds closed segments; the final (active-at-close)
 	// segment rides on top.
@@ -225,11 +225,11 @@ func TestPruneRespectsRetainFloor(t *testing.T) {
 	if st := j.Stats(); st.Rotations == 0 || st.TruncatedSegments != 0 {
 		t.Fatalf("stats = %+v, want rotations > 0 and no retention-truncated segments", st)
 	}
-	segs, err := listSegments(dir)
+	segs, err := segFormat.List(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(segs) == 0 || segs[0].seq != 1 {
+	if len(segs) == 0 || segs[0].Seq != 1 {
 		t.Fatalf("segments = %+v, want segment 1 retained", segs)
 	}
 	// Raising the floor releases the older segments on the next prune.
@@ -271,11 +271,11 @@ func TestOpenSeedsRetainFloorFromCheckpoint(t *testing.T) {
 	if err := j2.Close(); err != nil {
 		t.Fatal(err)
 	}
-	segs, err := listSegments(dir)
+	segs, err := segFormat.List(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(segs) == 0 || segs[0].seq != pos.Seg {
+	if len(segs) == 0 || segs[0].Seq != pos.Seg {
 		t.Fatalf("segments = %+v, want checkpointed segment %d retained", segs, pos.Seg)
 	}
 }
@@ -291,7 +291,7 @@ func TestAppendFailureAbandonsSegment(t *testing.T) {
 		t.Fatal(err)
 	}
 	firstSeg := j.Pos().Seg
-	j.f.Close() // force the next write to fail
+	j.w.File().Close() // force the next write to fail
 	if _, err := j.AppendBatch("vm", testSnaps("vm", 2, 3, 1)); err == nil {
 		t.Fatal("append to a closed file: want error")
 	}

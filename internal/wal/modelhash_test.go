@@ -125,7 +125,7 @@ func TestV1SegmentBackCompat(t *testing.T) {
 	if err := j.Close(); err != nil {
 		t.Fatal(err)
 	}
-	path := segmentPath(dir, 1)
+	path := segFormat.Path(dir, 1)
 	raw, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
@@ -193,7 +193,7 @@ func TestTornHeaderSegment(t *testing.T) {
 	if err := j.Close(); err != nil {
 		t.Fatal(err)
 	}
-	path := segmentPath(dir, 1)
+	path := segFormat.Path(dir, 1)
 	if err := os.Truncate(path, headerPrefixSize+5); err != nil { // mid-hash
 		t.Fatal(err)
 	}
@@ -252,7 +252,7 @@ func TestTruncateKeepsValidV1Segment(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Shrink to v1 form (empty v1 segment: header only).
-	path := segmentPath(dir, 1)
+	path := segFormat.Path(dir, 1)
 	raw, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)

@@ -3,11 +3,11 @@ package wal
 import (
 	"encoding/binary"
 	"fmt"
-	"hash/crc32"
 	"math"
 	"time"
 
 	"repro/internal/metrics"
+	"repro/internal/seglog"
 )
 
 // RecordType tags what a journal record carries.
@@ -31,18 +31,12 @@ type Record struct {
 	Snaps []metrics.Snapshot
 }
 
-// On-disk framing. Each segment starts with a header: magic + format
-// version (8 bytes), and from format version 2 a further 32-byte model
-// compatibility hash identifying the classifier every record in the
-// segment was appended under (a hot swap rotates to a fresh segment, so
-// one segment never mixes models). Version-1 segments (8-byte header,
-// no hash) remain readable. Every record is
-//
-//	uint32 payload length | uint32 CRC32C of payload | payload
-//
-// all little-endian. The CRC covers the payload only: a torn header is
-// detected by the length/CRC pair being garbage, a torn payload by the
-// CRC mismatch. Payloads are
+// On-disk format: a seglog segment whose header extra is, from format
+// version 2, a 32-byte model compatibility hash identifying the
+// classifier every record in the segment was appended under (a hot
+// swap rotates to a fresh segment, so one segment never mixes models).
+// Version-1 segments (8-byte header, no hash) remain readable. Record
+// payloads are
 //
 //	byte type | u16 len(vm) | vm |                       (finalize)
 //	byte type | u16 len(vm) | vm | u32 count | u16 dims |
@@ -53,12 +47,13 @@ const (
 	headerPrefixSize = 8                                // magic + version
 	modelHashSize    = 32                               // sha256
 	headerSize       = headerPrefixSize + modelHashSize // version-2 header
-	frameSize        = 8                                // length + CRC
 	// maxPayload rejects garbage lengths during replay before any
 	// allocation happens: no legitimate record approaches 64 MiB.
 	maxPayload = 64 << 20
 	// maxVMName bounds the encoded VM-name length (u16 on disk).
 	maxVMName = 1 << 10
+	// maxDims bounds the values per snapshot in a batch record.
+	maxDims = 1 << 15
 )
 
 // SegmentFormatVersion is the journal's on-disk segment format version.
@@ -67,12 +62,14 @@ const (
 // another.
 const SegmentFormatVersion = segmentVersion
 
-var segmentMagic = [4]byte{'A', 'C', 'W', 'L'}
-
-// castagnoli is the CRC32C polynomial table; Castagnoli has hardware
-// support on amd64/arm64, which keeps the checksum off the append
-// path's profile.
-var castagnoli = crc32.MakeTable(crc32.Castagnoli)
+// segFormat is the journal's segment layout.
+var segFormat = seglog.Format{
+	Names:      seglog.Names{Prefix: "journal-", Suffix: ".wal"},
+	Magic:      [4]byte{'A', 'C', 'W', 'L'},
+	Version:    segmentVersion,
+	Extra:      map[uint32]int{segmentVersionV1: 0, segmentVersion: modelHashSize},
+	MaxPayload: maxPayload,
+}
 
 // appendBatchPayload encodes a batch record payload onto buf.
 func appendBatchPayload(buf []byte, vm string, snaps []metrics.Snapshot) ([]byte, error) {
@@ -83,7 +80,7 @@ func appendBatchPayload(buf []byte, vm string, snaps []metrics.Snapshot) ([]byte
 		return buf, fmt.Errorf("wal: empty batch for %q", vm)
 	}
 	dims := len(snaps[0].Values)
-	if dims == 0 || dims > 1<<15 {
+	if dims == 0 || dims > maxDims {
 		return buf, fmt.Errorf("wal: batch for %q has %d values per snapshot", vm, dims)
 	}
 	for i := range snaps {
@@ -144,7 +141,7 @@ func decodePayload(p []byte) (Record, error) {
 		count := int(binary.LittleEndian.Uint32(p[:4]))
 		dims := int(binary.LittleEndian.Uint16(p[4:6]))
 		p = p[6:]
-		if count <= 0 || dims <= 0 {
+		if count <= 0 || dims <= 0 || dims > maxDims {
 			return Record{}, fmt.Errorf("wal: batch record has count %d, dims %d", count, dims)
 		}
 		per := 8 + 8*dims

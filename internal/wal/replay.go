@@ -1,13 +1,11 @@
 package wal
 
 import (
-	"encoding/binary"
 	"encoding/hex"
 	"fmt"
-	"hash/crc32"
-	"io"
 	"os"
-	"path/filepath"
+
+	"repro/internal/seglog"
 )
 
 // SegmentInfo describes one scanned segment file.
@@ -72,7 +70,7 @@ type ReplayStats struct {
 // fn returning an error aborts the replay with that error.
 func Replay(dir string, from Position, fn func(pos Position, rec Record) error) (ReplayStats, error) {
 	var stats ReplayStats
-	segs, err := listSegments(dir)
+	segs, err := segFormat.List(dir)
 	if err != nil {
 		return stats, err
 	}
@@ -83,21 +81,21 @@ func Replay(dir string, from Position, fn func(pos Position, rec Record) error) 
 	// gaps between surviving segments are reportable.
 	expect := from.Seg
 	for _, seg := range segs {
-		if seg.seq < from.Seg {
+		if seg.Seq < from.Seg {
 			continue
 		}
 		if expect == 0 {
-			expect = seg.seq
+			expect = seg.Seq
 		}
-		for ; expect < seg.seq; expect++ {
+		for ; expect < seg.Seq; expect++ {
 			stats.MissingSegments = append(stats.MissingSegments, expect)
 		}
-		expect = seg.seq + 1
+		expect = seg.Seq + 1
 		var startOff int64
-		if seg.seq == from.Seg {
+		if seg.Seq == from.Seg {
 			startOff = from.Off
 		}
-		info, err := scanSegment(segmentPath(dir, seg.seq), seg.seq, startOff, func(end Position, rec Record) error {
+		info, err := scanSegment(segFormat.Path(dir, seg.Seq), seg.Seq, startOff, func(end Position, rec Record) error {
 			stats.Records++
 			stats.Snapshots += len(rec.Snaps)
 			return fn(end, rec)
@@ -108,147 +106,45 @@ func Replay(dir string, from Position, fn func(pos Position, rec Record) error) 
 		stats.Segments++
 		if info.Torn {
 			stats.Truncated = true
-			stats.TruncatedAt = Position{Seg: seg.seq, Off: info.ValidBytes}
+			stats.TruncatedAt = Position{Seg: seg.Seq, Off: info.ValidBytes}
 			break
 		}
 	}
 	return stats, nil
 }
 
-// ScanSegment scans one segment file, calling fn (when non-nil) for
-// every valid record with the position just past it. It never returns
-// an error for torn or corrupt data — that is reported in the
-// SegmentInfo — only for I/O failures or a non-segment path.
-func ScanSegment(path string, fn func(pos Position, rec Record) error) (SegmentInfo, error) {
-	seq, ok := parseSegmentName(filepath.Base(path))
-	if !ok {
-		return SegmentInfo{}, fmt.Errorf("wal: %s is not a journal segment", path)
-	}
-	return scanSegment(path, seq, 0, fn)
-}
-
 // scanSegment walks records from startOff (0 means just past the
-// header, whose size depends on the segment's format version) to the
-// first invalid frame or EOF.
+// header) to the first invalid frame or EOF. An undecodable payload is
+// invalid like a CRC mismatch.
 func scanSegment(path string, seq uint64, startOff int64, fn func(pos Position, rec Record) error) (SegmentInfo, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return SegmentInfo{}, fmt.Errorf("wal: open segment %s: %w", path, err)
-	}
-	defer f.Close()
-	st, err := f.Stat()
-	if err != nil {
-		return SegmentInfo{}, fmt.Errorf("wal: stat segment %s: %w", path, err)
-	}
-	info := SegmentInfo{Seq: seq, Path: path, Size: st.Size()}
-
-	hdrSize, err := readSegmentHeader(f, &info)
-	if err != nil || info.Torn {
-		return info, err
-	}
-	info.ValidBytes = hdrSize
-	if startOff > hdrSize {
-		if _, err := f.Seek(startOff, io.SeekStart); err != nil {
-			return info, fmt.Errorf("wal: seek segment %s: %w", path, err)
-		}
-		info.ValidBytes = startOff
-	}
-
-	var frame [frameSize]byte
-	var payload []byte
-	off := info.ValidBytes
-	for {
-		n, err := io.ReadFull(f, frame[:])
-		if err == io.EOF {
-			return info, nil // clean end at a record boundary
-		}
+	sc, err := segFormat.Walk(path, startOff, false, func(off int64, p []byte) error {
+		rec, err := decodePayload(p)
 		if err != nil {
-			if err == io.ErrUnexpectedEOF {
-				info.Torn, info.TornReason = true, fmt.Sprintf("torn frame (%d of %d bytes) at offset %d", n, frameSize, off)
-				return info, nil
-			}
-			return info, fmt.Errorf("wal: read segment %s: %w", path, err)
+			return seglog.Corrupt(err)
 		}
-		length := binary.LittleEndian.Uint32(frame[0:4])
-		crc := binary.LittleEndian.Uint32(frame[4:8])
-		if length == 0 || length > maxPayload {
-			info.Torn, info.TornReason = true, fmt.Sprintf("implausible record length %d at offset %d", length, off)
-			return info, nil
+		if fn == nil {
+			return nil
 		}
-		if cap(payload) < int(length) {
-			payload = make([]byte, length)
-		}
-		payload = payload[:length]
-		if _, err := io.ReadFull(f, payload); err != nil {
-			if err == io.EOF || err == io.ErrUnexpectedEOF {
-				info.Torn, info.TornReason = true, fmt.Sprintf("torn payload at offset %d", off)
-				return info, nil
-			}
-			return info, fmt.Errorf("wal: read segment %s: %w", path, err)
-		}
-		if got := crc32.Checksum(payload, castagnoli); got != crc {
-			info.Torn, info.TornReason = true, fmt.Sprintf("CRC mismatch at offset %d (want %08x, got %08x)", off, crc, got)
-			return info, nil
-		}
-		rec, err := decodePayload(payload)
-		if err != nil {
-			info.Torn, info.TornReason = true, fmt.Sprintf("undecodable record at offset %d: %v", off, err)
-			return info, nil
-		}
-		off += frameSize + int64(length)
-		info.ValidBytes = off
-		info.Records++
-		if fn != nil {
-			if err := fn(Position{Seg: seq, Off: off}, rec); err != nil {
-				return info, err
-			}
-		}
+		return fn(Position{Seg: seq, Off: off + seglog.FrameSize + int64(len(p))}, rec)
+	})
+	info := SegmentInfo{Seq: seq, Path: path, Size: sc.Size, Records: sc.Frames, ValidBytes: sc.End,
+		Torn: sc.Torn, TornReason: sc.Reason, Version: sc.Header.Version, ModelHash: hex.EncodeToString(sc.Header.Extra)}
+	if err != nil {
+		return info, fmt.Errorf("wal: %w", err)
 	}
-}
-
-// readSegmentHeader validates a segment's header, filling the info's
-// Version/ModelHash, and returns the header size (where records start).
-// A torn or unsupported header is reported via info.Torn with
-// ValidBytes 0, never as an error.
-func readSegmentHeader(f *os.File, info *SegmentInfo) (int64, error) {
-	var pre [headerPrefixSize]byte
-	if _, err := io.ReadFull(f, pre[:]); err != nil {
-		info.Torn, info.TornReason = true, "short segment header"
-		return 0, nil
-	}
-	if [4]byte(pre[:4]) != segmentMagic {
-		info.Torn, info.TornReason = true, "bad segment magic"
-		return 0, nil
-	}
-	info.Version = binary.LittleEndian.Uint32(pre[4:])
-	switch info.Version {
-	case segmentVersionV1:
-		// Pre-model-hash format: records start right after the prefix.
-		return headerPrefixSize, nil
-	case segmentVersion:
-		var h [modelHashSize]byte
-		if _, err := io.ReadFull(f, h[:]); err != nil {
-			info.Torn, info.TornReason = true, "short segment header"
-			return 0, nil
-		}
-		info.ModelHash = hex.EncodeToString(h[:])
-		return headerSize, nil
-	default:
-		info.Torn, info.TornReason = true, fmt.Sprintf("unsupported segment version %d", info.Version)
-		return 0, nil
-	}
+	return info, nil
 }
 
 // VerifyDir scans every segment in dir and returns their infos, oldest
 // first.
 func VerifyDir(dir string) ([]SegmentInfo, error) {
-	segs, err := listSegments(dir)
+	segs, err := segFormat.List(dir)
 	if err != nil {
 		return nil, err
 	}
 	out := make([]SegmentInfo, 0, len(segs))
 	for _, seg := range segs {
-		info, err := scanSegment(segmentPath(dir, seg.seq), seg.seq, 0, nil)
+		info, err := scanSegment(segFormat.Path(dir, seg.Seq), seg.Seq, 0, nil)
 		if err != nil {
 			return out, err
 		}
@@ -263,30 +159,28 @@ func VerifyDir(dir string) ([]SegmentInfo, error) {
 // Recovery uses this to refuse replaying records written under a model
 // other than the one it loaded.
 func SegmentHashes(dir string, from uint64) (map[uint64]string, error) {
-	segs, err := listSegments(dir)
+	segs, err := segFormat.List(dir)
 	if err != nil {
 		return nil, err
 	}
 	out := make(map[uint64]string, len(segs))
 	for _, seg := range segs {
-		if seg.seq < from {
+		if seg.Seq < from {
 			continue
 		}
-		path := segmentPath(dir, seg.seq)
+		path := segFormat.Path(dir, seg.Seq)
 		f, err := os.Open(path)
 		if err != nil {
 			return nil, fmt.Errorf("wal: open segment %s: %w", path, err)
 		}
-		var info SegmentInfo
-		_, err = readSegmentHeader(f, &info)
+		h, reason, err := segFormat.ReadHeader(f)
 		f.Close()
 		if err != nil {
-			return nil, err
+			return nil, fmt.Errorf("wal: read segment header %s: %w", path, err)
 		}
-		if info.Torn {
-			continue
+		if reason == "" {
+			out[seg.Seq] = hex.EncodeToString(h.Extra)
 		}
-		out[seg.seq] = info.ModelHash
 	}
 	return out, nil
 }

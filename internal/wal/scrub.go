@@ -1,13 +1,13 @@
 package wal
 
 import (
-	"bufio"
-	"encoding/binary"
+	"errors"
 	"fmt"
-	"hash/crc32"
-	"io"
-	"os"
+	"io/fs"
 	"path/filepath"
+	"slices"
+
+	"repro/internal/seglog"
 )
 
 // Scrubbing proactively re-verifies sealed segments frame-by-frame, so
@@ -66,248 +66,36 @@ type ScrubReport struct {
 // Damaged reports whether the scan found anything wrong at all.
 func (r ScrubReport) Damaged() bool { return r.BadFrames > 0 || r.TornTail }
 
-// frameSpan is one intact frame's extent inside a scanned segment.
-type frameSpan struct {
-	off int64
-	n   int64
+// checkPayload rejects a CRC-valid frame whose payload does not decode;
+// the encoder wrote every frame, so only damage produces one.
+func checkPayload(p []byte) error {
+	_, err := decodePayload(p)
+	return err
 }
 
-// scrubScan walks every frame of the segment at path, tolerating bad
-// frames: a frame whose CRC mismatches (or whose payload does not
-// decode) but whose extent still fits the file is recorded as bad and
-// stepped over, so one flipped bit does not hide the records behind
-// it. A frame whose length field is implausible or runs past EOF ends
-// the walk as a torn tail — the length cannot be trusted, so nothing
-// after it can be located. Returns the raw file bytes and the spans of
-// intact frames for repair use.
-func scrubScan(path string, seq uint64) (ScrubReport, []byte, int64, []frameSpan, error) {
-	rep := ScrubReport{Seq: seq, Path: path}
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return rep, nil, 0, nil, fmt.Errorf("wal: read segment %s: %w", path, err)
+// scrubReport describes a walk over the segment at path that stepped
+// over bad frames.
+func scrubReport(seq uint64, path string, sc seglog.Scan) ScrubReport {
+	rep := ScrubReport{Seq: seq, Path: path, Records: sc.Frames, BadFrames: len(sc.Bad),
+		TornTail: sc.Torn, TornReason: sc.Reason, OldSize: sc.Size, NewSize: sc.Size}
+	if len(sc.Bad) > 0 {
+		rep.FirstBadOff = sc.Bad[0]
 	}
-	rep.OldSize = int64(len(data))
-	rep.NewSize = rep.OldSize
-
-	hdrSize, reason := scanHeaderBytes(data)
-	if reason != "" {
-		rep.TornTail, rep.TornReason = true, reason
-		return rep, data, 0, nil, nil
-	}
-
-	var spans []frameSpan
-	off := hdrSize
-	for off < int64(len(data)) {
-		if off+frameSize > int64(len(data)) {
-			rep.TornTail = true
-			rep.TornReason = fmt.Sprintf("torn frame at offset %d", off)
-			break
-		}
-		length := int64(binary.LittleEndian.Uint32(data[off : off+4]))
-		crc := binary.LittleEndian.Uint32(data[off+4 : off+8])
-		end := off + frameSize + length
-		if length == 0 || length > maxPayload || end > int64(len(data)) {
-			// A flipped length byte and a torn write are
-			// indistinguishable here; either way the remainder cannot be
-			// walked.
-			rep.TornTail = true
-			rep.TornReason = fmt.Sprintf("unwalkable record length %d at offset %d", length, off)
-			break
-		}
-		payload := data[off+frameSize : end]
-		ok := crc32.Checksum(payload, castagnoli) == crc
-		if ok {
-			if _, derr := decodePayload(payload); derr != nil {
-				ok = false
-			}
-		}
-		if ok {
-			spans = append(spans, frameSpan{off: off, n: frameSize + length})
-			rep.Records++
-		} else {
-			if rep.BadFrames == 0 {
-				rep.FirstBadOff = off
-			}
-			rep.BadFrames++
-		}
-		off = end
-	}
-	return rep, data, hdrSize, spans, nil
+	return rep
 }
 
-// scrubVerify walks the segment sequentially through a small reused
-// buffer, verifying every frame's CRC without materializing the file
-// or decoding payloads — the live scrubber's fast path, cheap enough
-// to run next to hot ingest. CRC-valid frames whose payload would not
-// decode are not flagged here (the encoder wrote them, so they cannot
-// occur from bit rot); the full materializing scan re-checks them
-// whenever damage is found and a repair runs.
-func scrubVerify(path string, seq uint64) (ScrubReport, error) {
-	rep := ScrubReport{Seq: seq, Path: path}
-	f, err := os.Open(path)
+// repairSegment copies the intact frames of the segment at path forward
+// under the same name and quarantines the original as .corrupt (see
+// seglog.Format.Repair); the report describes the walk that decided
+// which frames survived.
+func repairSegment(seq uint64, path string) (ScrubReport, error) {
+	sc, size, err := segFormat.Repair(path, checkPayload)
+	rep := scrubReport(seq, path, sc)
 	if err != nil {
-		return rep, fmt.Errorf("wal: open segment %s: %w", path, err)
+		return rep, fmt.Errorf("wal: repair segment %d: %w", seq, err)
 	}
-	defer f.Close()
-	fi, err := f.Stat()
-	if err != nil {
-		return rep, fmt.Errorf("wal: stat segment %s: %w", path, err)
-	}
-	size := fi.Size()
-	rep.OldSize, rep.NewSize = size, size
-
-	br := bufio.NewReaderSize(f, 256<<10)
-	var hdr [headerSize]byte
-	if size < headerPrefixSize {
-		rep.TornTail, rep.TornReason = true, "short segment header"
-		return rep, nil
-	}
-	if _, err := io.ReadFull(br, hdr[:headerPrefixSize]); err != nil {
-		return rep, fmt.Errorf("wal: read segment header %s: %w", path, err)
-	}
-	var off int64
-	if [4]byte(hdr[:4]) != segmentMagic {
-		rep.TornTail, rep.TornReason = true, "bad segment magic"
-		return rep, nil
-	}
-	switch v := binary.LittleEndian.Uint32(hdr[4:headerPrefixSize]); v {
-	case segmentVersionV1:
-		off = headerPrefixSize
-	case segmentVersion:
-		if size < headerSize {
-			rep.TornTail, rep.TornReason = true, "short segment header"
-			return rep, nil
-		}
-		if _, err := io.ReadFull(br, hdr[headerPrefixSize:headerSize]); err != nil {
-			return rep, fmt.Errorf("wal: read segment header %s: %w", path, err)
-		}
-		off = headerSize
-	default:
-		rep.TornTail, rep.TornReason = true, fmt.Sprintf("unsupported segment version %d", v)
-		return rep, nil
-	}
-
-	var frame [frameSize]byte
-	payload := make([]byte, 64<<10)
-	for off < size {
-		if off+frameSize > size {
-			rep.TornTail = true
-			rep.TornReason = fmt.Sprintf("torn frame at offset %d", off)
-			break
-		}
-		if _, err := io.ReadFull(br, frame[:]); err != nil {
-			return rep, fmt.Errorf("wal: read segment %s at offset %d: %w", path, off, err)
-		}
-		length := int64(binary.LittleEndian.Uint32(frame[:4]))
-		crc := binary.LittleEndian.Uint32(frame[4:8])
-		end := off + frameSize + length
-		if length == 0 || length > maxPayload || end > size {
-			rep.TornTail = true
-			rep.TornReason = fmt.Sprintf("unwalkable record length %d at offset %d", length, off)
-			break
-		}
-		if int64(len(payload)) < length {
-			payload = make([]byte, length)
-		}
-		if _, err := io.ReadFull(br, payload[:length]); err != nil {
-			return rep, fmt.Errorf("wal: read segment %s at offset %d: %w", path, off, err)
-		}
-		if crc32.Checksum(payload[:length], castagnoli) == crc {
-			rep.Records++
-		} else {
-			if rep.BadFrames == 0 {
-				rep.FirstBadOff = off
-			}
-			rep.BadFrames++
-		}
-		off = end
-	}
+	rep.Repaired, rep.Quarantined, rep.NewSize = true, path+".corrupt", size
 	return rep, nil
-}
-
-// scanHeaderBytes validates a segment header held in memory and
-// returns the header size, or a non-empty reason when it is unusable.
-func scanHeaderBytes(data []byte) (int64, string) {
-	if len(data) < headerPrefixSize {
-		return 0, "short segment header"
-	}
-	if [4]byte(data[:4]) != segmentMagic {
-		return 0, "bad segment magic"
-	}
-	switch v := binary.LittleEndian.Uint32(data[4:headerPrefixSize]); v {
-	case segmentVersionV1:
-		return headerPrefixSize, ""
-	case segmentVersion:
-		if len(data) < headerSize {
-			return 0, "short segment header"
-		}
-		return headerSize, ""
-	default:
-		return 0, fmt.Sprintf("unsupported segment version %d", v)
-	}
-}
-
-// repairSegmentFile rewrites the segment at path without its bad
-// frames: header plus intact spans go into a temp file, the damaged
-// original is preserved as path+".corrupt" via a hard link, then the
-// temp file atomically replaces the original. A crash anywhere leaves
-// either the damaged original in place (re-detected next scrub) or the
-// repaired file published; never a missing segment.
-func repairSegmentFile(path string, data []byte, hdrSize int64, spans []frameSpan) (int64, string, error) {
-	tmp := path + ".scrub"
-	f, err := os.OpenFile(tmp, os.O_CREATE|os.O_TRUNC|os.O_WRONLY, 0o644)
-	if err != nil {
-		return 0, "", fmt.Errorf("wal: create %s: %w", tmp, err)
-	}
-	fail := func(err error) (int64, string, error) {
-		f.Close()
-		os.Remove(tmp)
-		return 0, "", err
-	}
-	if _, err := f.Write(data[:hdrSize]); err != nil {
-		return fail(fmt.Errorf("wal: write %s: %w", tmp, err))
-	}
-	size := hdrSize
-	for _, sp := range spans {
-		if _, err := f.Write(data[sp.off : sp.off+sp.n]); err != nil {
-			return fail(fmt.Errorf("wal: write %s: %w", tmp, err))
-		}
-		size += sp.n
-	}
-	if err := f.Sync(); err != nil {
-		return fail(fmt.Errorf("wal: sync %s: %w", tmp, err))
-	}
-	if err := f.Close(); err != nil {
-		os.Remove(tmp)
-		return 0, "", fmt.Errorf("wal: close %s: %w", tmp, err)
-	}
-	quarantine := path + ".corrupt"
-	os.Remove(quarantine) // stale quarantine from an earlier repair
-	if err := os.Link(path, quarantine); err != nil {
-		os.Remove(tmp)
-		return 0, "", fmt.Errorf("wal: quarantine %s: %w", path, err)
-	}
-	if err := os.Rename(tmp, path); err != nil {
-		os.Remove(tmp)
-		return 0, "", fmt.Errorf("wal: publish repaired %s: %w", path, err)
-	}
-	if err := syncJournalDir(filepath.Dir(path)); err != nil {
-		return 0, "", err
-	}
-	return size, quarantine, nil
-}
-
-// syncJournalDir fsyncs a directory so renames within it are durable.
-func syncJournalDir(dir string) error {
-	d, err := os.Open(dir)
-	if err != nil {
-		return fmt.Errorf("wal: open dir %s: %w", dir, err)
-	}
-	defer d.Close()
-	if err := d.Sync(); err != nil {
-		return fmt.Errorf("wal: sync dir %s: %w", dir, err)
-	}
-	return nil
 }
 
 // ScrubConfig parameterizes one live-journal scrub pass.
@@ -341,140 +129,90 @@ type ScrubSummary struct {
 // it, so appends are not stalled. The active segment is never
 // scrubbed.
 func (j *Journal) Scrub(cfg ScrubConfig) (ScrubSummary, error) {
-	max := cfg.MaxSegments
-	if max <= 0 {
-		max = 1
-	}
 	var sum ScrubSummary
-
 	j.mu.Lock()
 	if j.done {
 		j.mu.Unlock()
 		return sum, fmt.Errorf("wal: journal is closed")
 	}
-	sealed := append([]closedSegment(nil), j.closed...)
-	cursor := j.scrubNext
+	seqs := make([]uint64, len(j.closed))
+	for i, s := range j.closed {
+		seqs[i] = s.Seq
+	}
+	picks, next := seglog.Pick(seqs, j.scrubNext, cfg.MaxSegments)
+	j.scrubNext = next
+	j.stats.ScrubScans += int64(len(picks))
 	j.mu.Unlock()
-	if len(sealed) == 0 {
-		return sum, nil
-	}
-
-	// Pick the next run of segments at or after the cursor, wrapping.
-	start := 0
-	for start < len(sealed) && sealed[start].seq < cursor {
-		start++
-	}
-	if start == len(sealed) {
-		start = 0
-	}
-	picks := sealed[start:]
-	if len(picks) > max {
-		picks = picks[:max]
-	}
-
-	var firstErr error
-	for _, seg := range picks {
-		quick, err := scrubVerify(segmentPath(j.cfg.Dir, seg.seq), seg.seq)
-		j.mu.Lock()
-		j.stats.ScrubScans++
-		j.mu.Unlock()
-		if err != nil {
-			// The segment may have been pruned between the snapshot and
-			// the read; that is not damage.
-			if os.IsNotExist(err) {
-				continue
-			}
-			if firstErr == nil {
-				firstErr = err
-			}
-			continue
-		}
-		if !quick.Damaged() {
-			continue
-		}
-		// Damage confirmed: now pay for the materializing scan, which
-		// also re-checks payload decodability and yields the intact
-		// spans the repair copies forward.
-		rep, data, hdrSize, spans, err := scrubScan(segmentPath(j.cfg.Dir, seg.seq), seg.seq)
-		if err != nil {
-			if os.IsNotExist(err) {
-				continue
-			}
-			if firstErr == nil {
-				firstErr = err
-			}
-			continue
-		}
-		if !rep.Damaged() {
-			continue
-		}
-		if rep.BadFrames == 0 {
-			// Torn tail only: report, never rewrite (see ScrubReport).
-			rep.SkipReason = "torn tail is not repaired"
-			sum.Damaged = append(sum.Damaged, rep)
-			j.cfg.Logf("wal: scrub found torn tail in sealed segment %d: %s", rep.Seq, rep.TornReason)
-			continue
-		}
-		j.cfg.Logf("wal: scrub found %d bad frame(s) in sealed segment %d (first at offset %d)",
-			rep.BadFrames, rep.Seq, rep.FirstBadOff)
-		j.mu.Lock()
-		uncheckpointed := !j.retainSet || seg.seq >= j.retainSeg
-		j.mu.Unlock()
-		if cfg.PreRepair != nil {
-			if err := cfg.PreRepair(seg.seq, uncheckpointed); err != nil {
-				rep.SkipReason = fmt.Sprintf("pre-repair hook: %v", err)
-				sum.Damaged = append(sum.Damaged, rep)
-				j.cfg.Logf("wal: scrub skipping repair of segment %d: %v", seg.seq, err)
-				continue
-			}
-		} else if uncheckpointed {
-			rep.SkipReason = "segment holds un-checkpointed records and no PreRepair hook is set"
-			sum.Damaged = append(sum.Damaged, rep)
-			j.cfg.Logf("wal: scrub skipping repair of un-checkpointed segment %d", seg.seq)
-			continue
-		}
-		// The swap holds j.mu so retention cannot prune the segment out
-		// from under the rename.
-		j.mu.Lock()
-		idx := -1
-		for i := range j.closed {
-			if j.closed[i].seq == seg.seq {
-				idx = i
-				break
-			}
-		}
-		if idx < 0 {
-			j.mu.Unlock()
-			continue // pruned while we scanned
-		}
-		newSize, quarantine, rerr := repairSegmentFile(segmentPath(j.cfg.Dir, seg.seq), data, hdrSize, spans)
-		if rerr != nil {
-			j.mu.Unlock()
-			if firstErr == nil {
-				firstErr = rerr
-			}
-			rep.SkipReason = fmt.Sprintf("repair failed: %v", rerr)
-			sum.Damaged = append(sum.Damaged, rep)
-			continue
-		}
-		j.closed[idx].size = newSize
-		j.stats.ScrubRepairedSegments++
-		j.stats.ScrubLostRecords += int64(rep.BadFrames)
-		j.stats.ScrubQuarantined++
-		j.mu.Unlock()
-		rep.Repaired = true
-		rep.Quarantined = quarantine
-		rep.NewSize = newSize
-		sum.Damaged = append(sum.Damaged, rep)
-		j.cfg.Logf("wal: scrub repaired segment %d: dropped %d bad frame(s), kept %d record(s), quarantined original as %s",
-			rep.Seq, rep.BadFrames, rep.Records, filepath.Base(quarantine))
-	}
 	sum.Scanned = len(picks)
-
-	j.mu.Lock()
-	j.scrubNext = picks[len(picks)-1].seq + 1
-	j.mu.Unlock()
+	var firstErr error
+	for _, seq := range picks {
+		rep, err := j.scrubSegment(seq, cfg.PreRepair)
+		if err != nil && firstErr == nil {
+			firstErr = err
+		}
+		if rep.Damaged() {
+			sum.Damaged = append(sum.Damaged, rep)
+		}
+	}
 	return sum, firstErr
+}
+
+// scrubSegment verifies one sealed segment and repairs its bad frames
+// when the checkpoint policy allows. The walk checks CRCs only, through
+// one bounded buffer, cheap enough to run next to hot ingest; a repair
+// re-checks that every surviving payload decodes.
+func (j *Journal) scrubSegment(seq uint64, preRepair func(uint64, bool) error) (ScrubReport, error) {
+	path := segFormat.Path(j.cfg.Dir, seq)
+	sc, err := segFormat.Walk(path, 0, true, nil)
+	if errors.Is(err, fs.ErrNotExist) {
+		return ScrubReport{}, nil // pruned since the snapshot; not damage
+	}
+	rep := scrubReport(seq, path, sc)
+	if err != nil || !rep.Damaged() {
+		return rep, err
+	}
+	if rep.BadFrames == 0 {
+		// Torn tail only: report, never rewrite (see ScrubReport).
+		rep.SkipReason = "torn tail is not repaired"
+		j.cfg.Logf("wal: scrub found torn tail in sealed segment %d: %s", seq, rep.TornReason)
+		return rep, nil
+	}
+	j.cfg.Logf("wal: scrub found %d bad frame(s) in sealed segment %d (first at offset %d)",
+		rep.BadFrames, seq, rep.FirstBadOff)
+	j.mu.Lock()
+	uncheckpointed := !j.retainSet || seq >= j.retainSeg
+	j.mu.Unlock()
+	if preRepair != nil {
+		if err := preRepair(seq, uncheckpointed); err != nil {
+			rep.SkipReason = fmt.Sprintf("pre-repair hook: %v", err)
+			j.cfg.Logf("wal: scrub skipping repair of segment %d: %v", seq, err)
+			return rep, nil
+		}
+	} else if uncheckpointed {
+		rep.SkipReason = "segment holds un-checkpointed records and no PreRepair hook is set"
+		j.cfg.Logf("wal: scrub skipping repair of un-checkpointed segment %d", seq)
+		return rep, nil
+	}
+	// The swap holds j.mu so retention cannot prune the segment out from
+	// under the rename.
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	idx := slices.IndexFunc(j.closed, func(s seglog.Seg) bool { return s.Seq == seq })
+	if idx < 0 {
+		return ScrubReport{}, nil // pruned while we scanned
+	}
+	fixed, err := repairSegment(seq, path)
+	if err != nil {
+		rep.SkipReason = fmt.Sprintf("repair failed: %v", err)
+		return rep, err
+	}
+	j.closed[idx].Size = fixed.NewSize
+	j.stats.ScrubRepairedSegments++
+	j.stats.ScrubLostRecords += int64(fixed.BadFrames)
+	j.stats.ScrubQuarantined++
+	j.cfg.Logf("wal: scrub repaired segment %d: dropped %d bad frame(s), kept %d record(s), quarantined original as %s",
+		seq, fixed.BadFrames, fixed.Records, filepath.Base(fixed.Quarantined))
+	return fixed, nil
 }
 
 // ScrubDir scrubs every segment in a journal directory offline (the
@@ -484,7 +222,7 @@ func (j *Journal) Scrub(cfg ScrubConfig) (ScrubSummary, error) {
 // region a repair would shift, which is reported and skipped. Without
 // repair it is a pure report.
 func ScrubDir(dir string, repair bool) ([]ScrubReport, error) {
-	segs, err := listSegments(dir)
+	segs, err := segFormat.List(dir)
 	if err != nil {
 		return nil, err
 	}
@@ -494,28 +232,27 @@ func ScrubDir(dir string, repair bool) ([]ScrubReport, error) {
 	}
 	var out []ScrubReport
 	for _, seg := range segs {
-		rep, data, hdrSize, spans, err := scrubScan(segmentPath(dir, seg.seq), seg.seq)
+		path := segFormat.Path(dir, seg.Seq)
+		sc, err := segFormat.Walk(path, 0, true, func(_ int64, p []byte) error {
+			if err := checkPayload(p); err != nil {
+				return seglog.Corrupt(err)
+			}
+			return nil
+		})
 		if err != nil {
 			return out, err
 		}
-		if rep.BadFrames > 0 && repair {
-			switch {
-			case rep.TornTail && rep.Records == 0 && rep.BadFrames == 0:
-				// unreachable; kept for symmetry with the live path
-			case cp != nil && seg.seq == cp.Pos.Seg && rep.FirstBadOff < cp.Pos.Off:
-				rep.SkipReason = fmt.Sprintf("newest checkpoint replays from offset %d, past the first bad frame at %d", cp.Pos.Off, rep.FirstBadOff)
-			default:
-				newSize, quarantine, rerr := repairSegmentFile(rep.Path, data, hdrSize, spans)
-				if rerr != nil {
-					return out, rerr
-				}
-				rep.Repaired = true
-				rep.Quarantined = quarantine
-				rep.NewSize = newSize
-			}
-		} else if rep.BadFrames > 0 {
+		rep := scrubReport(seg.Seq, path, sc)
+		switch {
+		case rep.BadFrames > 0 && !repair:
 			rep.SkipReason = "repair not requested"
-		} else if rep.TornTail {
+		case rep.BadFrames > 0 && cp != nil && seg.Seq == cp.Pos.Seg && rep.FirstBadOff < cp.Pos.Off:
+			rep.SkipReason = fmt.Sprintf("newest checkpoint replays from offset %d, past the first bad frame at %d", cp.Pos.Off, rep.FirstBadOff)
+		case rep.BadFrames > 0:
+			if rep, err = repairSegment(seg.Seq, path); err != nil {
+				return out, err
+			}
+		case rep.TornTail:
 			rep.SkipReason = "torn tail is not repaired"
 		}
 		out = append(out, rep)

@@ -4,8 +4,10 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
-	"time"
 	"testing"
+	"time"
+
+	"repro/internal/seglog"
 )
 
 // flipPayloadByte corrupts one byte inside the payload of the record
@@ -21,7 +23,7 @@ func flipPayloadByte(t *testing.T, path string, ends []int64, rec int) int64 {
 	if err != nil {
 		t.Fatal(err)
 	}
-	b[start+frameSize+1] ^= 0x40 // a payload byte, leaving the frame header intact
+	b[start+seglog.FrameSize+1] ^= 0x40 // a payload byte, leaving the frame header intact
 	if err := os.WriteFile(path, b, 0o644); err != nil {
 		t.Fatal(err)
 	}
@@ -106,7 +108,7 @@ func TestScrubDirLeavesTornTail(t *testing.T) {
 
 func TestScrubDirRespectsCheckpoint(t *testing.T) {
 	dir, segPath, ends := buildJournal(t, 6)
-	seq, _ := parseSegmentName(filepath.Base(segPath))
+	seq, _ := segFormat.Parse(filepath.Base(segPath))
 	// Checkpoint covering the first four records; damage before its
 	// offset must not be repaired (replay-from-checkpoint would land
 	// mid-record after the shift).
@@ -123,7 +125,7 @@ func TestScrubDirRespectsCheckpoint(t *testing.T) {
 	}
 	// Damage past the checkpoint offset is repairable.
 	dir2, segPath2, ends2 := buildJournal(t, 6)
-	seq2, _ := parseSegmentName(filepath.Base(segPath2))
+	seq2, _ := segFormat.Parse(filepath.Base(segPath2))
 	if _, err := SaveCheckpoint(dir2, Position{Seg: seq2, Off: ends2[1]}, time.Now(), "", []byte(`{}`)); err != nil {
 		t.Fatal(err)
 	}
@@ -150,12 +152,12 @@ func TestJournalScrubRepairsSealedSegment(t *testing.T) {
 		}
 	}
 	sealedSeq := uint64(2)
-	path := segmentPath(dir, sealedSeq)
+	path := segFormat.Path(dir, sealedSeq)
 	b, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b[headerSize+frameSize+1] ^= 0x10
+	b[headerSize+seglog.FrameSize+1] ^= 0x10
 	if err := os.WriteFile(path, b, 0o644); err != nil {
 		t.Fatal(err)
 	}

@@ -4,6 +4,8 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
+
+	"repro/internal/seglog"
 )
 
 // buildJournal writes a small single-segment journal and returns its
@@ -24,7 +26,7 @@ func buildJournal(t *testing.T, records int) (dir, segPath string, ends []int64)
 		}
 		ends = append(ends, pos.Off)
 	}
-	segPath = segmentPath(dir, j.Pos().Seg)
+	segPath = segFormat.Path(dir, j.Pos().Seg)
 	if err := j.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -90,7 +92,7 @@ func TestCorruptPayloadDetected(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Flip a byte inside the third record's payload (past its frame).
-	data[ends[1]+frameSize+4] ^= 0xFF
+	data[ends[1]+seglog.FrameSize+4] ^= 0xFF
 	if err := os.WriteFile(segPath, data, 0o644); err != nil {
 		t.Fatal(err)
 	}
@@ -176,7 +178,7 @@ func TestReplayReportsMissingSegments(t *testing.T) {
 	if err := j.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if err := os.Remove(segmentPath(dir, 2)); err != nil {
+	if err := os.Remove(segFormat.Path(dir, 2)); err != nil {
 		t.Fatal(err)
 	}
 	got := 0
@@ -215,7 +217,7 @@ func TestReplayReportsMissingSegments(t *testing.T) {
 // segment whose header never made it to disk is dropped entirely.
 func TestHeaderlessSegmentRemoved(t *testing.T) {
 	dir := t.TempDir()
-	path := segmentPath(dir, 1)
+	path := segFormat.Path(dir, 1)
 	if err := os.WriteFile(path, []byte{1, 2, 3}, 0o644); err != nil {
 		t.Fatal(err)
 	}

@@ -8,6 +8,8 @@ import (
 	"io"
 	"net/http"
 	"time"
+
+	"repro/internal/seglog"
 )
 
 // ContentType is the media type of binary ingest requests/responses.
@@ -158,7 +160,7 @@ func (c *Client) post(ctx context.Context, body []byte) ([]byte, error) {
 		return nil, err
 	}
 	defer resp.Body.Close()
-	raw, err := io.ReadAll(io.LimitReader(resp.Body, MaxFrame+frameSize))
+	raw, err := io.ReadAll(io.LimitReader(resp.Body, MaxFrame+seglog.FrameSize))
 	if err != nil {
 		return nil, err
 	}

@@ -15,8 +15,9 @@ package wire
 import (
 	"encoding/binary"
 	"fmt"
-	"hash/crc32"
 	"math"
+
+	"repro/internal/seglog"
 )
 
 // Version is the wire protocol version carried in every Hello and
@@ -44,7 +45,7 @@ const (
 	FrameError byte = 5
 )
 
-// Framing and bounds. Every frame is
+// Framing and bounds. Every frame is a seglog frame,
 //
 //	uint32 payload length | uint32 CRC32C of payload | payload
 //
@@ -52,7 +53,6 @@ const (
 // corrupted frame is detected by the length/CRC pair, never by a
 // panic.
 const (
-	frameSize = 8
 	// MaxFrame caps one frame's payload; it matches the server's ingest
 	// body cap, so no legitimate batch can exceed it.
 	MaxFrame = 8 << 20
@@ -68,48 +68,19 @@ const (
 	maxClasses = 255
 )
 
-// castagnoli is the CRC32C table; Castagnoli has hardware support on
-// amd64/arm64, keeping the checksum off the hot path's profile.
-var castagnoli = crc32.MakeTable(crc32.Castagnoli)
-
 // BeginFrame reserves a frame header on dst and returns the extended
 // buffer plus the header's offset for EndFrame.
-func BeginFrame(dst []byte) ([]byte, int) {
-	start := len(dst)
-	return append(dst, 0, 0, 0, 0, 0, 0, 0, 0), start
-}
+func BeginFrame(dst []byte) ([]byte, int) { return seglog.BeginFrame(dst) }
 
 // EndFrame fills in the length and CRC for the payload appended since
 // BeginFrame returned start.
-func EndFrame(buf []byte, start int) []byte {
-	payload := buf[start+frameSize:]
-	binary.LittleEndian.PutUint32(buf[start:start+4], uint32(len(payload)))
-	binary.LittleEndian.PutUint32(buf[start+4:start+8], crc32.Checksum(payload, castagnoli))
-	return buf
-}
+func EndFrame(buf []byte, start int) []byte { return seglog.EndFrame(buf, start) }
 
 // NextFrame splits one CRC-verified frame payload off the front of
 // buf, returning the payload and the remaining bytes. An empty buf
 // returns (nil, nil, nil).
 func NextFrame(buf []byte) (payload, rest []byte, err error) {
-	if len(buf) == 0 {
-		return nil, nil, nil
-	}
-	if len(buf) < frameSize {
-		return nil, nil, fmt.Errorf("wire: truncated frame header (%d bytes)", len(buf))
-	}
-	n := int(binary.LittleEndian.Uint32(buf[0:4]))
-	if n == 0 || n > MaxFrame {
-		return nil, nil, fmt.Errorf("wire: frame payload length %d outside (0,%d]", n, MaxFrame)
-	}
-	if len(buf)-frameSize < n {
-		return nil, nil, fmt.Errorf("wire: frame payload truncated: have %d of %d bytes", len(buf)-frameSize, n)
-	}
-	payload = buf[frameSize : frameSize+n]
-	if got, want := crc32.Checksum(payload, castagnoli), binary.LittleEndian.Uint32(buf[4:8]); got != want {
-		return nil, nil, fmt.Errorf("wire: frame CRC mismatch (got %08x, want %08x)", got, want)
-	}
-	return payload, buf[frameSize+n:], nil
+	return seglog.NextFrame(buf, MaxFrame)
 }
 
 // Hello is the stream-opening handshake. Metrics names every column
