@@ -37,6 +37,7 @@ import (
 	"net"
 	"os"
 	"os/signal"
+	"slices"
 	"strconv"
 	"strings"
 	"syscall"
@@ -61,14 +62,12 @@ type config struct {
 	gmetad string
 	poll   time.Duration
 	ttl    time.Duration
-	sweep  time.Duration
 	shards int
 	seed   int64
 	hosts  string
 	rates  string
 	drift  float64
 	pprof  bool
-	binary bool
 
 	dashboard     bool
 	appdbMaxBytes int64
@@ -91,26 +90,39 @@ type config struct {
 	degradeOnWALErr bool
 
 	segWindow    int
-	segMinPhase  int
-	segThreshold float64
 	unknownSlack float64
-	unknownQuant float64
 
 	recoverForce   bool
 	trainReservoir int
 	modelDir       string
 	retrainEvery   time.Duration
 	retrainOut     string
-	retrainMinRows int
 
 	shutdownTimeout time.Duration
 	scrubEvery      time.Duration
 	storeMaintEvery time.Duration
 
 	probationWindow   time.Duration
-	probationUnknownX float64
-	probationDisagree float64
 	probationMinSnaps int64
+}
+
+// flagDeps lists the flags that do nothing unless another flag enables
+// them; parseFlags rejects any of them set while their enabler is off.
+var flagDeps = []struct {
+	enabler string
+	on      func(config) bool
+	deps    []string
+}{
+	{"-db", func(c config) bool { return c.dbPath != "" },
+		[]string{"appdb-max-bytes", "appdb-retain"}},
+	{"-journal-dir", func(c config) bool { return c.journalDir != "" },
+		[]string{"checkpoint-every", "degraded-on-wal-error", "fsync", "fsync-group-commit", "fsync-interval", "journal-max-bytes", "journal-segment-bytes", "recover-force"}},
+	{"-retrain-every", func(c config) bool { return c.retrainEvery > 0 },
+		[]string{"retrain-out"}},
+	{"-gmetad", func(c config) bool { return c.gmetad != "" },
+		[]string{"breaker-failures", "breaker-open-for", "poll-backoff-max"}},
+	{"-probation-window", func(c config) bool { return c.probationWindow > 0 },
+		[]string{"probation-min-snapshots"}},
 }
 
 func parseFlags(args []string) (config, error) {
@@ -122,14 +134,12 @@ func parseFlags(args []string) (config, error) {
 	fs.StringVar(&cfg.gmetad, "gmetad", "", "poll this gmetad URL for cluster state (pull mode)")
 	fs.DurationVar(&cfg.poll, "poll", 5*time.Second, "gmetad poll interval")
 	fs.DurationVar(&cfg.ttl, "ttl", 5*time.Minute, "idle session TTL before eviction to the database")
-	fs.DurationVar(&cfg.sweep, "sweep", 0, "eviction sweep interval (default ttl/4)")
 	fs.IntVar(&cfg.shards, "shards", 0, "session registry shard count (default 16)")
 	fs.Int64Var(&cfg.seed, "seed", 1, "simulation seed when training (no -model)")
 	fs.StringVar(&cfg.hosts, "hosts", "", "placement host inventory as name:slots[,name:slots...] (enables /v1/placements)")
 	fs.StringVar(&cfg.rates, "rates", "", "cost-model rates as cpu,mem,io,net,idle (default 1,1,1,1,0)")
 	fs.Float64Var(&cfg.drift, "drift", 0, "migration-advisor drift threshold in [0,1] (default 0.25)")
 	fs.BoolVar(&cfg.pprof, "pprof", false, "expose net/http/pprof profiling under /debug/pprof/")
-	fs.BoolVar(&cfg.binary, "ingest-binary", true, "serve the binary columnar ingest fast path at POST /v1/ingest.bin")
 	fs.BoolVar(&cfg.dashboard, "dashboard", false, "serve the embedded control-plane dashboard at /dashboard/")
 	fs.Int64Var(&cfg.appdbMaxBytes, "appdb-max-bytes", 0, "cap the application-database store at this total segment size, pruning the oldest runs (default unlimited)")
 	fs.DurationVar(&cfg.appdbRetain, "appdb-retain", 0, "drop application-database runs finalized longer ago than this (default keep forever)")
@@ -148,22 +158,16 @@ func parseFlags(args []string) (config, error) {
 	fs.DurationVar(&cfg.ingestTimeout, "ingest-timeout", 0, "abandon an ingest request that cannot finish within this deadline (default none)")
 	fs.BoolVar(&cfg.degradeOnWALErr, "degraded-on-wal-error", false, "on persistent journal errors, continue ingest memory-only (degraded durability) instead of rejecting batches")
 	fs.IntVar(&cfg.segWindow, "seg-window", 0, "phase segmentation half-window in snapshots (default 8, negative disables segmentation)")
-	fs.IntVar(&cfg.segMinPhase, "seg-min-phase", 0, "minimum phase length in snapshots (default 5)")
-	fs.Float64Var(&cfg.segThreshold, "seg-threshold", 0, "phase boundary distance threshold in fused feature space (default 1.0)")
 	fs.Float64Var(&cfg.unknownSlack, "unknown-slack", 0, "open-set threshold slack over training self-distances (default 3.0, negative disables UNKNOWN verdicts)")
-	fs.Float64Var(&cfg.unknownQuant, "unknown-quantile", 0, "training self-distance quantile for open-set calibration (default 0.99)")
 	fs.BoolVar(&cfg.recoverForce, "recover-force", false, "recover past a checkpoint/journal model-hash mismatch by discarding the mismatching checkpoint and replaying the journal tail only")
 	fs.IntVar(&cfg.trainReservoir, "train-reservoir", 0, "per-session reservoir of raw sample rows retained for online retraining (default 256, negative disables sampling)")
 	fs.StringVar(&cfg.modelDir, "model-dir", "", "confine POST /v1/models artifact paths to this directory (default: paths taken as given)")
 	fs.DurationVar(&cfg.retrainEvery, "retrain-every", 0, "refit a candidate model from labeled appdb sessions at this cadence and shadow-evaluate it (default off)")
 	fs.StringVar(&cfg.retrainOut, "retrain-out", "", "persist each retrained model artifact to this path (atomic rename)")
-	fs.IntVar(&cfg.retrainMinRows, "retrain-min-rows", 0, "minimum retained sample rows a class needs to join a retrain (default 8)")
 	fs.DurationVar(&cfg.shutdownTimeout, "shutdown-timeout", 10*time.Second, "bound graceful shutdown (HTTP drain, session flush, final checkpoint) to this long")
 	fs.DurationVar(&cfg.scrubEvery, "scrub-every", 0, "verify one sealed journal segment and one closed appdb segment for latent corruption at this cadence, repairing damage (default off)")
 	fs.DurationVar(&cfg.storeMaintEvery, "store-maint-every", 0, "compact the application-database store at this cadence (default off)")
 	fs.DurationVar(&cfg.probationWindow, "probation-window", 0, "keep a freshly promoted model on probation this long, the displaced model shadow-guarding it; breaches auto-roll back (default off)")
-	fs.Float64Var(&cfg.probationUnknownX, "probation-unknown-factor", 0, "breach probation when the new model's unknown rate reaches this multiple of the guard's (default 3)")
-	fs.Float64Var(&cfg.probationDisagree, "probation-disagree-threshold", 0, "breach probation when the guard disagrees with this fraction of a class's votes (default 0.9)")
 	fs.Int64Var(&cfg.probationMinSnaps, "probation-min-snapshots", 0, "snapshots the guard must see before the unknown-rate test can breach (default 50)")
 	if err := fs.Parse(args); err != nil {
 		return config{}, err
@@ -174,16 +178,18 @@ func parseFlags(args []string) (config, error) {
 	if cfg.hosts == "" && cfg.rates != "" {
 		return config{}, fmt.Errorf("-rates requires -hosts")
 	}
-	if cfg.dbPath == "" {
-		var set []string
+	for _, d := range flagDeps {
+		if d.on(cfg) {
+			continue
+		}
+		var named []string
 		fs.Visit(func(f *flag.Flag) {
-			switch f.Name {
-			case "appdb-max-bytes", "appdb-retain":
-				set = append(set, "-"+f.Name)
+			if slices.Contains(d.deps, f.Name) {
+				named = append(named, "-"+f.Name)
 			}
 		})
-		if len(set) > 0 {
-			return config{}, fmt.Errorf("%s require(s) -db", strings.Join(set, ", "))
+		if len(named) > 0 {
+			return config{}, fmt.Errorf("%s require(s) %s", strings.Join(named, ", "), d.enabler)
 		}
 	}
 	if cfg.appdbMaxBytes < 0 || cfg.appdbRetain < 0 {
@@ -192,47 +198,11 @@ func parseFlags(args []string) (config, error) {
 	if _, err := wal.ParsePolicy(cfg.fsync); err != nil {
 		return config{}, err
 	}
-	if cfg.journalDir == "" {
-		var set []string
-		fs.Visit(func(f *flag.Flag) {
-			switch f.Name {
-			case "fsync", "fsync-interval", "fsync-group-commit", "checkpoint-every", "journal-segment-bytes", "journal-max-bytes", "degraded-on-wal-error", "recover-force":
-				set = append(set, "-"+f.Name)
-			}
-		})
-		if len(set) > 0 {
-			return config{}, fmt.Errorf("%s require(s) -journal-dir", strings.Join(set, ", "))
-		}
-	}
 	if cfg.fsyncGroup && cfg.fsync != "always" {
 		return config{}, fmt.Errorf("-fsync-group-commit requires -fsync always, got -fsync %s", cfg.fsync)
 	}
-	if cfg.retrainEvery <= 0 {
-		var set []string
-		fs.Visit(func(f *flag.Flag) {
-			switch f.Name {
-			case "retrain-out", "retrain-min-rows":
-				set = append(set, "-"+f.Name)
-			}
-		})
-		if len(set) > 0 {
-			return config{}, fmt.Errorf("%s require(s) -retrain-every", strings.Join(set, ", "))
-		}
-	}
 	if cfg.retrainEvery > 0 && cfg.trainReservoir < 0 {
 		return config{}, fmt.Errorf("-retrain-every needs sampling; do not disable -train-reservoir")
-	}
-	if cfg.gmetad == "" {
-		var set []string
-		fs.Visit(func(f *flag.Flag) {
-			switch f.Name {
-			case "poll-backoff-max", "breaker-failures", "breaker-open-for":
-				set = append(set, "-"+f.Name)
-			}
-		})
-		if len(set) > 0 {
-			return config{}, fmt.Errorf("%s require(s) -gmetad", strings.Join(set, ", "))
-		}
 	}
 	if cfg.shutdownTimeout <= 0 {
 		return config{}, fmt.Errorf("-shutdown-timeout must be positive, got %v", cfg.shutdownTimeout)
@@ -246,20 +216,8 @@ func parseFlags(args []string) (config, error) {
 	if cfg.storeMaintEvery > 0 && cfg.dbPath == "" {
 		return config{}, fmt.Errorf("-store-maint-every requires -db")
 	}
-	if cfg.probationWindow <= 0 {
-		var set []string
-		fs.Visit(func(f *flag.Flag) {
-			switch f.Name {
-			case "probation-unknown-factor", "probation-disagree-threshold", "probation-min-snapshots":
-				set = append(set, "-"+f.Name)
-			}
-		})
-		if len(set) > 0 {
-			return config{}, fmt.Errorf("%s require(s) -probation-window", strings.Join(set, ", "))
-		}
-	}
-	if cfg.probationUnknownX < 0 || cfg.probationDisagree < 0 || cfg.probationDisagree > 1 || cfg.probationMinSnaps < 0 {
-		return config{}, fmt.Errorf("-probation-unknown-factor and -probation-min-snapshots must be non-negative and -probation-disagree-threshold in [0,1]")
+	if cfg.probationMinSnaps < 0 {
+		return config{}, fmt.Errorf("-probation-min-snapshots must be non-negative")
 	}
 	return cfg, nil
 }
@@ -399,40 +357,32 @@ func run(ctx context.Context, cfg config, ready chan<- string) error {
 	}
 
 	srv, err := server.New(server.Config{
-		Classifier:                 cl,
-		Schema:                     metrics.DefaultSchema(),
-		DB:                         db,
-		IdleTTL:                    cfg.ttl,
-		SweepInterval:              cfg.sweep,
-		Shards:                     cfg.shards,
-		Placement:                  placer,
-		Dashboard:                  cfg.dashboard,
-		EnablePprof:                cfg.pprof,
-		DisableBinaryIngest:        !cfg.binary,
-		Journal:                    journal,
-		CheckpointEvery:            cfg.checkpointEvery,
-		MaxInflightBytes:           cfg.maxInflightB,
-		MaxInflightRequests:        cfg.maxInflightReq,
-		IngestTimeout:              cfg.ingestTimeout,
-		DegradeOnWALError:          cfg.degradeOnWALErr,
-		SegmentWindow:              cfg.segWindow,
-		SegmentMinLen:              cfg.segMinPhase,
-		SegmentThreshold:           cfg.segThreshold,
-		UnknownSlack:               cfg.unknownSlack,
-		UnknownQuantile:            cfg.unknownQuant,
-		RecoverForce:               cfg.recoverForce,
-		TrainReservoir:             cfg.trainReservoir,
-		ModelDir:                   cfg.modelDir,
-		RetrainEvery:               cfg.retrainEvery,
-		RetrainOut:                 cfg.retrainOut,
-		RetrainMinRows:             cfg.retrainMinRows,
-		ScrubEvery:                 cfg.scrubEvery,
-		StoreMaintEvery:            cfg.storeMaintEvery,
-		ProbationWindow:            cfg.probationWindow,
-		ProbationUnknownFactor:     cfg.probationUnknownX,
-		ProbationDisagreeThreshold: cfg.probationDisagree,
-		ProbationMinSnapshots:      cfg.probationMinSnaps,
-		Logf:                       log.Printf,
+		Classifier:            cl,
+		Schema:                metrics.DefaultSchema(),
+		DB:                    db,
+		IdleTTL:               cfg.ttl,
+		Shards:                cfg.shards,
+		Placement:             placer,
+		Dashboard:             cfg.dashboard,
+		EnablePprof:           cfg.pprof,
+		Journal:               journal,
+		CheckpointEvery:       cfg.checkpointEvery,
+		MaxInflightBytes:      cfg.maxInflightB,
+		MaxInflightRequests:   cfg.maxInflightReq,
+		IngestTimeout:         cfg.ingestTimeout,
+		DegradeOnWALError:     cfg.degradeOnWALErr,
+		SegmentWindow:         cfg.segWindow,
+		UnknownSlack:          cfg.unknownSlack,
+		RecoverForce:          cfg.recoverForce,
+		TrainReservoir:        cfg.trainReservoir,
+		ModelDir:              cfg.modelDir,
+		RetrainEvery:          cfg.retrainEvery,
+		RetrainOut:            cfg.retrainOut,
+		ScrubEvery:            cfg.scrubEvery,
+		StoreMaintEvery:       cfg.storeMaintEvery,
+		ProbationWindow:       cfg.probationWindow,
+		ProbationMinSnapshots: cfg.probationMinSnaps,
+		Logf:                  log.Printf,
 	})
 	if err != nil {
 		return err

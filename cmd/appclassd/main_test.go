@@ -8,6 +8,7 @@ import (
 	"net/http"
 	"os"
 	"path/filepath"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -15,8 +16,10 @@ import (
 	"repro/internal/appclass"
 	"repro/internal/appdb"
 	"repro/internal/appstore"
+	"repro/internal/classify"
 	"repro/internal/core"
 	"repro/internal/metrics"
+	"repro/internal/modelreg"
 	"repro/internal/placement"
 	"repro/internal/wal"
 )
@@ -509,20 +512,91 @@ func TestParseGroupCommitFlags(t *testing.T) {
 	}
 }
 
-func TestParseBinaryIngestFlag(t *testing.T) {
-	cfg, err := parseFlags(nil)
+// TestParseFlagDependencies: every flag that only means something under
+// another is refused without it, naming both, and accepted with it.
+func TestParseFlagDependencies(t *testing.T) {
+	for _, tc := range []struct {
+		args    []string
+		enabler []string
+	}{
+		{[]string{"-appdb-max-bytes", "1"}, []string{"-db", "appdb"}},
+		{[]string{"-appdb-retain", "1h"}, []string{"-db", "appdb"}},
+		{[]string{"-checkpoint-every", "1s"}, []string{"-journal-dir", "j"}},
+		{[]string{"-degraded-on-wal-error"}, []string{"-journal-dir", "j"}},
+		{[]string{"-fsync", "never"}, []string{"-journal-dir", "j"}},
+		{[]string{"-fsync-group-commit", "-fsync", "always"}, []string{"-journal-dir", "j"}},
+		{[]string{"-fsync-interval", "1s"}, []string{"-journal-dir", "j"}},
+		{[]string{"-journal-max-bytes", "1"}, []string{"-journal-dir", "j"}},
+		{[]string{"-journal-segment-bytes", "1"}, []string{"-journal-dir", "j"}},
+		{[]string{"-recover-force"}, []string{"-journal-dir", "j"}},
+		{[]string{"-retrain-out", "m.json"}, []string{"-retrain-every", "1m"}},
+		{[]string{"-breaker-failures", "1"}, []string{"-gmetad", "http://gm/"}},
+		{[]string{"-breaker-open-for", "1s"}, []string{"-gmetad", "http://gm/"}},
+		{[]string{"-poll-backoff-max", "1s"}, []string{"-gmetad", "http://gm/"}},
+		{[]string{"-probation-min-snapshots", "1"}, []string{"-probation-window", "1m"}},
+	} {
+		_, err := parseFlags(tc.args)
+		if err == nil || !strings.Contains(err.Error(), tc.args[0]) || !strings.HasSuffix(err.Error(), "require(s) "+tc.enabler[0]) {
+			t.Errorf("%v: err = %v, want it to name %s and require %s", tc.args, err, tc.args[0], tc.enabler[0])
+		}
+		if _, err := parseFlags(append(tc.args, tc.enabler...)); err != nil {
+			t.Errorf("%v %v: %v", tc.args, tc.enabler, err)
+		}
+	}
+}
+
+// TestRunDefaultModelHash: a daemon on default flags serves its model
+// under modelreg.DefaultParams, so journals and checkpoints written
+// under those defaults recover without -recover-force.
+func TestRunDefaultModelHash(t *testing.T) {
+	jdir := filepath.Join(t.TempDir(), "journal")
+	model := savedModel(t)
+	cfg, err := parseFlags([]string{"-addr", "127.0.0.1:0", "-model", model, "-journal-dir", jdir})
 	if err != nil {
-		t.Fatalf("parse: %v", err)
+		t.Fatal(err)
 	}
-	if !cfg.binary {
-		t.Error("binary ingest should default on")
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	ready := make(chan string, 1)
+	errc := make(chan error, 1)
+	go func() { errc <- run(ctx, cfg, ready) }()
+	select {
+	case addr := <-ready:
+		// Serving one request orders the shutdown after Serve starts.
+		resp, err := http.Get("http://" + addr + "/readyz")
+		if err != nil {
+			t.Fatalf("readyz: %v", err)
+		}
+		resp.Body.Close()
+	case err := <-errc:
+		t.Fatalf("daemon exited before ready: %v", err)
+	case <-time.After(30 * time.Second):
+		t.Fatal("daemon never became ready")
 	}
-	cfg, err = parseFlags([]string{"-ingest-binary=false"})
+	cancel()
+	if err := <-errc; err != nil {
+		t.Fatalf("run returned: %v", err)
+	}
+
+	f, err := os.Open(model)
 	if err != nil {
-		t.Fatalf("parse: %v", err)
+		t.Fatal(err)
 	}
-	if cfg.binary {
-		t.Error("-ingest-binary=false should disable binary ingest")
+	defer f.Close()
+	cl, err := classify.Load(f)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := modelreg.HashClassifier(cl, modelreg.DefaultParams())
+	if err != nil {
+		t.Fatal(err)
+	}
+	cp, err := wal.LatestCheckpoint(jdir)
+	if err != nil || cp == nil {
+		t.Fatalf("no shutdown checkpoint (err %v)", err)
+	}
+	if cp.ModelHash != want.String() {
+		t.Errorf("default daemon's model hash = %s, want modelreg.DefaultParams hash %s", cp.ModelHash, want)
 	}
 }
 

@@ -16,6 +16,7 @@ import (
 	"repro/internal/metrics"
 	"repro/internal/phase"
 	"repro/internal/placement"
+	"repro/internal/wire"
 )
 
 // routes builds the daemon's API surface. Method-qualified patterns
@@ -24,9 +25,7 @@ import (
 func (s *Server) routes() *http.ServeMux {
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /v1/ingest", s.handleIngest)
-	if !s.cfg.DisableBinaryIngest {
-		mux.HandleFunc("POST /v1/ingest.bin", s.handleIngestBin)
-	}
+	mux.HandleFunc("POST /v1/ingest.bin", s.handleIngestBin)
 	mux.HandleFunc("GET /v1/vms", s.handleVMs)
 	mux.HandleFunc("GET /v1/vms/{name}", s.handleVM)
 	mux.HandleFunc("POST /v1/vms/{name}/finish", s.handleFinish)
@@ -121,169 +120,110 @@ type ingestResponse struct {
 	Results  []ingestResult `json:"results"`
 }
 
-// ingestResultsPool recycles the per-request results slice of
-// handleIngest; entries are fully overwritten before use.
-var ingestResultsPool = sync.Pool{New: func() any { return new([]ingestResult) }}
-
-// maxIngestBody caps one ingest request's body; it doubles as the
-// admission-control reservation for requests that do not declare a
-// Content-Length.
-const maxIngestBody = 8 << 20
-
-// handleIngest accepts a batch of snapshots. Admission control runs
-// first: a request over the in-flight byte/request budget is shed with
-// 429 Retry-After before it takes any lock — the checkpoint quiesce can
-// therefore never accumulate a backlog of over-budget requests. The
-// whole batch is then validated against the schema before any snapshot
-// is applied, so a 400 never leaves a half-ingested batch behind.
-// Validated snapshots are grouped by VM and each group is classified
-// under a single session-lock acquisition; results come back in input
-// order regardless of grouping. By-name snapshots decode into pooled
-// schema-length buffers that are returned once their group is observed.
-// With IngestTimeout set, a batch that cannot finish classifying by the
-// deadline is abandoned with 503 between VM groups.
+// handleIngest is POST /v1/ingest: it decodes a JSON batch into the
+// shared ingest core and answers with each snapshot's class in input
+// order, however the core grouped them.
 func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
-	reserve := r.ContentLength
-	if reserve < 0 || reserve > maxIngestBody {
-		reserve = maxIngestBody
+	sc, e := s.admitIngest(w, r)
+	if e == nil {
+		defer s.doneIngest(sc)
+		if e = s.decodeJSON(sc, r); e == nil {
+			e = s.ingest(r.Context(), sc)
+		}
 	}
-	if !s.admit.tryAdmit(reserve) {
-		s.counters.shedRequests.Add(1)
-		w.Header().Set("Retry-After", "1")
-		writeError(w, http.StatusTooManyRequests, "ingest over the in-flight budget; retry later")
+	if e != nil {
+		writeError(w, e.code, "%s", e.msg)
 		return
 	}
-	defer s.admit.release(reserve)
-	var deadline time.Time
-	if s.cfg.IngestTimeout > 0 {
-		deadline = s.now().Add(s.cfg.IngestTimeout)
+	sc.results = sc.results[:0]
+	for _, k := range sc.at {
+		sc.results = append(sc.results, ingestResult{VM: sc.snaps[k].Node, Class: string(sc.classes[k])})
+	}
+	writeJSON(w, http.StatusOK, ingestResponse{Accepted: len(sc.results), Results: sc.results})
+}
+
+// decodeJSON validates a whole JSON batch against the schema before
+// anything is applied, so a 400 never leaves a half-ingested batch
+// behind, and groups it by VM in first-appearance order (single-VM
+// batches, the common case, stay one group); sc.at maps each input
+// snapshot to its place in sc.snaps. By-name snapshots decode into the
+// scratch's row buffers.
+func (s *Server) decodeJSON(sc *ingestScratch, r *http.Request) *ingestError {
+	if e := sc.readBody(r); e != nil {
+		return e
 	}
 	var req ingestRequest
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxIngestBody))
-	if err := dec.Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, "malformed ingest body: %v", err)
-		return
+	if err := json.Unmarshal(sc.body.Bytes(), &req); err != nil {
+		return ingestErrorf(http.StatusBadRequest, "malformed ingest body: %v", err)
 	}
 	if len(req.Snapshots) == 0 {
-		writeError(w, http.StatusBadRequest, "ingest batch has no snapshots")
-		return
+		return ingestErrorf(http.StatusBadRequest, "ingest batch has no snapshots")
 	}
 	schema := s.cfg.Schema
-	batch := make([]metrics.Snapshot, len(req.Snapshots))
-	var pooled []*[]float64
-	defer func() {
-		for _, b := range pooled {
-			s.valuesPool.Put(b)
-		}
-	}()
-	for i, snap := range req.Snapshots {
+	if sc.groupOf == nil {
+		sc.groupOf = make(map[string]int)
+	}
+	clear(sc.groupOf)
+	sc.groups, sc.at = sc.groups[:0], sc.at[:0]
+	for i := range req.Snapshots {
+		snap := &req.Snapshots[i]
 		if snap.VM == "" {
-			writeError(w, http.StatusBadRequest, "snapshot %d has no vm", i)
-			return
+			return ingestErrorf(http.StatusBadRequest, "snapshot %d has no vm", i)
 		}
-		o := metrics.Snapshot{Node: snap.VM, Time: time.Duration(snap.TimeSeconds * float64(time.Second))}
+		if len(snap.VM) > wire.MaxVMName {
+			return ingestErrorf(http.StatusBadRequest, "snapshot %d vm name is %d bytes, over the %d-byte limit", i, len(snap.VM), wire.MaxVMName)
+		}
 		switch {
 		case len(snap.Values) > 0 && len(snap.Metrics) > 0:
-			writeError(w, http.StatusBadRequest, "snapshot %d (%s) sets both values and metrics", i, snap.VM)
-			return
+			return ingestErrorf(http.StatusBadRequest, "snapshot %d (%s) sets both values and metrics", i, snap.VM)
 		case len(snap.Values) > 0:
 			if len(snap.Values) != schema.Len() {
-				writeError(w, http.StatusBadRequest, "snapshot %d (%s) has %d values, schema has %d metrics",
+				return ingestErrorf(http.StatusBadRequest, "snapshot %d (%s) has %d values, schema has %d metrics",
 					i, snap.VM, len(snap.Values), schema.Len())
-				return
 			}
-			o.Values = snap.Values
 		case len(snap.Metrics) > 0:
-			bp := s.valuesPool.Get().(*[]float64)
-			pooled = append(pooled, bp)
-			vals := *bp
 			for name := range snap.Metrics {
 				if !schema.Contains(name) {
-					writeError(w, http.StatusBadRequest, "snapshot %d (%s) has unknown metric %q", i, snap.VM, name)
-					return
+					return ingestErrorf(http.StatusBadRequest, "snapshot %d (%s) has unknown metric %q", i, snap.VM, name)
 				}
 			}
+			vals := sc.row(i, schema.Len())
 			for j, name := range schema.Names() {
 				v, ok := snap.Metrics[name]
 				if !ok {
-					writeError(w, http.StatusBadRequest, "snapshot %d (%s) is missing metric %q", i, snap.VM, name)
-					return
+					return ingestErrorf(http.StatusBadRequest, "snapshot %d (%s) is missing metric %q", i, snap.VM, name)
 				}
 				vals[j] = v
 			}
-			o.Values = vals
+			snap.Values = vals
 		default:
-			writeError(w, http.StatusBadRequest, "snapshot %d (%s) has neither values nor metrics", i, snap.VM)
-			return
+			return ingestErrorf(http.StatusBadRequest, "snapshot %d (%s) has neither values nor metrics", i, snap.VM)
 		}
-		batch[i] = o
+		g, ok := sc.groupOf[snap.VM]
+		if !ok {
+			g = len(sc.groups)
+			sc.groupOf[snap.VM] = g
+			sc.groups = append(sc.groups, ingestGroup{vm: snap.VM})
+		}
+		sc.groups[g].end++ // a count until the offsets below
+		sc.at = append(sc.at, g)
 	}
-
-	// Group the validated batch by VM, preserving first-appearance order
-	// so single-VM batches (the common case) stay one contiguous group.
-	groups := make(map[string][]int)
-	var order []string
-	for i := range batch {
-		vm := batch[i].Node
-		if _, ok := groups[vm]; !ok {
-			order = append(order, vm)
-		}
-		groups[vm] = append(groups[vm], i)
+	n := 0
+	for gi := range sc.groups {
+		g := &sc.groups[gi]
+		g.start, g.end, n = n, n, n+g.end
 	}
-
-	rp := ingestResultsPool.Get().(*[]ingestResult)
-	if cap(*rp) < len(batch) {
-		*rp = make([]ingestResult, len(batch))
+	if cap(sc.snaps) < n {
+		sc.snaps = make([]metrics.Snapshot, n)
 	}
-	results := (*rp)[:len(batch)]
-	// The pooled slice goes back only after writeJSON has serialized it
-	// into the response buffer; the deferred put below runs after every
-	// return path, including the final success write.
-	defer func() {
-		*rp = results[:0]
-		ingestResultsPool.Put(rp)
-	}()
-	var snaps []metrics.Snapshot
-	var classes []appclass.Class
-	var tokens []int64
-	for gi, vm := range order {
-		if !deadline.IsZero() && s.now().After(deadline) {
-			s.counters.deadlineExceeded.Add(1)
-			writeError(w, http.StatusServiceUnavailable, "ingest deadline exceeded after %d of %d vm groups", gi, len(order))
-			return
-		}
-		if err := r.Context().Err(); err != nil {
-			// The client is gone; stop classifying for nobody.
-			s.counters.deadlineExceeded.Add(1)
-			writeError(w, http.StatusServiceUnavailable, "ingest request cancelled: %v", err)
-			return
-		}
-		idxs := groups[vm]
-		snaps = snaps[:0]
-		for _, i := range idxs {
-			snaps = append(snaps, batch[i])
-		}
-		var err error
-		var token int64
-		classes, token, err = s.observeBatch(vm, snaps, classes, true)
-		if err != nil {
-			writeError(w, http.StatusInternalServerError, "classify %s: %v", vm, err)
-			return
-		}
-		if token != 0 {
-			tokens = append(tokens, token)
-		}
-		for g, i := range idxs {
-			results[i] = ingestResult{VM: vm, Class: string(classes[g])}
-		}
+	sc.snaps = sc.snaps[:n]
+	for i, snap := range req.Snapshots {
+		g := &sc.groups[sc.at[i]]
+		sc.at[i] = g.end
+		sc.snaps[g.end] = metrics.Snapshot{Node: g.vm, Time: time.Duration(snap.TimeSeconds * float64(time.Second)), Values: snap.Values}
+		g.end++
 	}
-	// One durability wait covers every group's journal record: under
-	// group commit the appends above coalesce behind a shared fsync.
-	if err := s.waitJournalDurable(tokens...); err != nil {
-		writeError(w, http.StatusInternalServerError, "%v", err)
-		return
-	}
-	writeJSON(w, http.StatusOK, ingestResponse{Accepted: len(results), Results: results})
+	return nil
 }
 
 // vmSummary is one row of GET /v1/vms.

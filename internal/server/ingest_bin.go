@@ -2,7 +2,6 @@ package server
 
 import (
 	"fmt"
-	"io"
 	"net/http"
 	"sync"
 	"sync/atomic"
@@ -139,41 +138,6 @@ func (r *binRegistry) expire(cutoff int64) int {
 	return n
 }
 
-// binGroup is one decoded, validated, scattered VM group awaiting
-// classification: sc.snaps[start:end] under the interned name.
-type binGroup struct {
-	vm         string
-	start, end int
-}
-
-// binScratch is the pooled per-request workspace of the binary ingest
-// handler. Every slice keeps its capacity across requests, so a warm
-// handler processes a steady-state batch without allocating: the body
-// lands in body, groups scatter into rows, and the framed acks build
-// up in resp.
-type binScratch struct {
-	body    []byte
-	resp    []byte
-	ids     []byte
-	groups  []binGroup
-	snaps   []metrics.Snapshot
-	classes []appclass.Class
-	tokens  []int64 // the request's group-commit durability tokens
-	// rows are the schema-length value buffers snapshots scatter into;
-	// observeBatch does not retain them (sessions copy what they keep),
-	// so the scratch owns them outright.
-	rows [][]float64
-}
-
-// rowbuf returns the i'th schema-length row buffer, growing the pool
-// on first use.
-func (sc *binScratch) rowbuf(i, n int) []float64 {
-	for len(sc.rows) <= i {
-		sc.rows = append(sc.rows, make([]float64, n))
-	}
-	return sc.rows[i]
-}
-
 // writeBinError answers a binary-ingest request with an Error frame
 // carrying the HTTP status; hash is the serving model's hash on a
 // stale-model 409 (zero otherwise).
@@ -190,118 +154,124 @@ func writeBinError(w http.ResponseWriter, code int, hash modelreg.Hash, format s
 	_, _ = w.Write(buf)
 }
 
-// readBinBody reads the whole request body into buf (reusing its
-// capacity), enforcing the ingest body cap.
-func readBinBody(r io.Reader, buf []byte) ([]byte, error) {
-	buf = buf[:0]
-	if cap(buf) == 0 {
-		buf = make([]byte, 0, 4096)
-	}
-	for {
-		if len(buf) == cap(buf) {
-			if len(buf) >= maxIngestBody {
-				return buf, fmt.Errorf("body exceeds %d bytes", maxIngestBody)
-			}
-			nb := make([]byte, len(buf), 2*cap(buf))
-			copy(nb, buf)
-			buf = nb
-		}
-		n, err := r.Read(buf[len(buf):cap(buf)])
-		buf = buf[:len(buf)+n]
-		if err == io.EOF {
-			return buf, nil
-		}
-		if err != nil {
-			return buf, err
-		}
-	}
-}
-
 // handleIngestBin is POST /v1/ingest.bin: the binary columnar fast
-// path. A request is either one Hello frame (handshake: negotiate the
-// column table, open a stream) or a run of Batch frames on an open
-// stream, each answered by one BatchAck frame. Admission control,
-// validation-before-application, per-VM-group session locking,
-// write-ahead journaling, and deadline handling all match the JSON
-// path — the two are equivalence-tested — but the steady state decodes
-// zero-copy out of a pooled body buffer and answers from a pooled
-// response buffer, in single-digit allocations per batch.
+// path. A request carries exactly one frame: a Hello (handshake:
+// negotiate the column table, open a stream) or a Batch on an open
+// stream, answered by one BatchAck. The Batch decodes zero-copy out of
+// the pooled body into the shared ingest core, which the JSON path also
+// runs (the two are equivalence-tested), and the ack is built in a
+// pooled buffer, so the steady state costs single-digit allocations.
 func (s *Server) handleIngestBin(w http.ResponseWriter, r *http.Request) {
-	reserve := r.ContentLength
-	if reserve < 0 || reserve > maxIngestBody {
-		reserve = maxIngestBody
-	}
-	if !s.admit.tryAdmit(reserve) {
-		s.counters.shedRequests.Add(1)
-		w.Header().Set("Retry-After", "1")
-		writeBinError(w, http.StatusTooManyRequests, modelreg.Hash{}, "ingest over the in-flight budget; retry later")
-		return
-	}
-	defer s.admit.release(reserve)
-	var deadline time.Time
-	if s.cfg.IngestTimeout > 0 {
-		deadline = s.now().Add(s.cfg.IngestTimeout)
-	}
-
-	sc := s.binScratch.Get().(*binScratch)
-	defer s.binScratch.Put(sc)
-	var err error
-	sc.body, err = readBinBody(r.Body, sc.body)
-	if err != nil {
-		s.counters.binDecodeErrors.Add(1)
-		writeBinError(w, http.StatusRequestEntityTooLarge, modelreg.Hash{}, "read body: %v", err)
-		return
-	}
-
-	buf := sc.body
-	sc.resp = sc.resp[:0]
-	frames := 0
-	sc.tokens = sc.tokens[:0]
-	for {
-		payload, rest, ferr := wire.NextFrame(buf)
-		if ferr != nil {
-			s.counters.binDecodeErrors.Add(1)
-			writeBinError(w, http.StatusBadRequest, modelreg.Hash{}, "frame %d: %v", frames, ferr)
-			return
+	sc, e := s.admitIngest(w, r)
+	var st *binStream
+	if e == nil {
+		defer s.doneIngest(sc)
+		if st, e = s.decodeBin(w, sc, r); st != nil {
+			e = s.ingest(r.Context(), sc)
 		}
-		if payload == nil {
-			break
-		}
-		switch payload[0] {
-		case wire.FrameHello:
-			if frames != 0 || len(rest) != 0 {
-				s.counters.binDecodeErrors.Add(1)
-				writeBinError(w, http.StatusBadRequest, modelreg.Hash{}, "hello must be the only frame in its request")
-				return
-			}
-			s.handleBinHello(w, payload)
-			return
-		case wire.FrameBatch:
-			if !s.handleBinBatch(w, r, sc, payload, deadline) {
-				return
-			}
-		default:
-			s.counters.binDecodeErrors.Add(1)
-			writeBinError(w, http.StatusBadRequest, modelreg.Hash{}, "frame %d has unexpected type %d", frames, payload[0])
-			return
-		}
-		buf = rest
-		frames++
 	}
-	if frames == 0 {
-		s.counters.binDecodeErrors.Add(1)
-		writeBinError(w, http.StatusBadRequest, modelreg.Hash{}, "request carries no frames")
+	if e != nil {
+		writeBinError(w, e.code, e.hash, "%s", e.msg)
 		return
 	}
-	// One durability wait covers every batch frame in the request: the
-	// per-group journal appends above coalesce behind a shared fsync.
-	if err := s.waitJournalDurable(sc.tokens...); err != nil {
-		writeBinError(w, http.StatusInternalServerError, modelreg.Hash{}, "%v", err)
-		return
+	if st == nil {
+		return // a handshake, answered by decodeBin
 	}
+	st.lastUsed.Store(s.now().UnixNano())
+	s.counters.binBatches.Add(1)
+	sc.ids = sc.ids[:0]
+	for _, cl := range sc.classes {
+		sc.ids = append(sc.ids, binClassID(cl))
+	}
+	resp, start := wire.BeginFrame(sc.resp[:0])
+	resp = wire.AppendBatchAck(resp, sc.ids)
+	sc.resp = wire.EndFrame(resp, start)
 	w.Header().Set("Content-Type", wire.ContentType)
 	w.WriteHeader(http.StatusOK)
 	_, _ = w.Write(sc.resp)
+}
+
+// binDecodeError counts and builds a 400 for a malformed binary request.
+func (s *Server) binDecodeError(format string, args ...any) *ingestError {
+	s.counters.binDecodeErrors.Add(1)
+	return ingestErrorf(http.StatusBadRequest, format, args...)
+}
+
+// decodeBin reads the request's one frame. A Hello is answered here and
+// yields neither a stream nor an error. A Batch is resolved to its
+// stream, then every group is decoded, validated and scattered through
+// the stream's column table into sc before anything is classified, so a
+// 400 never leaves a half-ingested request behind. NaN and Inf are
+// rejected, as they are unrepresentable on the JSON path.
+func (s *Server) decodeBin(w http.ResponseWriter, sc *ingestScratch, r *http.Request) (*binStream, *ingestError) {
+	if e := sc.readBody(r); e != nil {
+		s.counters.binDecodeErrors.Add(1)
+		return nil, e
+	}
+	payload, rest, err := wire.NextFrame(sc.body.Bytes())
+	switch {
+	case err != nil:
+		return nil, s.binDecodeError("%v", err)
+	case payload == nil:
+		return nil, s.binDecodeError("request carries no frame")
+	case len(rest) != 0:
+		return nil, s.binDecodeError("a request carries one frame; %d bytes follow it", len(rest))
+	case payload[0] == wire.FrameHello:
+		s.handleBinHello(w, payload)
+		return nil, nil
+	case payload[0] != wire.FrameBatch:
+		return nil, s.binDecodeError("frame has unexpected type %d", payload[0])
+	}
+	id, err := wire.PeekStreamID(payload)
+	if err != nil {
+		return nil, s.binDecodeError("%v", err)
+	}
+	st, ok := s.binStreams.get(id)
+	if !ok {
+		return nil, &ingestError{code: http.StatusConflict, hash: s.active.Load().model.Hash,
+			msg: fmt.Sprintf("unknown stream %d (expired or never opened); re-handshake", id)}
+	}
+	// A hot swap since the handshake invalidates the stream: the column
+	// table was validated against a model that is no longer serving.
+	// 409 with the new hash tells the client to re-handshake rather
+	// than let the batch be decoded under stale assumptions.
+	if am := s.active.Load(); st.hash != am.model.Hash {
+		s.counters.binStaleStreams.Add(1)
+		s.binStreams.remove(id)
+		return nil, &ingestError{code: http.StatusConflict, hash: am.model.Hash,
+			msg: fmt.Sprintf("stream %d was negotiated under model %s; active is %s", id, st.hash.Short(), am.model.ID)}
+	}
+	v, err := wire.ParseBatchHeader(payload, len(st.cols))
+	if err != nil {
+		return nil, s.binDecodeError("%v", err)
+	}
+	schemaLen := s.cfg.Schema.Len()
+	sc.groups, sc.snaps = sc.groups[:0], sc.snaps[:0]
+	for gi := 0; gi < v.Groups(); gi++ {
+		g, err := v.Next()
+		if err != nil {
+			return nil, s.binDecodeError("%v", err)
+		}
+		vm := st.internVM(g.VM)
+		start := len(sc.snaps)
+		for row := 0; row < g.Rows; row++ {
+			ts := g.TimeSeconds(row)
+			if ts-ts != 0 { // NaN or ±Inf
+				return nil, s.binDecodeError("group %d (%s) row %d has non-finite time", gi, vm, row)
+			}
+			vals := sc.row(len(sc.snaps), schemaLen)
+			for c, idx := range st.cols {
+				x := g.Value(c, row)
+				if x-x != 0 { // NaN or ±Inf
+					return nil, s.binDecodeError("group %d (%s) row %d column %d has non-finite value", gi, vm, row, c)
+				}
+				vals[idx] = x
+			}
+			sc.snaps = append(sc.snaps, metrics.Snapshot{Time: time.Duration(ts * float64(time.Second)), Node: vm, Values: vals})
+		}
+		sc.groups = append(sc.groups, ingestGroup{vm: vm, start: start, end: len(sc.snaps)})
+	}
+	return st, nil
 }
 
 // handleBinHello negotiates a stream: the client's column table must
@@ -380,118 +350,4 @@ func (s *Server) handleBinHello(w http.ResponseWriter, payload []byte) {
 	w.Header().Set("Content-Type", wire.ContentType)
 	w.WriteHeader(http.StatusOK)
 	_, _ = w.Write(buf)
-}
-
-// handleBinBatch decodes, validates, scatters, and classifies one
-// Batch frame, appending its framed BatchAck to sc.resp and its
-// group-commit durability tokens to sc.tokens. It returns whether the
-// caller should keep processing frames; on false the response has
-// already been written.
-func (s *Server) handleBinBatch(w http.ResponseWriter, r *http.Request, sc *binScratch, payload []byte, deadline time.Time) bool {
-	id, err := wire.PeekStreamID(payload)
-	if err != nil {
-		s.counters.binDecodeErrors.Add(1)
-		writeBinError(w, http.StatusBadRequest, modelreg.Hash{}, "%v", err)
-		return false
-	}
-	st, ok := s.binStreams.get(id)
-	if !ok {
-		writeBinError(w, http.StatusConflict, s.active.Load().model.Hash, "unknown stream %d (expired or never opened); re-handshake", id)
-		return false
-	}
-	// A hot swap since the handshake invalidates the stream: the column
-	// table was validated against a model that is no longer serving.
-	// 409 with the new hash tells the client to re-handshake rather
-	// than let the batch be decoded under stale assumptions.
-	if am := s.active.Load(); st.hash != am.model.Hash {
-		s.counters.binStaleStreams.Add(1)
-		s.binStreams.remove(id)
-		writeBinError(w, http.StatusConflict, am.model.Hash, "stream %d was negotiated under model %s; active is %s", id, st.hash.Short(), am.model.ID)
-		return false
-	}
-	v, err := wire.ParseBatchHeader(payload, len(st.cols))
-	if err != nil {
-		s.counters.binDecodeErrors.Add(1)
-		writeBinError(w, http.StatusBadRequest, modelreg.Hash{}, "%v", err)
-		return false
-	}
-
-	// Decode, validate, and scatter every group before classifying any
-	// of them, so a 400 never leaves a half-ingested frame behind (the
-	// JSON path's whole-batch-validation contract, per frame). NaN and
-	// Inf are rejected exactly as on the JSON path, where they are
-	// unrepresentable.
-	schemaLen := s.cfg.Schema.Len()
-	sc.groups = sc.groups[:0]
-	sc.snaps = sc.snaps[:0]
-	nrows := 0
-	for gi := 0; gi < v.Groups(); gi++ {
-		g, gerr := v.Next()
-		if gerr != nil {
-			s.counters.binDecodeErrors.Add(1)
-			writeBinError(w, http.StatusBadRequest, modelreg.Hash{}, "%v", gerr)
-			return false
-		}
-		vm := st.internVM(g.VM)
-		start := len(sc.snaps)
-		for row := 0; row < g.Rows; row++ {
-			ts := g.TimeSeconds(row)
-			if ts-ts != 0 { // NaN or ±Inf
-				s.counters.binDecodeErrors.Add(1)
-				writeBinError(w, http.StatusBadRequest, modelreg.Hash{}, "group %d (%s) row %d has non-finite time", gi, vm, row)
-				return false
-			}
-			vals := sc.rowbuf(nrows, schemaLen)
-			nrows++
-			for c, idx := range st.cols {
-				x := g.Value(c, row)
-				if x-x != 0 { // NaN or ±Inf
-					s.counters.binDecodeErrors.Add(1)
-					writeBinError(w, http.StatusBadRequest, modelreg.Hash{}, "group %d (%s) row %d column %d has non-finite value", gi, vm, row, c)
-					return false
-				}
-				vals[idx] = x
-			}
-			sc.snaps = append(sc.snaps, metrics.Snapshot{
-				Time:   time.Duration(ts * float64(time.Second)),
-				Node:   vm,
-				Values: vals,
-			})
-		}
-		sc.groups = append(sc.groups, binGroup{vm: vm, start: start, end: len(sc.snaps)})
-	}
-
-	sc.ids = sc.ids[:0]
-	for gi := range sc.groups {
-		gr := &sc.groups[gi]
-		if !deadline.IsZero() && s.now().After(deadline) {
-			s.counters.deadlineExceeded.Add(1)
-			writeBinError(w, http.StatusServiceUnavailable, modelreg.Hash{}, "ingest deadline exceeded after %d of %d vm groups", gi, len(sc.groups))
-			return false
-		}
-		if cerr := r.Context().Err(); cerr != nil {
-			s.counters.deadlineExceeded.Add(1)
-			writeBinError(w, http.StatusServiceUnavailable, modelreg.Hash{}, "ingest request cancelled: %v", cerr)
-			return false
-		}
-		classes, token, oerr := s.observeBatch(gr.vm, sc.snaps[gr.start:gr.end], sc.classes[:0], true)
-		if oerr != nil {
-			writeBinError(w, http.StatusInternalServerError, modelreg.Hash{}, "classify %s: %v", gr.vm, oerr)
-			return false
-		}
-		if token != 0 {
-			sc.tokens = append(sc.tokens, token)
-		}
-		sc.classes = classes
-		for _, cl := range classes {
-			sc.ids = append(sc.ids, binClassID(cl))
-		}
-	}
-	st.lastUsed.Store(s.now().UnixNano())
-	s.counters.binBatches.Add(1)
-
-	resp, start := wire.BeginFrame(sc.resp)
-	resp = wire.AppendBatchAck(resp, sc.ids)
-	sc.resp = wire.EndFrame(resp, start)
-	return true
 }

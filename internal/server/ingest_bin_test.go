@@ -311,7 +311,7 @@ func TestBinaryIngestMalformed(t *testing.T) {
 		{"hello unknown metric", hello(unknown), 400},
 		{"hello duplicate metric", hello(dup), 400},
 		{"hello bad version", badVersion, 400},
-		{"batch on unknown stream", batchOn(sid + 999, []float64{0}, zrow), 409},
+		{"batch on unknown stream", batchOn(sid+999, []float64{0}, zrow), 409},
 		{"nan value", batchOn(sid, []float64{0}, nanRow), 400},
 		{"inf value", batchOn(sid, []float64{0}, infRow), 400},
 		{"non-finite time", batchOn(sid, []float64{math.Inf(1)}, zrow), 400},
@@ -349,6 +349,62 @@ func TestBinaryIngestMalformed(t *testing.T) {
 		{VM: "vm-ok", Times: []float64{0}, Rows: [][]float64{zrow}},
 	}); err != nil {
 		t.Fatalf("send after malformed storm: %v", err)
+	}
+}
+
+// TestBinaryRequestCarriesOneFrame: a request holding a second Batch
+// frame, valid or not, is refused with 400 before its first frame is
+// applied: no session, no ingested snapshot, no journal record.
+func TestBinaryRequestCarriesOneFrame(t *testing.T) {
+	dir := t.TempDir()
+	j, err := wal.Open(wal.Config{Dir: dir, Fsync: wal.FsyncNever})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { j.Close() })
+	s := newTestServer(t, Config{Journal: j})
+	schema := metrics.DefaultSchema()
+	c := binDial(t, s, schema.Names())
+	if err := c.Handshake(context.Background()); err != nil {
+		t.Fatalf("handshake: %v", err)
+	}
+	batch := func(row []float64) []byte {
+		p, err := wire.AppendBatch(nil, c.StreamID(), schema.Len(),
+			[]wire.Group{{VM: "vm-two", Times: []float64{0}, Rows: [][]float64{row}}})
+		if err != nil {
+			t.Fatalf("AppendBatch: %v", err)
+		}
+		return oneFrame(p)
+	}
+	zrow := make([]float64, schema.Len())
+	nanRow := make([]float64, schema.Len())
+	nanRow[0] = math.NaN()
+	for name, body := range map[string][]byte{
+		"valid then nan": append(batch(zrow), batch(nanRow)...),
+		"two valid":      append(batch(zrow), batch(zrow)...),
+	} {
+		if w := postBin(t, s.Handler(), body); w.Code != http.StatusBadRequest {
+			t.Errorf("%s: status = %d, want 400", name, w.Code)
+		}
+	}
+	if n := s.Sessions(); n != 0 {
+		t.Errorf("rejected requests left %d sessions", n)
+	}
+	if n := s.counters.ingested.Load(); n != 0 {
+		t.Errorf("ingested = %d, want 0", n)
+	}
+	if err := j.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	var records int
+	if _, err := wal.Replay(dir, wal.Position{}, func(wal.Position, wal.Record) error {
+		records++
+		return nil
+	}); err != nil {
+		t.Fatalf("replay: %v", err)
+	}
+	if records != 0 {
+		t.Errorf("journal holds %d replayable records, want 0", records)
 	}
 }
 
@@ -480,11 +536,5 @@ func TestBinaryIngestAdmissionAndDisable(t *testing.T) {
 	}
 	if w.Header().Get("Retry-After") == "" {
 		t.Error("429 carries no Retry-After")
-	}
-
-	off := newTestServer(t, Config{DisableBinaryIngest: true})
-	w = postBin(t, off.Handler(), oneFrame(wire.AppendHello(nil, wire.Hello{Version: wire.Version})))
-	if w.Code != http.StatusNotFound {
-		t.Fatalf("disabled binary ingest = %d, want 404", w.Code)
 	}
 }

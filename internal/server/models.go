@@ -534,9 +534,7 @@ func (s *Server) StartRetrainer() {
 
 // retrainOnce runs one retraining pass. Split out for tests.
 func (s *Server) retrainOnce() {
-	cl, stats, err := modelreg.Retrain(s.cfg.DB, modelreg.RetrainConfig{
-		MinRowsPerClass: s.cfg.RetrainMinRows,
-	})
+	cl, stats, err := modelreg.Retrain(s.cfg.DB, modelreg.RetrainConfig{})
 	if err != nil {
 		// Not enough labeled data yet is the steady state early on; only
 		// count it, log at low volume.

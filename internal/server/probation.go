@@ -21,13 +21,13 @@ import (
 // logged loudly, and recorded in the application database's event log.
 
 const (
-	// defaultProbationUnknownFactor: the new model breaches when its
-	// unknown rate is at least this multiple of the guard's.
-	defaultProbationUnknownFactor = 3.0
-	// defaultProbationDisagreeThreshold: a class breaches when the guard
+	// probationUnknownFactor: the new model breaches when its unknown
+	// rate is at least this multiple of the guard's.
+	probationUnknownFactor = 3.0
+	// probationDisagreeThreshold: a class breaches when the guard
 	// disagrees with at least this fraction of the new model's votes for
 	// it.
-	defaultProbationDisagreeThreshold = 0.9
+	probationDisagreeThreshold = 0.9
 	// defaultProbationMinSnapshots gates the unknown-rate test; the
 	// per-class test uses a tenth of it.
 	defaultProbationMinSnapshots = 50
@@ -118,9 +118,9 @@ func (s *Server) probationBreach(v shadowView) (string, bool) {
 	if sv.Snapshots >= s.cfg.ProbationMinSnapshots {
 		// Role reversal: "active" is the new serving model.
 		newRate, guardRate := sv.UnknownRateActive, sv.UnknownRateCandidate
-		if newRate >= s.cfg.ProbationUnknownFactor*guardRate && newRate-guardRate >= probationUnknownFloor {
+		if newRate >= probationUnknownFactor*guardRate && newRate-guardRate >= probationUnknownFloor {
 			return fmt.Sprintf("unknown rate %.3f is ≥%.1f× the displaced model's %.3f over %d snapshots",
-				newRate, s.cfg.ProbationUnknownFactor, guardRate, sv.Snapshots), true
+				newRate, probationUnknownFactor, guardRate, sv.Snapshots), true
 		}
 	}
 	perClassMin := s.cfg.ProbationMinSnapshots / 10
@@ -131,7 +131,7 @@ func (s *Server) probationBreach(v shadowView) (string, bool) {
 		if pair.Snapshots < perClassMin {
 			continue
 		}
-		if rate := float64(pair.Disagree) / float64(pair.Snapshots); rate >= s.cfg.ProbationDisagreeThreshold {
+		if rate := float64(pair.Disagree) / float64(pair.Snapshots); rate >= probationDisagreeThreshold {
 			return fmt.Sprintf("displaced model disagrees with %.0f%% of the %d snapshots voted %s",
 				rate*100, pair.Snapshots, cl), true
 		}

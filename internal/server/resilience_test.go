@@ -274,6 +274,37 @@ func TestJournalErrorWithoutDegradeStillFails(t *testing.T) {
 	}
 }
 
+// TestOverlongVMNameIsClientError: a JSON VM name the journal cannot
+// hold is rejected with 400 before anything is applied, so it can
+// neither fail the journal nor, under DegradeOnWALError, degrade the
+// daemon.
+func TestOverlongVMNameIsClientError(t *testing.T) {
+	j, err := wal.Open(wal.Config{Dir: t.TempDir(), Fsync: wal.FsyncNever})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { j.Close() })
+	s := newTestServer(t, Config{Journal: j, DegradeOnWALError: true})
+	h := s.Handler()
+	w := postJSON(t, h, "/v1/ingest", map[string]any{
+		"snapshots": []map[string]any{zeroSnapshot(strings.Repeat("v", 2000), 0)},
+	})
+	if w.Code != http.StatusBadRequest {
+		t.Fatalf("2000-byte vm name = %d, want 400: %s", w.Code, w.Body.String())
+	}
+	if n := s.counters.journalErrors.Load(); n != 0 {
+		t.Errorf("journalErrors = %d, want 0", n)
+	}
+	if n := s.Sessions(); n != 0 {
+		t.Errorf("rejected batch created %d sessions", n)
+	}
+	w = httptest.NewRecorder()
+	h.ServeHTTP(w, httptest.NewRequest(http.MethodGet, "/readyz", nil))
+	if w.Code != http.StatusOK {
+		t.Errorf("readyz after a rejected name = %d, want 200", w.Code)
+	}
+}
+
 func TestResilienceMetricsExposition(t *testing.T) {
 	s := newTestServer(t, Config{})
 	w := httptest.NewRecorder()

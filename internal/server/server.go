@@ -42,10 +42,9 @@ type Config struct {
 	// in-memory database.
 	DB *appdb.DB
 	// IdleTTL is how long a session may go without snapshots before the
-	// janitor finalizes and evicts it. Zero means 5 minutes.
+	// janitor, sweeping every IdleTTL/4, finalizes and evicts it. Zero
+	// means 5 minutes.
 	IdleTTL time.Duration
-	// SweepInterval is the janitor's cadence. Zero means IdleTTL / 4.
-	SweepInterval time.Duration
 	// Shards sets the registry stripe count. Zero means 16.
 	Shards int
 	// Placement is the class-aware placement service exposed under
@@ -90,22 +89,15 @@ type Config struct {
 	// boundaries are detected by comparing the mean fused feature vector
 	// of the newest SegmentWindow snapshots against the SegmentWindow
 	// before them. Zero means 8; negative disables online phase
-	// segmentation entirely.
+	// segmentation entirely. The minimum phase length and boundary
+	// threshold are phase.DefaultMinLen and phase.DefaultThreshold.
 	SegmentWindow int
-	// SegmentMinLen is the minimum phase length in snapshots. Zero
-	// means 5.
-	SegmentMinLen int
-	// SegmentThreshold is the mean-shift distance in fused feature space
-	// above which a phase boundary is declared. Zero means 1.0.
-	SegmentThreshold float64
 	// UnknownSlack scales the calibrated open-set thresholds: a snapshot
 	// whose kth-neighbor distance exceeds slack x the training
-	// self-distance quantile of its voted class counts as unknown. Zero
-	// means 3.0; negative disables the open-set UNKNOWN test.
+	// self-distance quantile (classify.DefaultOpenSetQuantile) of its
+	// voted class counts as unknown. Zero means 3.0; negative disables
+	// the open-set UNKNOWN test.
 	UnknownSlack float64
-	// UnknownQuantile is the per-class training self-distance quantile
-	// the thresholds calibrate from. Zero means 0.99.
-	UnknownQuantile float64
 	// RecoverForce lets Recover proceed past a model-hash mismatch
 	// between the on-disk checkpoint/journal and the configured model:
 	// mismatching checkpoints are discarded (their session states were
@@ -131,13 +123,6 @@ type Config struct {
 	// artifact (atomic rename), ready for appdbtool inspection or manual
 	// loading into another daemon.
 	RetrainOut string
-	// RetrainMinRows is the minimum retained sample rows a class needs to
-	// participate in a retrain. Zero means modelreg's default.
-	RetrainMinRows int
-	// DisableBinaryIngest removes POST /v1/ingest.bin from the API. The
-	// binary columnar fast path is on by default; disabling it leaves
-	// JSON as the only ingest format.
-	DisableBinaryIngest bool
 	// ScrubEvery is the background storage scrubber's cadence: every
 	// tick it verifies one sealed journal segment and one closed
 	// application-database segment frame-by-frame, repairing damage by
@@ -152,19 +137,11 @@ type Config struct {
 	// ProbationWindow puts every promoted model on probation: for this
 	// long after a hot swap, the displaced model keeps classifying the
 	// live traffic in shadow (the PR-7 machinery run in reverse) and a
-	// breach of the guardrails below rolls the promotion back
-	// automatically through the same atomic swap. Zero or negative
-	// disables promotion guardrails.
+	// breach of its guardrails (probationUnknownFactor,
+	// probationDisagreeThreshold) rolls the promotion back automatically
+	// through the same atomic swap. Zero or negative disables promotion
+	// guardrails.
 	ProbationWindow time.Duration
-	// ProbationUnknownFactor triggers a rollback when the new model's
-	// open-set unknown rate reaches this multiple of the displaced
-	// model's rate over the same snapshots (with an absolute floor, so
-	// 0 vs 0.001 does not trip it). Zero means 3.
-	ProbationUnknownFactor float64
-	// ProbationDisagreeThreshold triggers a rollback when, for any
-	// class, the displaced model disagrees with this fraction (or more)
-	// of the new model's votes. Zero means 0.9.
-	ProbationDisagreeThreshold float64
 	// ProbationMinSnapshots is how many snapshots probation must observe
 	// before the guardrails can trip (per class, a tenth of it). Zero
 	// means 50.
@@ -205,10 +182,8 @@ type Server struct {
 	counters *counters
 	mux      *http.ServeMux
 	start    time.Time
-	// valuesPool recycles schema-length value buffers for the by-name
-	// ingest decode path; Online does not retain snapshot values, so a
-	// buffer can go back to the pool as soon as its batch is observed.
-	valuesPool sync.Pool
+	// scratch recycles both ingest protocols' per-request workspace.
+	scratch sync.Pool
 
 	// ckptMu orders ingest against checkpoints: the journal-append +
 	// classify pair in observe/observeBatch (and the journal-append +
@@ -250,10 +225,8 @@ type Server struct {
 	admit    admission
 	degraded degradedState
 
-	// binStreams holds the negotiated binary-ingest streams, and
-	// binScratch recycles the binary handler's per-request workspace.
+	// binStreams holds the negotiated binary-ingest streams.
 	binStreams binRegistry
-	binScratch sync.Pool
 
 	mu      sync.Mutex
 	httpSrv *http.Server
@@ -278,9 +251,6 @@ func New(cfg Config) (*Server, error) {
 	if cfg.IdleTTL <= 0 {
 		cfg.IdleTTL = 5 * time.Minute
 	}
-	if cfg.SweepInterval <= 0 {
-		cfg.SweepInterval = cfg.IdleTTL / 4
-	}
 	if cfg.Now == nil {
 		cfg.Now = time.Now
 	}
@@ -298,12 +268,6 @@ func New(cfg Config) (*Server, error) {
 	}
 	if cfg.DegradedProbeEvery <= 0 {
 		cfg.DegradedProbeEvery = defaultDegradedProbeEvery
-	}
-	if cfg.ProbationUnknownFactor <= 0 {
-		cfg.ProbationUnknownFactor = defaultProbationUnknownFactor
-	}
-	if cfg.ProbationDisagreeThreshold <= 0 {
-		cfg.ProbationDisagreeThreshold = defaultProbationDisagreeThreshold
 	}
 	if cfg.ProbationMinSnapshots <= 0 {
 		cfg.ProbationMinSnapshots = defaultProbationMinSnapshots
@@ -327,27 +291,19 @@ func New(cfg Config) (*Server, error) {
 	if cfg.MaxInflightRequests > 0 {
 		s.admit.maxRequests = cfg.MaxInflightRequests
 	}
-	s.valuesPool.New = func() any {
-		b := make([]float64, cfg.Schema.Len())
-		return &b
-	}
-	s.binScratch.New = func() any { return &binScratch{} }
+	s.scratch.New = func() any { return &ingestScratch{} }
 	if cfg.Placement != nil {
 		cfg.Placement.SetLive(s.liveComposition)
 	}
 	if cfg.SegmentWindow >= 0 {
-		s.segCfg = &phase.Config{
-			Window:    cfg.SegmentWindow,
-			MinLen:    cfg.SegmentMinLen,
-			Threshold: cfg.SegmentThreshold,
+		s.segCfg = &phase.Config{Window: cfg.SegmentWindow, MinLen: phase.DefaultMinLen, Threshold: phase.DefaultThreshold}
+		if s.segCfg.Window == 0 {
+			s.segCfg.Window = phase.DefaultWindow
 		}
 	}
 	var openset *classify.OpenSet
 	if cfg.UnknownSlack >= 0 {
-		os, err := cfg.Classifier.CalibrateOpenSet(classify.OpenSetConfig{
-			Quantile: cfg.UnknownQuantile,
-			Slack:    cfg.UnknownSlack,
-		})
+		os, err := cfg.Classifier.CalibrateOpenSet(classify.OpenSetConfig{Slack: cfg.UnknownSlack})
 		if err != nil {
 			return nil, fmt.Errorf("server: calibrate open-set thresholds: %w", err)
 		}
@@ -368,18 +324,8 @@ func New(cfg Config) (*Server, error) {
 			cfg.Logf("server: OPEN-SET CALIBRATION SKIPPED class %s: %v — the class will never flag unknown", cl, cerr)
 		}
 	}
-	if s.segCfg != nil {
-		params.SegWindow, params.SegMinLen, params.SegThreshold =
-			cfg.SegmentWindow, cfg.SegmentMinLen, cfg.SegmentThreshold
-		if params.SegWindow == 0 {
-			params.SegWindow = phase.DefaultWindow
-		}
-		if params.SegMinLen == 0 {
-			params.SegMinLen = phase.DefaultMinLen
-		}
-		if params.SegThreshold == 0 {
-			params.SegThreshold = phase.DefaultThreshold
-		}
+	if c := s.segCfg; c != nil {
+		params.SegWindow, params.SegMinLen, params.SegThreshold = c.Window, c.MinLen, c.Threshold
 	}
 	boot, err := modelreg.NewModel(cfg.Classifier, params, "boot", s.start.UnixNano())
 	if err != nil {
@@ -491,9 +437,9 @@ func (s *Server) ListenAndServe(addr string) error {
 // (e.g. behind a stuck session lock) misses its heartbeat and degrades
 // /readyz instead of silently leaving sessions unevicted.
 func (s *Server) StartJanitor() {
-	hb := 4 * s.cfg.SweepInterval
-	s.sup.Go("janitor", supervise.TaskOptions{Heartbeat: hb}, func(stop <-chan struct{}, t *supervise.Task) {
-		tick := time.NewTicker(s.cfg.SweepInterval)
+	sweep := s.cfg.IdleTTL / 4
+	s.sup.Go("janitor", supervise.TaskOptions{Heartbeat: 4 * sweep}, func(stop <-chan struct{}, t *supervise.Task) {
+		tick := time.NewTicker(sweep)
 		defer tick.Stop()
 		for {
 			select {

@@ -1,11 +1,12 @@
 // Package wire implements the daemon's binary columnar ingest
-// protocol: the fast-path alternative to JSON on POST /v1/ingest. A
-// client opens a stream with one Hello frame that negotiates a
-// per-connection metric-ID table (schema names -> small column
-// indices) and receives the serving model's compatibility hash; every
-// later Batch frame then carries packed little-endian float columns
-// addressed by those indices, so steady-state ingest never parses a
-// metric name or a decimal float again. Frames reuse the write-ahead
+// protocol: the fast-path alternative to JSON on POST /v1/ingest. Every
+// request carries exactly one frame and is answered by one. A client
+// opens a stream with a Hello frame that negotiates a per-connection
+// metric-ID table (schema names -> small column indices) and receives
+// the serving model's compatibility hash; every later Batch frame then
+// carries packed little-endian float columns addressed by those
+// indices, so steady-state ingest never parses a metric name or a
+// decimal float again. Frames reuse the write-ahead
 // journal's framing idiom — length prefix plus CRC32C over the
 // payload — and the model hash stamped into the stream means a
 // mid-stream hot swap is detected (the server answers 409 with the new
@@ -27,8 +28,7 @@ const Version = 1
 
 // Frame types, the first payload byte of every frame.
 const (
-	// FrameHello opens a stream: client -> server, must be the only
-	// frame in its request.
+	// FrameHello opens a stream: client -> server.
 	FrameHello byte = 1
 	// FrameHelloAck answers a Hello with the stream ID, the serving
 	// model's hash, and the class-ID table.
@@ -36,8 +36,8 @@ const (
 	// FrameBatch carries one ingest batch: per-VM groups of packed
 	// float columns.
 	FrameBatch byte = 3
-	// FrameBatchAck answers one Batch frame with per-snapshot class
-	// IDs in input order.
+	// FrameBatchAck answers a Batch frame with per-snapshot class IDs
+	// in input order.
 	FrameBatchAck byte = 4
 	// FrameError carries an HTTP-status-shaped error; on a stale-model
 	// 409 it also carries the new model hash so the client can decide
