@@ -275,24 +275,26 @@ func run(cmd string, args []string, stdout io.Writer) error {
 			// Cover every closed segment in one pass: the store's Scrub
 			// cursor is per-open, so one big budget beats looping.
 			stats, _ := db.StoreStats()
-			sum, err := st.Scrub(stats.Segments + 1)
+			reps, err := st.Scrub(stats.Segments + 1)
 			if err != nil {
 				return err
 			}
-			for _, rep := range sum.Damaged {
-				status := "damaged, not repaired: " + rep.SkipReason
-				if rep.Repaired {
-					status = fmt.Sprintf("repaired, %d live record(s) lost (quarantined %s)", rep.LostRecords, rep.Quarantined)
+			damaged, unrepaired := 0, 0
+			for _, rep := range reps {
+				if !rep.Damaged() {
+					continue
 				}
-				fmt.Fprintf(stdout, "segment %d: %d bad frame(s), %s\n", rep.Seg, rep.BadFrames, status)
+				damaged++
+				status := fmt.Sprintf("repaired, %d live record(s) lost (quarantined %s)", rep.Lost, rep.Quarantined)
+				if !rep.Repaired {
+					status = "damaged, not repaired: " + rep.SkipReason
+					unrepaired++
+				}
+				fmt.Fprintf(stdout, "segment %d: %d bad frame(s), %s\n", rep.Seq, len(rep.Bad), status)
 			}
-			fmt.Fprintf(stdout, "scrubbed %d closed segment(s), %d damaged\n", sum.Scanned, len(sum.Damaged))
-			if n := len(sum.Damaged); n > 0 {
-				for _, rep := range sum.Damaged {
-					if !rep.Repaired {
-						return fmt.Errorf("scrub: %d segment(s) damaged, not all repaired", n)
-					}
-				}
+			fmt.Fprintf(stdout, "scrubbed %d closed segment(s), %d damaged\n", len(reps), damaged)
+			if unrepaired > 0 {
+				return fmt.Errorf("scrub: %d segment(s) damaged, not all repaired", damaged)
 			}
 			return nil
 		})

@@ -84,20 +84,20 @@ func journalDump(w io.Writer, dir string) error {
 // journalVerify scans every segment and reports its health; it fails
 // (exit 1) when any segment is torn, so scripts can gate on it.
 func journalVerify(w io.Writer, dir string) error {
-	infos, err := wal.VerifyDir(dir)
+	reps, err := wal.VerifyDir(dir)
 	if err != nil {
 		return err
 	}
 	tw := tabwriter.NewWriter(w, 0, 4, 2, ' ', 0)
 	fmt.Fprintln(tw, "segment\trecords\tbytes\tvalid\tstatus")
 	torn := 0
-	for _, info := range infos {
+	for _, rep := range reps {
 		status := "ok"
-		if info.Torn {
-			status = "TORN: " + info.TornReason
+		if rep.Torn {
+			status = "TORN: " + rep.Reason
 			torn++
 		}
-		fmt.Fprintf(tw, "%d\t%d\t%d\t%d\t%s\n", info.Seq, info.Records, info.Size, info.ValidBytes, status)
+		fmt.Fprintf(tw, "%d\t%d\t%d\t%d\t%s\n", rep.Seq, rep.Frames, rep.Size, rep.End, status)
 	}
 	if err := tw.Flush(); err != nil {
 		return err
@@ -105,7 +105,7 @@ func journalVerify(w io.Writer, dir string) error {
 	if torn > 0 {
 		return fmt.Errorf("journal: %d torn segment(s) in %s (repair: tracetool journal truncate %s)", torn, dir, dir)
 	}
-	fmt.Fprintf(w, "%d segment(s) clean\n", len(infos))
+	fmt.Fprintf(w, "%d segment(s) clean\n", len(reps))
 	return nil
 }
 
@@ -120,9 +120,9 @@ func journalTruncate(w io.Writer, dir string) error {
 		fmt.Fprintln(w, "nothing to repair")
 		return nil
 	}
-	for _, info := range fixed {
+	for _, rep := range fixed {
 		fmt.Fprintf(w, "segment %d truncated to %d bytes (%d record(s) kept): %s\n",
-			info.Seq, info.ValidBytes, info.Records, info.TornReason)
+			rep.Seq, rep.End, rep.Frames, rep.Reason)
 	}
 	return nil
 }
@@ -155,17 +155,11 @@ func scrubCmd(args []string, stdout io.Writer) error {
 		switch {
 		case rep.Repaired:
 			status = fmt.Sprintf("repaired (quarantined %s)", rep.Quarantined)
-		case rep.SkipReason != "":
+		case rep.Damaged():
 			status = "damaged, not repaired: " + rep.SkipReason
 			unrepaired++
-		case rep.TornTail:
-			status = "torn tail: " + rep.TornReason
-			unrepaired++
-		case rep.BadFrames > 0:
-			status = "damaged (re-run with -repair)"
-			unrepaired++
 		}
-		fmt.Fprintf(tw, "%d\t%d\t%d\t%s\n", rep.Seq, rep.Records, rep.BadFrames, status)
+		fmt.Fprintf(tw, "%d\t%d\t%d\t%s\n", rep.Seq, rep.Frames, len(rep.Bad), status)
 	}
 	if err := tw.Flush(); err != nil {
 		return err

@@ -3,6 +3,7 @@ package appstore
 import (
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 
@@ -35,6 +36,11 @@ func corruptLiveFrame(t *testing.T, s *Store, seq uint64) uint64 {
 	return e.seg
 }
 
+// damaged keeps the reports that found damage.
+func damaged(reps []seglog.Report) []seglog.Report {
+	return slices.DeleteFunc(reps, func(r seglog.Report) bool { return !r.Damaged() })
+}
+
 func TestScrubRepairsDamagedSegment(t *testing.T) {
 	dir := t.TempDir()
 	s := openTest(t, dir, Options{SegmentBytes: 600})
@@ -55,15 +61,16 @@ func TestScrubRepairsDamagedSegment(t *testing.T) {
 
 	// A full-cycle scrub finds it, quarantines the segment, and carries
 	// the survivors forward.
-	sum, err := s.Scrub(100)
+	reps, err := s.Scrub(100)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(sum.Damaged) != 1 {
-		t.Fatalf("damaged = %+v, want one report", sum.Damaged)
+	dmg := damaged(reps)
+	if len(dmg) != 1 {
+		t.Fatalf("damaged = %+v, want one report", dmg)
 	}
-	rep := sum.Damaged[0]
-	if rep.Seg != victim || rep.BadFrames != 1 || rep.LostRecords != 1 || !rep.Repaired {
+	rep := dmg[0]
+	if rep.Seq != victim || len(rep.Bad) != 1 || rep.Lost != 1 || !rep.Repaired {
 		t.Fatalf("report = %+v", rep)
 	}
 	if _, err := os.Stat(segFormat.Path(dir, victim) + ".corrupt"); err != nil {
@@ -93,12 +100,12 @@ func TestScrubRepairsDamagedSegment(t *testing.T) {
 	}
 
 	// A clean follow-up pass finds nothing.
-	sum, err = s.Scrub(100)
+	reps, err = s.Scrub(100)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(sum.Damaged) != 0 {
-		t.Errorf("second pass found damage: %+v", sum.Damaged)
+	if dmg := damaged(reps); len(dmg) != 0 {
+		t.Errorf("second pass found damage: %+v", dmg)
 	}
 
 	// The store survives close + reopen with truthful stats: quarantined
@@ -123,12 +130,12 @@ func TestScrubSkipsActiveSegment(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Only the active segment exists; scrub must not touch it.
-	sum, err := s.Scrub(100)
+	reps, err := s.Scrub(100)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if sum.Scanned != 0 || len(sum.Damaged) != 0 {
-		t.Errorf("scrub touched the active segment: %+v", sum)
+	if len(reps) != 0 {
+		t.Errorf("scrub touched the active segment: %+v", reps)
 	}
 }
 
@@ -177,15 +184,16 @@ func TestScrubDamagedDeadFrameQuarantines(t *testing.T) {
 	s.mu.Unlock()
 	victim := corruptLiveFrame(t, s, 2) // seq 2 is dead but still indexed
 
-	sum, err := s.Scrub(100)
+	reps, err := s.Scrub(100)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(sum.Damaged) != 1 {
-		t.Fatalf("damaged = %+v", sum.Damaged)
+	dmg := damaged(reps)
+	if len(dmg) != 1 {
+		t.Fatalf("damaged = %+v", dmg)
 	}
-	rep := sum.Damaged[0]
-	if rep.Seg != victim || rep.LostRecords != 0 || !rep.Repaired {
+	rep := dmg[0]
+	if rep.Seq != victim || rep.Lost != 0 || !rep.Repaired {
 		t.Fatalf("report = %+v", rep)
 	}
 	if !strings.HasSuffix(rep.Quarantined, ".corrupt") {

@@ -78,16 +78,8 @@ type Stats struct {
 	// finalize hot-path latency the JSON store paid O(n) for.
 	AppendLastNanos  int64
 	AppendTotalNanos int64
-	// ScrubScans counts closed segments examined by Scrub since open.
-	ScrubScans int64
-	// ScrubRepairedSegments counts segments Scrub rewrote to drop
-	// damaged frames.
-	ScrubRepairedSegments int64
-	// ScrubLostRecords counts live records inside damaged frames — the
-	// only records lost to the detected corruption.
-	ScrubLostRecords int64
-	// ScrubQuarantined counts damaged originals preserved as .corrupt.
-	ScrubQuarantined int64
+	// The scrub counts; the store loses only live records to damage.
+	seglog.ScrubStats
 }
 
 // entry is one indexed record: the meta header plus its location.

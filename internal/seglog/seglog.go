@@ -182,12 +182,15 @@ func (f *Format) EncodeHeader(version uint32, extra []byte) []byte {
 // foreign, or unsupported header is not an I/O error: it comes back as
 // a non-empty reason with Size 0.
 func (f *Format) ReadHeader(r io.Reader) (Header, string, error) {
-	var pre [8]byte
-	if _, err := io.ReadFull(r, pre[:]); err != nil {
+	short := func(err error) (Header, string, error) {
 		if err == io.EOF || err == io.ErrUnexpectedEOF {
 			return Header{}, "short segment header", nil
 		}
 		return Header{}, "", err
+	}
+	var pre [8]byte
+	if _, err := io.ReadFull(r, pre[:]); err != nil {
+		return short(err)
 	}
 	if [4]byte(pre[:4]) != f.Magic {
 		return Header{}, "bad segment magic", nil
@@ -199,10 +202,7 @@ func (f *Format) ReadHeader(r io.Reader) (Header, string, error) {
 	}
 	h.Extra = make([]byte, n)
 	if _, err := io.ReadFull(r, h.Extra); err != nil {
-		if err == io.EOF || err == io.ErrUnexpectedEOF {
-			return Header{}, "short segment header", nil
-		}
-		return Header{}, "", err
+		return short(err)
 	}
 	h.Size = int64(8 + n)
 	return h, "", nil
@@ -236,6 +236,55 @@ type Scan struct {
 	// frame (or on an unusable header), with Reason saying what.
 	Torn   bool
 	Reason string
+}
+
+// Report is one segment's pass — verify, cut, or scrub — in either log:
+// the walk, and what was done about any damage it found.
+type Report struct {
+	Seq uint64
+	Scan
+	// Repaired reports that the damage is gone from disk: the bad frames
+	// copied around, the torn tail cut off, or a segment whose header is
+	// unusable removed.
+	Repaired bool
+	// SkipReason says why damage was left in place.
+	SkipReason string
+	// Quarantined is where the damaged original was kept, if anywhere.
+	Quarantined string
+	// Lost counts the records inside bad frames, which a repair drops.
+	Lost int
+}
+
+// Damaged reports whether the walk found anything wrong.
+func (r Report) Damaged() bool { return len(r.Bad) > 0 || r.Torn }
+
+// ScrubStats counts one log's scrub activity since open.
+type ScrubStats struct {
+	// ScrubScans counts sealed segments examined.
+	ScrubScans int64
+	// ScrubRepairedSegments counts segments rewritten without their bad
+	// frames.
+	ScrubRepairedSegments int64
+	// ScrubLostRecords counts the records a repair dropped with those
+	// frames: the only records the detected damage cost.
+	ScrubLostRecords int64
+	// ScrubQuarantined counts damaged originals kept as .corrupt.
+	ScrubQuarantined int64
+}
+
+// ScrubEach scrubs each of seqs in turn — the picks of one low-rate
+// pass — and returns every report with the first error.
+func ScrubEach(seqs []uint64, scrub func(seq uint64) (Report, error)) ([]Report, error) {
+	reps := make([]Report, 0, len(seqs))
+	var first error
+	for _, seq := range seqs {
+		rep, err := scrub(seq)
+		if err != nil && first == nil {
+			first = err
+		}
+		reps = append(reps, rep)
+	}
+	return reps, first
 }
 
 // Walk streams the frames of the segment at path through one bounded
@@ -332,12 +381,13 @@ func (f *Format) Walk(path string, from int64, skipBad bool, fn func(off int64, 
 
 // Repair rewrites the segment at path without its bad frames: the
 // original is kept hard-linked as path+".corrupt", then its header and
-// every intact frame (CRC-good and not rejected by check, which may be
-// nil) are published under path by WriteFile. A crash anywhere leaves
-// either the damaged original in place, re-detected by the next scrub,
-// or the repaired segment; never a missing one. It returns the walk
-// over the original and the repaired size.
-func (f *Format) Repair(path string, check func(payload []byte) error) (Scan, int64, error) {
+// every intact frame (CRC-good and not rejected by check, a Walk
+// callback that may be nil) are published under path by WriteFile. A
+// crash anywhere leaves either the damaged original in place,
+// re-detected by the next scrub, or the repaired segment; never a
+// missing one. It returns the walk over the original and the repaired
+// size.
+func (f *Format) Repair(path string, check func(off int64, payload []byte) error) (Scan, int64, error) {
 	src, err := os.Open(path)
 	if err != nil {
 		return Scan{}, 0, fmt.Errorf("seglog: open segment %s: %w", path, err)
@@ -364,8 +414,8 @@ func (f *Format) Repair(path string, check func(payload []byte) error) (Scan, in
 		var err error
 		sc, err = f.Walk(quarantine, 0, true, func(off int64, p []byte) error {
 			if check != nil {
-				if err := check(p); err != nil {
-					return Corrupt(err)
+				if err := check(off, p); err != nil {
+					return err
 				}
 			}
 			var fh [FrameSize]byte

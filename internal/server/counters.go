@@ -230,6 +230,9 @@ func (c *counters) writeMetrics(w io.Writer, sessions []int, uptimeSeconds float
 		// restart like every other counter here).
 		fmt.Fprintf(w, "# HELP appclassd_journal_truncated_segments_total Closed journal segments deleted by the retention cap.\n# TYPE appclassd_journal_truncated_segments_total counter\nappclassd_journal_truncated_segments_total %d\n", dg.journal.TruncatedSegments)
 		fmt.Fprintf(w, "# HELP appclassd_journal_last_fsync_age_seconds Seconds since the journal last fsynced (-1 if never).\n# TYPE appclassd_journal_last_fsync_age_seconds gauge\nappclassd_journal_last_fsync_age_seconds %g\n", dg.fsyncAgeSeconds)
+		counter("appclassd_journal_appends_total", "Records the journal appended since open.", dg.journal.Appends)
+		counter("appclassd_journal_syncs_total", "Journal fsyncs since open.", dg.journal.Syncs)
+		counter("appclassd_journal_rotations_total", "Journal segment rotations since open.", dg.journal.Rotations)
 		counter("appclassd_journal_scrub_scans_total", "Sealed journal segments examined by the scrubber since open.", dg.journal.ScrubScans)
 		counter("appclassd_journal_scrub_repaired_segments_total", "Journal segments rewritten by the scrubber to drop damaged frames.", dg.journal.ScrubRepairedSegments)
 		counter("appclassd_journal_scrub_lost_records_total", "Journal records inside damaged frames the scrubber could not save.", dg.journal.ScrubLostRecords)

@@ -128,10 +128,9 @@ type RecoveryStats struct {
 	Finalized int
 	// Errors counts records that could not be applied (logged, skipped).
 	Errors int
-	// Truncated reports a torn journal tail — the normal crash shape.
-	// The torn segment was repaired (cut at its last valid record)
-	// before replay, so replay itself ran over a clean journal and a
-	// later recovery can reach every segment written after this one.
+	// Truncated reports a torn journal segment, the normal crash shape:
+	// recovery's one walk cut it at its last whole record (removed it if
+	// its header never reached the disk, which is no gap) and went on.
 	Truncated bool
 	// GapSegments lists journal segment sequence numbers that were
 	// missing from the replay range: records in them are unrecoverable
@@ -139,35 +138,21 @@ type RecoveryStats struct {
 	GapSegments []uint64
 }
 
-// Recover rebuilds live sessions after a restart: it repairs any torn
-// journal tail (cutting it at the last valid record, so double-crash
-// replays stay contiguous), loads the latest checkpoint (if any),
-// restores each serialized session, then replays the journal tail from
-// the checkpoint's position — batches re-classify into their sessions,
-// finalize markers finalize into the application database. It finishes
-// by writing a fresh checkpoint covering everything recovered. Call it
-// after New and before serving traffic; it is single-threaded and must
-// not race ingest. No-op without a journal.
+// Recover rebuilds live sessions after a restart: it loads the latest
+// checkpoint (if any) and restores each serialized session, checks from
+// their headers that the journal segments to replay were written under
+// the serving model, then replays the journal from the checkpoint's
+// position in one walk (see wal.Journal.Recover) — batches re-classify
+// into their sessions, finalize markers finalize into the application
+// database. A refused recovery leaves the journal untouched. It
+// finishes by writing a fresh checkpoint covering everything
+// recovered. Call it after New and before serving traffic; it is
+// single-threaded and must not race ingest. No-op without a journal.
 func (s *Server) Recover() (RecoveryStats, error) {
 	var rs RecoveryStats
 	j := s.cfg.Journal
 	if j == nil {
 		return rs, nil
-	}
-	// Repair torn segments BEFORE replaying. A crash mid-write leaves a
-	// torn tail; if it were left in place, this replay would stop there —
-	// fine today, but after a second crash the torn segment is no longer
-	// the journal's last, and a replay that stops at it would silently
-	// skip every record appended after this restart. Cutting the tear at
-	// its last valid record now keeps the journal walkable end to end.
-	fixed, err := wal.TruncateAtCorruption(j.Dir())
-	if err != nil {
-		return rs, fmt.Errorf("server: recover: repair journal: %w", err)
-	}
-	for _, info := range fixed {
-		rs.Truncated = true
-		s.cfg.Logf("server: recover: journal segment %d torn (%s); cut at last valid record, %d byte(s) kept",
-			info.Seq, info.TornReason, info.ValidBytes)
 	}
 	cp, err := wal.LatestCheckpoint(j.Dir())
 	if err != nil {
@@ -255,7 +240,10 @@ func (s *Server) Recover() (RecoveryStats, error) {
 		}
 	}
 
-	replay, err := wal.Replay(j.Dir(), from, func(pos wal.Position, rec wal.Record) error {
+	// A torn segment is cut, not merely skipped: after this restart it is
+	// no longer the journal's last, and a tear left in place would stop
+	// the next recovery there, before every record appended since.
+	replay, err := j.Recover(from, func(pos wal.Position, rec wal.Record) error {
 		switch rec.Type {
 		case wal.RecordBatch:
 			if _, _, err := s.observeBatch(rec.VM, rec.Snaps, nil, false); err != nil {
@@ -285,12 +273,7 @@ func (s *Server) Recover() (RecoveryStats, error) {
 	if err != nil {
 		return rs, fmt.Errorf("server: recover: %w", err)
 	}
-	if replay.Truncated {
-		// Should not happen after the repair pass above; report it anyway.
-		rs.Truncated = true
-		s.cfg.Logf("server: recover: journal tail torn at seg %d off %d; replay stopped at last valid record",
-			replay.TruncatedAt.Seg, replay.TruncatedAt.Off)
-	}
+	rs.Truncated = replay.Truncated // the journal logs each cut
 	if len(replay.MissingSegments) > 0 {
 		rs.GapSegments = replay.MissingSegments
 		s.counters.journalGapSegments.Add(int64(len(replay.MissingSegments)))
@@ -305,7 +288,7 @@ func (s *Server) Recover() (RecoveryStats, error) {
 	// on disk, so pinning it (and the retention floor) to the journal's
 	// current position means a crash right after this restart replays
 	// only post-restart records instead of re-walking old segments.
-	// Failure is not fatal — the repaired journal alone already replays
+	// Failure is not fatal — the cut journal alone already replays
 	// correctly from the previous checkpoint.
 	if err := s.Checkpoint(); err != nil {
 		s.cfg.Logf("server: recover: post-recovery checkpoint: %v", err)

@@ -444,6 +444,99 @@ func TestDoubleCrashRecovery(t *testing.T) {
 	}
 }
 
+// crashMidRotation runs a journaled daemon that ingests n one-snapshot
+// batches for vm into segment 1 and then dies while rotating: segment 2
+// exists but its header never reached the disk. It returns segment 1's
+// path.
+func crashMidRotation(t *testing.T, dir, vm string, n int) string {
+	t.Helper()
+	a := crashServer(t, crashJournal(t, dir))
+	for i := 0; i < n; i++ {
+		w := postJSON(t, a.Handler(), "/v1/ingest", map[string]any{"snapshots": []any{
+			zeroSnapshot(vm, float64(i*5)),
+		}})
+		if w.Code != 200 {
+			t.Fatalf("ingest: %d", w.Code)
+		}
+	}
+	seg1 := filepath.Join(dir, "journal-00000001.wal")
+	if err := os.WriteFile(filepath.Join(dir, "journal-00000002.wal"), nil, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	return seg1
+}
+
+// TestRecoverShortHeaderSegmentIsNotAGap: a segment created but killed
+// before its header was written never held a record, so recovery
+// removes it without calling the hole it leaves a gap.
+func TestRecoverShortHeaderSegmentIsNotAGap(t *testing.T) {
+	dir := t.TempDir()
+	vm := "rot-vm"
+	crashMidRotation(t, dir, vm, 4)
+
+	jb := crashJournal(t, dir)
+	t.Cleanup(func() { jb.Close() })
+	b := newTestServer(t, Config{Journal: jb})
+	rs, err := b.Recover()
+	if err != nil {
+		t.Fatalf("recover: %v", err)
+	}
+	if rs.Snapshots != 4 {
+		t.Errorf("replayed %d snapshots, want all 4", rs.Snapshots)
+	}
+	if view := sessionView(t, b, vm); view.Total != 4 {
+		t.Errorf("recovered session saw %d snapshots, want 4", view.Total)
+	}
+	if len(rs.GapSegments) != 0 {
+		t.Errorf("GapSegments = %v, want none: the headerless segment never held a record", rs.GapSegments)
+	}
+	if n := b.counters.journalGapSegments.Load(); n != 0 {
+		t.Errorf("appclassd_journal_gap_segments_total = %d, want 0", n)
+	}
+}
+
+// TestRecoverStatsMatchDisk: after recovery cuts a torn tail and
+// removes a headerless segment, the journal's stats — which feed the
+// depth gauges and the -journal-max-bytes retention total — count the
+// segment files actually on disk.
+func TestRecoverStatsMatchDisk(t *testing.T) {
+	dir := t.TempDir()
+	seg1 := crashMidRotation(t, dir, "stats-vm", 4)
+	st, err := os.Stat(seg1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Truncate(seg1, st.Size()-3); err != nil {
+		t.Fatal(err)
+	}
+
+	jb := crashJournal(t, dir)
+	t.Cleanup(func() { jb.Close() })
+	b := newTestServer(t, Config{Journal: jb})
+	rs, err := b.Recover()
+	if err != nil {
+		t.Fatalf("recover: %v", err)
+	}
+	if !rs.Truncated || rs.Snapshots != 3 {
+		t.Errorf("recovery stats %+v, want the torn tail cut and 3 snapshots", rs)
+	}
+	segs, err := filepath.Glob(filepath.Join(dir, "journal-*.wal"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var bytes int64
+	for _, p := range segs {
+		fi, err := os.Stat(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		bytes += fi.Size()
+	}
+	if js := jb.Stats(); js.Segments != len(segs) || js.Bytes != bytes {
+		t.Errorf("Stats() = %d segment(s), %d bytes; disk has %d segment(s), %d bytes", js.Segments, js.Bytes, len(segs), bytes)
+	}
+}
+
 // TestFinalizeIsWriteAhead: when the finalize marker cannot be
 // journaled, the finalization must not proceed — no registry removal,
 // no database record — so the in-memory state never outruns the
@@ -584,6 +677,9 @@ func TestMetricszExposesDurabilityGauges(t *testing.T) {
 		"appclassd_journal_last_fsync_age_seconds ",
 		"appclassd_journal_truncated_segments_total 0",
 		"appclassd_journal_gap_segments_total 0",
+		"appclassd_journal_appends_total 1",
+		"appclassd_journal_syncs_total ",
+		"appclassd_journal_rotations_total 0",
 		"appclassd_history_dropped 0",
 		"appclassd_checkpoints_total 0",
 	} {

@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"repro/internal/appdb"
+	"repro/internal/seglog"
 	"repro/internal/supervise"
 	"repro/internal/wal"
 )
@@ -82,68 +83,58 @@ func (s *Server) StartScrubber() {
 	})
 }
 
+// checkpointBeforeRepair is the journal scrubber's PreRepair hook.
+// Repair rewrites byte offsets, which is only safe once no checkpoint
+// still points into the damaged segment. The hook runs outside the
+// journal lock, so checkpointing here cannot deadlock.
+func (s *Server) checkpointBeforeRepair(seq uint64, uncheckpointed bool) error {
+	if !uncheckpointed {
+		return nil
+	}
+	s.cfg.Logf("server: scrub: journal segment %d damage overlaps un-checkpointed state; checkpointing before repair", seq)
+	return s.Checkpoint()
+}
+
 // scrubTick runs one scrub pass over both stores. Split out for tests.
 func (s *Server) scrubTick() {
+	type pass struct {
+		store string
+		scrub func() ([]seglog.Report, error)
+	}
+	var passes []pass
 	if j := s.cfg.Journal; j != nil {
-		sum, err := j.Scrub(wal.ScrubConfig{
-			MaxSegments: 1,
-			// Repair rewrites byte offsets, which is only safe once no
-			// checkpoint still points into the damaged segment. The hook
-			// runs outside the journal lock, so checkpointing here cannot
-			// deadlock.
-			PreRepair: func(seq uint64, uncheckpointed bool) error {
-				if !uncheckpointed {
-					return nil
-				}
-				s.cfg.Logf("server: scrub: journal segment %d damage overlaps un-checkpointed state; checkpointing before repair", seq)
-				return s.Checkpoint()
-			},
-		})
-		if err != nil {
-			s.cfg.Logf("server: journal scrub: %v", err)
-		}
-		for _, rep := range sum.Damaged {
-			detail := map[string]string{
-				"store":      "journal",
-				"segment":    fmt.Sprintf("%d", rep.Seq),
-				"bad_frames": fmt.Sprintf("%d", rep.BadFrames),
-			}
-			switch {
-			case rep.Repaired:
-				detail["quarantined"] = rep.Quarantined
-				s.cfg.Logf("server: scrub: REPAIRED journal segment %d: %d bad frame(s) dropped, original quarantined at %s",
-					rep.Seq, rep.BadFrames, rep.Quarantined)
-			case rep.SkipReason != "":
-				detail["skipped"] = rep.SkipReason
-				s.cfg.Logf("server: scrub: journal segment %d damaged (%d bad frame(s)) but NOT repaired: %s",
-					rep.Seq, rep.BadFrames, rep.SkipReason)
-			default:
-				// Torn tail only: replay already stops cleanly there.
-				detail["torn_tail"] = rep.TornReason
-				s.cfg.Logf("server: scrub: journal segment %d has a torn tail (%s); left for the operator", rep.Seq, rep.TornReason)
-			}
-			s.putEvent("scrub_repair", detail)
-		}
+		passes = append(passes, pass{"journal", func() ([]seglog.Report, error) {
+			return j.Scrub(wal.ScrubConfig{MaxSegments: 1, PreRepair: s.checkpointBeforeRepair})
+		}})
 	}
 	if s.cfg.DB != nil && s.cfg.DB.Store() != nil {
-		sum, err := s.cfg.DB.Store().Scrub(1)
+		passes = append(passes, pass{"appdb", func() ([]seglog.Report, error) { return s.cfg.DB.Store().Scrub(1) }})
+	}
+	for _, p := range passes {
+		reps, err := p.scrub()
 		if err != nil {
-			s.cfg.Logf("server: application-database scrub: %v", err)
+			s.cfg.Logf("server: %s scrub: %v", p.store, err)
 		}
-		for _, rep := range sum.Damaged {
+		for _, rep := range reps {
+			if !rep.Damaged() {
+				continue
+			}
 			detail := map[string]string{
-				"store":        "appdb",
-				"segment":      fmt.Sprintf("%d", rep.Seg),
-				"bad_frames":   fmt.Sprintf("%d", rep.BadFrames),
-				"lost_records": fmt.Sprintf("%d", rep.LostRecords),
+				"store":        p.store,
+				"segment":      fmt.Sprintf("%d", rep.Seq),
+				"bad_frames":   fmt.Sprintf("%d", len(rep.Bad)),
+				"lost_records": fmt.Sprintf("%d", rep.Lost),
+			}
+			if rep.Torn {
+				detail["torn_tail"] = rep.Reason
 			}
 			if rep.Repaired {
 				detail["quarantined"] = rep.Quarantined
-				s.cfg.Logf("server: scrub: REPAIRED application-database segment %d: %d bad frame(s), %d live record(s) lost, original quarantined at %s",
-					rep.Seg, rep.BadFrames, rep.LostRecords, rep.Quarantined)
+				s.cfg.Logf("server: scrub: REPAIRED %s segment %d: %d bad frame(s), %d record(s) lost, original quarantined at %s",
+					p.store, rep.Seq, len(rep.Bad), rep.Lost, rep.Quarantined)
 			} else {
 				detail["skipped"] = rep.SkipReason
-				s.cfg.Logf("server: scrub: application-database segment %d damaged but NOT repaired: %s", rep.Seg, rep.SkipReason)
+				s.cfg.Logf("server: scrub: %s segment %d damaged but NOT repaired: %s", p.store, rep.Seq, rep.SkipReason)
 			}
 			s.putEvent("scrub_repair", detail)
 		}

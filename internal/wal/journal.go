@@ -141,16 +141,7 @@ type Stats struct {
 	TruncatedSegments int64
 	// LastSync is when the journal last fsynced (zero if never).
 	LastSync time.Time
-	// ScrubScans counts sealed segments examined by Scrub since Open.
-	ScrubScans int64
-	// ScrubRepairedSegments counts segments Scrub rewrote to drop
-	// damaged frames.
-	ScrubRepairedSegments int64
-	// ScrubLostRecords counts records dropped with those frames — the
-	// only records lost to the detected corruption.
-	ScrubLostRecords int64
-	// ScrubQuarantined counts damaged originals preserved as .corrupt.
-	ScrubQuarantined int64
+	seglog.ScrubStats
 }
 
 // Journal is an append-only write-ahead log. It is safe for concurrent

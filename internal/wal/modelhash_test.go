@@ -41,14 +41,14 @@ func TestSegmentHeaderCarriesModelHash(t *testing.T) {
 	if len(infos) != 1 {
 		t.Fatalf("segments = %d, want 1 (empty stamped segment must be replaced in place, not rotated)", len(infos))
 	}
-	if infos[0].Version != segmentVersion {
-		t.Fatalf("segment version = %d, want %d", infos[0].Version, segmentVersion)
+	if infos[0].Header.Version != segmentVersion {
+		t.Fatalf("segment version = %d, want %d", infos[0].Header.Version, segmentVersion)
 	}
-	if infos[0].ModelHash != hex.EncodeToString(h[:]) {
-		t.Fatalf("segment hash = %s, want %x", infos[0].ModelHash, h)
+	if hex.EncodeToString(infos[0].Header.Extra) != hex.EncodeToString(h[:]) {
+		t.Fatalf("segment hash = %x, want %x", infos[0].Header.Extra, h)
 	}
-	if infos[0].Records != 1 {
-		t.Fatalf("records = %d, want 1", infos[0].Records)
+	if infos[0].Frames != 1 {
+		t.Fatalf("records = %d, want 1", infos[0].Frames)
 	}
 }
 
@@ -144,10 +144,10 @@ func TestV1SegmentBackCompat(t *testing.T) {
 	if err != nil {
 		t.Fatalf("VerifyDir: %v", err)
 	}
-	if len(infos) != 1 || infos[0].Version != segmentVersionV1 || infos[0].ModelHash != "" {
+	if len(infos) != 1 || infos[0].Header.Version != segmentVersionV1 || len(infos[0].Header.Extra) != 0 {
 		t.Fatalf("v1 segment info = %+v", infos[0])
 	}
-	if infos[0].Torn || infos[0].Records != 1 {
+	if infos[0].Torn || infos[0].Frames != 1 {
 		t.Fatalf("v1 segment did not replay cleanly: %+v", infos[0])
 	}
 	hashes, err := SegmentHashes(dir, 0)

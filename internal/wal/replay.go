@@ -4,51 +4,23 @@ import (
 	"encoding/hex"
 	"fmt"
 	"os"
+	"slices"
 
 	"repro/internal/seglog"
 )
 
-// SegmentInfo describes one scanned segment file.
-type SegmentInfo struct {
-	// Seq is the segment sequence number.
-	Seq uint64
-	// Path is the segment file path.
-	Path string
-	// Size is the file size on disk.
-	Size int64
-	// Records is the number of valid records scanned.
-	Records int
-	// ValidBytes is the offset just past the last valid record (at
-	// least the header size for a well-headed segment); truncating the
-	// file here discards exactly the torn tail.
-	ValidBytes int64
-	// Torn reports whether the segment ends in bytes that do not form a
-	// complete valid record — the signature of a crash mid-write or of
-	// on-disk corruption.
-	Torn bool
-	// TornReason says what the scanner hit when Torn (short frame,
-	// CRC mismatch, bad header, ...).
-	TornReason string
-	// Version is the segment's on-disk format version.
-	Version uint32
-	// ModelHash is the hex model compatibility hash from the segment
-	// header; empty for version-1 segments, which predate model
-	// stamping.
-	ModelHash string
-}
-
-// ReplayStats summarizes one Replay pass.
+// ReplayStats summarizes one walk over the journal.
 type ReplayStats struct {
-	// Segments is how many segment files were scanned.
-	Segments int
 	// Records is how many valid records were delivered.
 	Records int
 	// Snapshots is the total snapshot count across delivered batches.
 	Snapshots int
 	// Truncated reports that a segment ended in a torn or corrupt
-	// record; replay stopped cleanly at the last valid record.
+	// record, or had an unusable header: Replay stopped cleanly at the
+	// last valid record, Journal.Recover cut the segment there and went
+	// on.
 	Truncated bool
-	// TruncatedAt is where scanning stopped when Truncated.
+	// TruncatedAt is where the first torn segment's valid records end.
 	TruncatedAt Position
 	// MissingSegments lists sequence numbers that should exist between
 	// the replay start and the newest segment but are not on disk —
@@ -67,12 +39,54 @@ type ReplayStats struct {
 // and ReplayStats.Truncated is set. A torn record in a non-final
 // segment also stops the whole replay — later records cannot be
 // trusted to belong to the stream — which Replay reports the same way.
-// fn returning an error aborts the replay with that error.
+// fn returning an error aborts the replay with that error. Replay
+// changes nothing on disk.
 func Replay(dir string, from Position, fn func(pos Position, rec Record) error) (ReplayStats, error) {
-	var stats ReplayStats
+	stats, _, err := walk(dir, from, fn, nil)
+	return stats, err
+}
+
+// Recover is recovery's one walk over the journal: Replay from `from`,
+// except that a torn segment does not end it. The segment is cut back
+// to its last whole record, or removed when its header is unusable, and
+// the walk goes on with the next one. Each cut is applied to the
+// journal's segment list as it is made, so Stats and retention always
+// count what is on disk. A removed segment was on disk when the walk
+// reached it, so it is no gap. Recover must not race appends.
+func (j *Journal) Recover(from Position, fn func(pos Position, rec Record) error) (ReplayStats, error) {
+	stats, _, err := walk(j.cfg.Dir, from, fn, func(rep *seglog.Report) error {
+		j.mu.Lock()
+		defer j.mu.Unlock()
+		i := slices.IndexFunc(j.closed, func(s seglog.Seg) bool { return s.Seq == rep.Seq })
+		if i < 0 {
+			return fmt.Errorf("wal: torn segment %d is not a sealed segment of this journal", rep.Seq)
+		}
+		if err := cutSegment(j.cfg.Dir, rep); err != nil {
+			return err
+		}
+		if rep.End == 0 {
+			j.closed = slices.Delete(j.closed, i, i+1)
+		} else {
+			j.closed[i].Size = rep.End
+		}
+		j.cfg.Logf("wal: recovery cut torn segment %d to %d byte(s): %s", rep.Seq, rep.End, rep.Reason)
+		return nil
+	})
+	return stats, err
+}
+
+// walk is the one pass over a journal directory behind Replay, Recover,
+// VerifyDir and TruncateAtCorruption. Each segment at or after from.Seg
+// is walked once, segment from.Seg from offset from.Off, decoding every
+// record and passing it to fn, when non-nil, with the position just
+// past it; an undecodable payload is torn like a CRC mismatch. A torn
+// segment ends the walk when cut is nil; otherwise cut gets its report
+// and the walk goes on with the next segment. It returns the report of
+// every segment walked.
+func walk(dir string, from Position, fn func(Position, Record) error, cut func(*seglog.Report) error) (stats ReplayStats, reps []seglog.Report, err error) {
 	segs, err := segFormat.List(dir)
 	if err != nil {
-		return stats, err
+		return stats, nil, err
 	}
 	// Expected next sequence number, for gap detection. A checkpointed
 	// start pins it to from.Seg — that segment must still exist. With no
@@ -91,66 +105,70 @@ func Replay(dir string, from Position, fn func(pos Position, rec Record) error) 
 			stats.MissingSegments = append(stats.MissingSegments, expect)
 		}
 		expect = seg.Seq + 1
-		var startOff int64
+		var off int64
 		if seg.Seq == from.Seg {
-			startOff = from.Off
+			off = from.Off
 		}
-		info, err := scanSegment(segFormat.Path(dir, seg.Seq), seg.Seq, startOff, func(end Position, rec Record) error {
+		sc, err := segFormat.Walk(segFormat.Path(dir, seg.Seq), off, false, func(o int64, p []byte) error {
+			rec, err := decodePayload(p)
+			if err != nil {
+				return seglog.Corrupt(err)
+			}
 			stats.Records++
 			stats.Snapshots += len(rec.Snaps)
-			return fn(end, rec)
+			if fn == nil {
+				return nil
+			}
+			return fn(Position{Seg: seg.Seq, Off: o + seglog.FrameSize + int64(len(p))}, rec)
 		})
 		if err != nil {
-			return stats, err
+			return stats, reps, fmt.Errorf("wal: %w", err)
 		}
-		stats.Segments++
-		if info.Torn {
-			stats.Truncated = true
-			stats.TruncatedAt = Position{Seg: seg.Seq, Off: info.ValidBytes}
+		reps = append(reps, seglog.Report{Seq: seg.Seq, Scan: sc})
+		if !sc.Torn {
+			continue
+		}
+		if !stats.Truncated {
+			stats.Truncated, stats.TruncatedAt = true, Position{Seg: seg.Seq, Off: sc.End}
+		}
+		if cut == nil {
 			break
 		}
+		if err := cut(&reps[len(reps)-1]); err != nil {
+			return stats, reps, err
+		}
 	}
-	return stats, nil
+	return stats, reps, nil
 }
 
-// scanSegment walks records from startOff (0 means just past the
-// header) to the first invalid frame or EOF. An undecodable payload is
-// invalid like a CRC mismatch.
-func scanSegment(path string, seq uint64, startOff int64, fn func(pos Position, rec Record) error) (SegmentInfo, error) {
-	sc, err := segFormat.Walk(path, startOff, false, func(off int64, p []byte) error {
-		rec, err := decodePayload(p)
-		if err != nil {
-			return seglog.Corrupt(err)
+// cutSegment cuts the torn segment rep describes back to its last whole
+// record, or removes it when its header is unusable (End 0).
+func cutSegment(dir string, rep *seglog.Report) error {
+	path := segFormat.Path(dir, rep.Seq)
+	if rep.End == 0 {
+		if err := os.Remove(path); err != nil {
+			return fmt.Errorf("wal: remove headerless segment %s: %w", path, err)
 		}
-		if fn == nil {
-			return nil
-		}
-		return fn(Position{Seg: seq, Off: off + seglog.FrameSize + int64(len(p))}, rec)
-	})
-	info := SegmentInfo{Seq: seq, Path: path, Size: sc.Size, Records: sc.Frames, ValidBytes: sc.End,
-		Torn: sc.Torn, TornReason: sc.Reason, Version: sc.Header.Version, ModelHash: hex.EncodeToString(sc.Header.Extra)}
-	if err != nil {
-		return info, fmt.Errorf("wal: %w", err)
+	} else if err := os.Truncate(path, rep.End); err != nil {
+		return fmt.Errorf("wal: truncate %s at %d: %w", path, rep.End, err)
 	}
-	return info, nil
+	rep.Repaired = true
+	return nil
 }
 
-// VerifyDir scans every segment in dir and returns their infos, oldest
-// first.
-func VerifyDir(dir string) ([]SegmentInfo, error) {
-	segs, err := segFormat.List(dir)
-	if err != nil {
-		return nil, err
-	}
-	out := make([]SegmentInfo, 0, len(segs))
-	for _, seg := range segs {
-		info, err := scanSegment(segFormat.Path(dir, seg.Seq), seg.Seq, 0, nil)
-		if err != nil {
-			return out, err
-		}
-		out = append(out, info)
-	}
-	return out, nil
+// VerifyDir walks every segment in dir, decoding every record, and
+// returns their reports, oldest first. It changes nothing on disk.
+func VerifyDir(dir string) ([]seglog.Report, error) {
+	_, reps, err := walk(dir, Position{}, nil, func(*seglog.Report) error { return nil })
+	return reps, err
+}
+
+// TruncateAtCorruption cuts every torn segment in dir back to its last
+// valid record, removing one whose header is unusable, so later scans
+// are clean. It returns the reports of the segments it cut.
+func TruncateAtCorruption(dir string) ([]seglog.Report, error) {
+	_, reps, err := walk(dir, Position{}, nil, func(rep *seglog.Report) error { return cutSegment(dir, rep) })
+	return slices.DeleteFunc(reps, func(r seglog.Report) bool { return !r.Repaired }), err
 }
 
 // SegmentHashes reads only the headers of every segment with seq >=
@@ -183,30 +201,4 @@ func SegmentHashes(dir string, from uint64) (map[uint64]string, error) {
 		}
 	}
 	return out, nil
-}
-
-// TruncateAtCorruption truncates every torn segment in dir at its last
-// valid record boundary, dropping the partial tail so subsequent scans
-// are clean. A segment with a bad header (ValidBytes == 0) is removed
-// entirely. It returns the segments that were modified.
-func TruncateAtCorruption(dir string) ([]SegmentInfo, error) {
-	infos, err := VerifyDir(dir)
-	if err != nil {
-		return nil, err
-	}
-	var fixed []SegmentInfo
-	for _, info := range infos {
-		if !info.Torn {
-			continue
-		}
-		if info.ValidBytes <= 0 {
-			if err := os.Remove(info.Path); err != nil {
-				return fixed, fmt.Errorf("wal: remove headerless segment %s: %w", info.Path, err)
-			}
-		} else if err := os.Truncate(info.Path, info.ValidBytes); err != nil {
-			return fixed, fmt.Errorf("wal: truncate %s at %d: %w", info.Path, info.ValidBytes, err)
-		}
-		fixed = append(fixed, info)
-	}
-	return fixed, nil
 }

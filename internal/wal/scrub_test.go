@@ -3,6 +3,7 @@ package wal
 import (
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -30,6 +31,11 @@ func flipPayloadByte(t *testing.T, path string, ends []int64, rec int) int64 {
 	return start
 }
 
+// damaged keeps the reports that found damage.
+func damaged(reps []seglog.Report) []seglog.Report {
+	return slices.DeleteFunc(reps, func(r seglog.Report) bool { return !r.Damaged() })
+}
+
 func TestScrubDirRepairsBadFrame(t *testing.T) {
 	dir, segPath, ends := buildJournal(t, 6)
 	badOff := flipPayloadByte(t, segPath, ends, 2)
@@ -39,11 +45,11 @@ func TestScrubDirRepairsBadFrame(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(reports) != 1 || reports[0].BadFrames != 1 || reports[0].Records != 5 {
+	if len(reports) != 1 || len(reports[0].Bad) != 1 || reports[0].Frames != 5 {
 		t.Fatalf("report = %+v, want 1 bad frame, 5 records", reports)
 	}
-	if reports[0].FirstBadOff != badOff {
-		t.Errorf("first bad offset = %d, want %d", reports[0].FirstBadOff, badOff)
+	if reports[0].Bad[0] != badOff {
+		t.Errorf("first bad offset = %d, want %d", reports[0].Bad[0], badOff)
 	}
 	if reports[0].Repaired {
 		t.Error("report-only scrub repaired the segment")
@@ -98,11 +104,11 @@ func TestScrubDirLeavesTornTail(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reports[0].TornTail || reports[0].Repaired {
+	if !reports[0].Torn || reports[0].Repaired {
 		t.Fatalf("torn tail handled wrong: %+v", reports[0])
 	}
-	if reports[0].Records != 2 {
-		t.Errorf("records = %d, want 2", reports[0].Records)
+	if reports[0].Frames != 2 {
+		t.Errorf("records = %d, want 2", reports[0].Frames)
 	}
 }
 
@@ -163,26 +169,26 @@ func TestJournalScrubRepairsSealedSegment(t *testing.T) {
 	}
 
 	// Without a PreRepair hook, un-checkpointed damage is only reported.
-	sum, err := j.Scrub(ScrubConfig{MaxSegments: 10})
+	reps, err := j.Scrub(ScrubConfig{MaxSegments: 10})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(sum.Damaged) != 1 || sum.Damaged[0].Repaired {
-		t.Fatalf("un-checkpointed damage was repaired: %+v", sum.Damaged)
+	if dmg := damaged(reps); len(dmg) != 1 || dmg[0].Repaired {
+		t.Fatalf("un-checkpointed damage was repaired: %+v", dmg)
 	}
 
 	// With the hook (the server's checkpoint-first contract), repair runs.
 	var hookSeq uint64
 	var hookUnchk bool
-	sum, err = j.Scrub(ScrubConfig{MaxSegments: 10, PreRepair: func(seq uint64, unchk bool) error {
+	reps, err = j.Scrub(ScrubConfig{MaxSegments: 10, PreRepair: func(seq uint64, unchk bool) error {
 		hookSeq, hookUnchk = seq, unchk
 		return nil
 	}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(sum.Damaged) != 1 || !sum.Damaged[0].Repaired {
-		t.Fatalf("damage not repaired: %+v", sum.Damaged)
+	if dmg := damaged(reps); len(dmg) != 1 || !dmg[0].Repaired {
+		t.Fatalf("damage not repaired: %+v", dmg)
 	}
 	if hookSeq != sealedSeq || !hookUnchk {
 		t.Errorf("hook saw seq %d unchk %v, want %d true", hookSeq, hookUnchk, sealedSeq)

@@ -126,7 +126,7 @@ func TestTruncateAtCorruption(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(infos) != 1 || !infos[0].Torn || infos[0].ValidBytes != ends[2] {
+	if len(infos) != 1 || !infos[0].Torn || infos[0].End != ends[2] {
 		t.Fatalf("verify = %+v, want one torn segment valid to %d", infos, ends[2])
 	}
 
@@ -148,7 +148,7 @@ func TestTruncateAtCorruption(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if infos[0].Torn || infos[0].Records != 3 {
+	if infos[0].Torn || infos[0].Frames != 3 {
 		t.Errorf("post-repair verify = %+v, want clean with 3 records", infos[0])
 	}
 	// Repair is idempotent.
