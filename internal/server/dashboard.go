@@ -9,13 +9,13 @@ import (
 
 	"repro/internal/appclass"
 	"repro/internal/appstore"
-	"repro/internal/supervise"
 )
 
 // The control-plane dashboard is a static single-page app compiled into
 // the binary: no build step, no CDN, nothing to deploy next to the
-// daemon. It polls the JSON endpoints below (which are always on; only
-// the asset mount is gated by Config.Dashboard).
+// daemon. It polls the daemon's JSON endpoints, /v1/runs below among
+// them (they are always on; only the asset mount is gated by
+// Config.Dashboard).
 
 //go:embed dashboard
 var dashboardFiles embed.FS
@@ -144,117 +144,4 @@ func (s *Server) handleRuns(w http.ResponseWriter, r *http.Request) {
 	}
 	out.Count = len(out.Runs)
 	writeJSON(w, http.StatusOK, out)
-}
-
-// statusJSON is GET /v1/status: the control-plane state the dashboard
-// renders — one JSON document instead of scraping Prometheus text.
-type statusJSON struct {
-	UptimeSecs float64 `json:"uptime_s"`
-	Sessions   int     `json:"sessions"`
-	Ingested   int64   `json:"ingested"`
-	// Durability is "none", "journaled", or "degraded"; Ready mirrors
-	// /readyz.
-	Durability string `json:"durability"`
-	Ready      bool   `json:"ready"`
-	Reason     string `json:"reason,omitempty"`
-	// Journal state (absent without a journal).
-	JournalSegments int   `json:"journal_segments,omitempty"`
-	JournalBytes    int64 `json:"journal_bytes,omitempty"`
-	// BreakerState is the poll breaker (0 closed, 1 half-open, 2 open);
-	// -1 when the daemon runs push-only.
-	BreakerState int64 `json:"breaker_state"`
-	// Classes counts live sessions by current class vote.
-	Classes map[string]int `json:"classes"`
-	// Model is the serving model's compatibility hash; ShadowCandidate
-	// the candidate currently shadow-classifying, if any.
-	Model           string `json:"model,omitempty"`
-	ShadowCandidate string `json:"shadow_candidate,omitempty"`
-	// Database state: record/application counts and — when the segmented
-	// store backs it — engine internals.
-	DBRecords int             `json:"db_records"`
-	DBApps    int             `json:"db_apps"`
-	Store     *storeStateJSON `json:"store,omitempty"`
-	// Placement inventory, when the placement service is configured.
-	Hosts      int  `json:"hosts,omitempty"`
-	Placements int  `json:"placements,omitempty"`
-	HasAdvice  bool `json:"has_advice"`
-	// Tasks are the supervised background loops with their restart
-	// counters and health; Probation is the running post-promote
-	// guardrail window, if any.
-	Tasks     []supervise.TaskState `json:"tasks,omitempty"`
-	Probation *probationView        `json:"probation,omitempty"`
-}
-
-type storeStateJSON struct {
-	Dir            string  `json:"dir"`
-	Segments       int     `json:"segments"`
-	Bytes          int64   `json:"bytes"`
-	LiveRecords    int     `json:"live_records"`
-	DeadRecords    int     `json:"dead_records"`
-	Compactions    int64   `json:"compactions"`
-	PrunedRecords  int64   `json:"pruned_records"`
-	AppendLastSecs float64 `json:"append_last_s"`
-}
-
-func (s *Server) handleStatus(w http.ResponseWriter, r *http.Request) {
-	ready, reason := s.readiness()
-	st := statusJSON{
-		UptimeSecs:   s.now().Sub(s.start).Seconds(),
-		Sessions:     s.reg.len(),
-		Ingested:     s.counters.ingested.Load(),
-		Durability:   "none",
-		Ready:        ready,
-		Reason:       reason,
-		BreakerState: -1,
-		Classes:      make(map[string]int),
-		Model:        s.ActiveModelID(),
-		DBRecords:    s.cfg.DB.Len(),
-		DBApps:       len(s.cfg.DB.Apps()),
-		HasAdvice:    s.cfg.Placement != nil,
-	}
-	if j := s.cfg.Journal; j != nil {
-		st.Durability = "journaled"
-		if s.DurabilityDegraded() {
-			st.Durability = "degraded"
-		}
-		js := j.Stats()
-		st.JournalSegments = js.Segments
-		st.JournalBytes = js.Bytes
-	}
-	// The breaker position is only meaningful once the poll loop has
-	// attempted something; a push-only daemon reports -1 (n/a).
-	if s.counters.polls.Load() > 0 {
-		st.BreakerState = s.counters.breakerState.Load()
-	}
-	for _, sess := range s.reg.all() {
-		sess.mu.Lock()
-		view := sess.online.Snapshot()
-		sess.mu.Unlock()
-		if view.Total > 0 {
-			st.Classes[string(view.Class)]++
-		}
-	}
-	if se := s.shadow.Load(); se != nil {
-		st.ShadowCandidate = se.view().Candidate
-	}
-	if ss, ok := s.cfg.DB.StoreStats(); ok {
-		st.Store = &storeStateJSON{
-			Dir:            s.cfg.DB.Store().Dir(),
-			Segments:       ss.Segments,
-			Bytes:          ss.Bytes,
-			LiveRecords:    ss.LiveRecords,
-			DeadRecords:    ss.DeadRecords,
-			Compactions:    ss.Compactions,
-			PrunedRecords:  ss.PrunedRecords,
-			AppendLastSecs: float64(ss.AppendLastNanos) / 1e9,
-		}
-	}
-	if s.cfg.Placement != nil {
-		ps := s.cfg.Placement.Stat()
-		st.Hosts = ps.Hosts
-		st.Placements = ps.Placements
-	}
-	st.Tasks = s.sup.Snapshot()
-	st.Probation = s.probationView()
-	writeJSON(w, http.StatusOK, st)
 }

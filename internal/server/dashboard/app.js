@@ -1,5 +1,5 @@
 // appclassd control-plane dashboard. Pure browser JS, no dependencies:
-// polls /v1/status, /v1/vms and /v1/runs and renders them.
+// polls /v1/status, /v1/classes, /v1/vms and /v1/runs and renders them.
 "use strict";
 
 const CLASSES = ["idle", "io", "cpu", "net", "mem"];
@@ -73,38 +73,49 @@ async function getJSON(path) {
 
 // ---- status + cards --------------------------------------------------
 
+// The cards read the /metricsz series that /v1/status carries under
+// metrics: an unlabeled family is its value, a labeled one a list of
+// {labels, value}, and a family is absent while its subsystem is off.
 async function refreshStatus() {
   const st = await getJSON("../v1/status");
-  setPill($("uptime"), "up " + fmtDuration(st.uptime_s));
+  const m = st.metrics;
+  setPill($("uptime"), "up " + fmtDuration(m.appclassd_uptime_seconds));
   const durTone = { journaled: "ok", none: "warn", degraded: "bad" }[st.durability];
   setPill($("durability"), "durability: " + st.durability, durTone);
-  if (st.breaker_state < 0) {
+  // The breaker position means something only once the poll loop has
+  // tried a poll; a push-only daemon never does.
+  if (m.appclassd_polls_total === 0) {
     setPill($("breaker"), "poll: off");
   } else {
+    const state = m.appclassd_poll_breaker_state;
     const names = ["closed", "half-open", "open"];
-    setPill($("breaker"), "breaker: " + names[st.breaker_state],
-      ["ok", "warn", "bad"][st.breaker_state]);
+    setPill($("breaker"), "breaker: " + names[state], ["ok", "warn", "bad"][state]);
   }
-  setPill($("model"), "model: " + (st.model || "n/a"));
+  const model = m.appclassd_model_active_info;
+  setPill($("model"), "model: " + (model ? model[0].labels.id : "n/a"));
   $("refreshed").textContent = "refreshed " + new Date().toLocaleTimeString();
 
-  $("stat-sessions").textContent = fmtCount(st.sessions);
-  $("stat-ingested").textContent = fmtCount(st.ingested);
-  $("stat-records").textContent = fmtCount(st.db_records);
-  $("stat-apps").textContent = fmtCount(st.db_apps);
-  if (st.store) {
+  $("stat-sessions").textContent = fmtCount(m.appclassd_sessions_active);
+  $("stat-ingested").textContent = fmtCount(m.appclassd_snapshots_ingested_total);
+  $("stat-records").textContent = fmtCount(m.appclassd_appdb_live_records);
+  $("stat-apps").textContent = fmtCount(m.appclassd_appdb_apps);
+  if (m.appclassd_appdb_segments !== undefined) {
     $("card-store").hidden = false;
-    $("stat-segments").textContent = st.store.segments;
-    $("stat-bytes").textContent = fmtBytes(st.store.bytes);
+    $("stat-segments").textContent = m.appclassd_appdb_segments;
+    $("stat-bytes").textContent = fmtBytes(m.appclassd_appdb_bytes);
   }
-  if (st.hosts) {
+  const placement = m.appclassd_hosts !== undefined;
+  if (placement) {
     $("card-placement").hidden = false;
-    $("stat-hosts").textContent = st.hosts;
-    $("stat-placements").textContent = st.placements;
+    $("stat-hosts").textContent = m.appclassd_hosts;
+    $("stat-placements").textContent = m.appclassd_placements_active;
   }
-  $("advice-section").hidden = !st.has_advice;
+  $("advice-section").hidden = !placement;
+}
 
-  renderClassMix(st.classes || {});
+async function refreshClassMix() {
+  const data = await getJSON("../v1/classes");
+  renderClassMix(data.classes || {});
 }
 
 function renderClassMix(mix) {
@@ -224,6 +235,7 @@ $("runs-prev").addEventListener("click", () => {
 
 function tick() {
   refreshStatus().catch(console.error);
+  refreshClassMix().catch(console.error);
   refreshSessions().catch(console.error);
   refreshRuns().catch(console.error);
   refreshAdvice().catch(console.error);

@@ -163,19 +163,20 @@ func TestStatusEndpoint(t *testing.T) {
 	if err := json.Unmarshal(w.Body.Bytes(), &st); err != nil {
 		t.Fatalf("status JSON: %v", err)
 	}
-	if st["db_records"].(float64) != 3 {
-		t.Fatalf("db_records = %v, want 3", st["db_records"])
+	m := st["metrics"].(map[string]any)
+	if m["appclassd_appdb_live_records"].(float64) != 3 {
+		t.Fatalf("appclassd_appdb_live_records = %v, want 3", m["appclassd_appdb_live_records"])
 	}
-	if st["db_apps"].(float64) != 3 {
-		t.Fatalf("db_apps = %v, want 3", st["db_apps"])
+	if m["appclassd_appdb_apps"].(float64) != 3 {
+		t.Fatalf("appclassd_appdb_apps = %v, want 3", m["appclassd_appdb_apps"])
 	}
 	if st["durability"].(string) != "none" {
 		t.Fatalf("durability = %v, want none", st["durability"])
 	}
-	if st["breaker_state"].(float64) != -1 {
-		t.Fatalf("breaker_state = %v, want -1 (push-only)", st["breaker_state"])
+	if m["appclassd_polls_total"].(float64) != 0 {
+		t.Fatalf("appclassd_polls_total = %v, want 0 (push-only)", m["appclassd_polls_total"])
 	}
-	if _, ok := st["store"]; ok {
+	if _, ok := m["appclassd_appdb_segments"]; ok {
 		t.Fatal("status reported store state for a memory-backed DB")
 	}
 }
@@ -196,15 +197,15 @@ func TestStatusEndpointStoreBacked(t *testing.T) {
 	if err := json.Unmarshal(w.Body.Bytes(), &st); err != nil {
 		t.Fatalf("status JSON: %v", err)
 	}
-	store, ok := st["store"].(map[string]any)
-	if !ok {
+	m := st["metrics"].(map[string]any)
+	if _, ok := m["appclassd_appdb_segments"]; !ok {
 		t.Fatalf("status missing store state: %s", w.Body.String())
 	}
-	if store["live_records"].(float64) != 4 {
-		t.Fatalf("store live_records = %v, want 4", store["live_records"])
+	if m["appclassd_appdb_live_records"].(float64) != 4 {
+		t.Fatalf("appclassd_appdb_live_records = %v, want 4", m["appclassd_appdb_live_records"])
 	}
-	if store["segments"].(float64) < 1 {
-		t.Fatalf("store segments = %v, want >= 1", store["segments"])
+	if m["appclassd_appdb_segments"].(float64) < 1 {
+		t.Fatalf("appclassd_appdb_segments = %v, want >= 1", m["appclassd_appdb_segments"])
 	}
 }
 

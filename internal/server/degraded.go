@@ -31,6 +31,18 @@ func (s *Server) DurabilityDegraded() bool {
 	return s.degraded.mode.Load()
 }
 
+// durabilityMode names the durability contract ingest currently
+// honors: "none" without a journal, else "journaled" or "degraded".
+func (s *Server) durabilityMode() string {
+	switch {
+	case s.cfg.Journal == nil:
+		return "none"
+	case s.DurabilityDegraded():
+		return "degraded"
+	}
+	return "journaled"
+}
+
 // enterDegraded flips the daemon into degraded durability mode (once;
 // concurrent callers coalesce).
 func (s *Server) enterDegraded(cause error) {

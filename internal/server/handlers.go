@@ -11,11 +11,9 @@ import (
 	"time"
 
 	"repro/internal/appclass"
-	"repro/internal/appstore"
 	"repro/internal/classify"
 	"repro/internal/metrics"
 	"repro/internal/phase"
-	"repro/internal/placement"
 	"repro/internal/wire"
 )
 
@@ -132,6 +130,7 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	if e != nil {
+		s.countRejected(e)
 		writeError(w, e.code, "%s", e.msg)
 		return
 	}
@@ -533,17 +532,10 @@ func (s *Server) readiness() (ready bool, reason string) {
 // process serves, and carries the readiness verdict as data.
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	ready, reason := s.readiness()
-	durability := "none"
-	if s.cfg.Journal != nil {
-		durability = "journaled"
-		if s.DurabilityDegraded() {
-			durability = "degraded"
-		}
-	}
 	body := map[string]any{
 		"status":     "ok",
 		"ready":      ready,
-		"durability": durability,
+		"durability": s.durabilityMode(),
 		"sessions":   s.reg.len(),
 		"ingested":   s.counters.ingested.Load(),
 		"uptime_s":   s.now().Sub(s.start).Seconds(),
@@ -564,51 +556,4 @@ func (s *Server) handleReadyz(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	writeJSON(w, http.StatusOK, map[string]any{"ready": true})
-}
-
-func (s *Server) handleMetricsz(w http.ResponseWriter, r *http.Request) {
-	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-	var pstats *placement.Stats
-	if s.cfg.Placement != nil {
-		st := s.cfg.Placement.Stat()
-		pstats = &st
-	}
-	var historyDropped int64
-	for _, sess := range s.reg.all() {
-		sess.mu.Lock()
-		historyDropped += int64(sess.online.HistoryDropped())
-		sess.mu.Unlock()
-	}
-	var dg *durabilityGauges
-	if j := s.cfg.Journal; j != nil {
-		st := j.Stats()
-		age := -1.0
-		if !st.LastSync.IsZero() {
-			age = s.now().Sub(st.LastSync).Seconds()
-		}
-		dg = &durabilityGauges{journal: st, fsyncAgeSeconds: age, degraded: s.DurabilityDegraded()}
-	}
-	var rg resilienceGauges
-	rg.inflightBytes, rg.inflightRequests = s.admit.inflight()
-	rg.binStreams = int64(s.binStreams.len())
-	mg := modelGauges{
-		activeID:      s.ActiveModelID(),
-		swapLastNanos: s.counters.swapLastNanos.Load(),
-	}
-	if se := s.shadow.Load(); se != nil {
-		v := se.view()
-		mg.shadow = &v
-	}
-	mg.probation = s.probationView()
-	var sg *appstore.Stats
-	if st, ok := s.cfg.DB.StoreStats(); ok {
-		sg = &st
-	}
-	tg := superviseGauges{
-		tasks:       s.sup.Snapshot(),
-		panics:      s.sup.Panics(),
-		escalations: s.sup.Escalations(),
-		wedges:      s.sup.Wedges(),
-	}
-	s.counters.writeMetrics(w, s.reg.counts(), s.now().Sub(s.start).Seconds(), pstats, historyDropped, dg, rg, mg, sg, tg)
 }

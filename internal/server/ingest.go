@@ -79,6 +79,16 @@ func ingestErrorf(code int, format string, args ...any) *ingestError {
 	return &ingestError{code: code, msg: fmt.Sprintf(format, args...)}
 }
 
+// countRejected counts a request refused with 400 or 413, on either
+// protocol, in ingestErrors. The 409, 429 and 503 answers have counters
+// of their own, and the journal and classify failures behind a 500 are
+// counted where they happen.
+func (s *Server) countRejected(e *ingestError) {
+	if e.code == http.StatusBadRequest || e.code == http.StatusRequestEntityTooLarge {
+		s.counters.ingestErrors.Add(1)
+	}
+}
+
 // admitIngest runs admission control before the request takes any lock:
 // a request over the in-flight byte/request budget is shed with 429
 // Retry-After, so the checkpoint quiesce can never accumulate a backlog

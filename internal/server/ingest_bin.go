@@ -139,18 +139,16 @@ func (r *binRegistry) expire(cutoff int64) int {
 }
 
 // writeBinError answers a binary-ingest request with an Error frame
-// carrying the HTTP status; hash is the serving model's hash on a
-// stale-model 409 (zero otherwise).
-func writeBinError(w http.ResponseWriter, code int, hash modelreg.Hash, format string, args ...any) {
-	var e wire.ErrorFrame
-	e.Code = code
-	copy(e.ModelHash[:], hash[:])
-	e.Message = fmt.Sprintf(format, args...)
+// carrying e's HTTP status, message and, on a stale-model 409, the
+// serving model's hash.
+func writeBinError(w http.ResponseWriter, e *ingestError) {
+	ef := wire.ErrorFrame{Code: e.code, Message: e.msg}
+	copy(ef.ModelHash[:], e.hash[:])
 	buf, start := wire.BeginFrame(nil)
-	buf = wire.AppendError(buf, e)
+	buf = wire.AppendError(buf, ef)
 	buf = wire.EndFrame(buf, start)
 	w.Header().Set("Content-Type", wire.ContentType)
-	w.WriteHeader(code)
+	w.WriteHeader(e.code)
 	_, _ = w.Write(buf)
 }
 
@@ -171,7 +169,8 @@ func (s *Server) handleIngestBin(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	if e != nil {
-		writeBinError(w, e.code, e.hash, "%s", e.msg)
+		s.countRejected(e)
+		writeBinError(w, e)
 		return
 	}
 	if st == nil {
@@ -197,12 +196,13 @@ func (s *Server) binDecodeError(format string, args ...any) *ingestError {
 	return ingestErrorf(http.StatusBadRequest, format, args...)
 }
 
-// decodeBin reads the request's one frame. A Hello is answered here and
-// yields neither a stream nor an error. A Batch is resolved to its
-// stream, then every group is decoded, validated and scattered through
-// the stream's column table into sc before anything is classified, so a
-// 400 never leaves a half-ingested request behind. NaN and Inf are
-// rejected, as they are unrepresentable on the JSON path.
+// decodeBin reads the request's one frame. A Hello is handled here and
+// yields no stream, only an error if it is refused. A Batch is
+// resolved to its stream, then every group is decoded, validated and
+// scattered through the stream's column table into sc before anything
+// is classified, so a 400 never leaves a half-ingested request behind.
+// NaN and Inf are rejected, as they are unrepresentable on the JSON
+// path.
 func (s *Server) decodeBin(w http.ResponseWriter, sc *ingestScratch, r *http.Request) (*binStream, *ingestError) {
 	if e := sc.readBody(r); e != nil {
 		s.counters.binDecodeErrors.Add(1)
@@ -217,8 +217,7 @@ func (s *Server) decodeBin(w http.ResponseWriter, sc *ingestScratch, r *http.Req
 	case len(rest) != 0:
 		return nil, s.binDecodeError("a request carries one frame; %d bytes follow it", len(rest))
 	case payload[0] == wire.FrameHello:
-		s.handleBinHello(w, payload)
-		return nil, nil
+		return nil, s.handleBinHello(w, payload)
 	case payload[0] != wire.FrameBatch:
 		return nil, s.binDecodeError("frame has unexpected type %d", payload[0])
 	}
@@ -277,34 +276,29 @@ func (s *Server) decodeBin(w http.ResponseWriter, sc *ingestScratch, r *http.Req
 // handleBinHello negotiates a stream: the client's column table must
 // cover the schema exactly (every metric named once, nothing else —
 // the JSON by-name contract), validated against the serving model's
-// gather cache, and the stream is stamped with the model hash.
-func (s *Server) handleBinHello(w http.ResponseWriter, payload []byte) {
+// gather cache, and the stream is stamped with the model hash. It
+// writes the HelloAck, or returns the refusal for the caller to answer.
+func (s *Server) handleBinHello(w http.ResponseWriter, payload []byte) *ingestError {
 	h, err := wire.ParseHello(payload)
 	if err != nil {
-		s.counters.binDecodeErrors.Add(1)
-		writeBinError(w, http.StatusBadRequest, modelreg.Hash{}, "%v", err)
-		return
+		return s.binDecodeError("%v", err)
 	}
 	if h.Version != wire.Version {
-		writeBinError(w, http.StatusBadRequest, modelreg.Hash{}, "unsupported wire version %d (server speaks %d)", h.Version, wire.Version)
-		return
+		return ingestErrorf(http.StatusBadRequest, "unsupported wire version %d (server speaks %d)", h.Version, wire.Version)
 	}
 	schema := s.cfg.Schema
 	if len(h.Metrics) != schema.Len() {
-		writeBinError(w, http.StatusBadRequest, modelreg.Hash{}, "hello names %d metrics, schema has %d", len(h.Metrics), schema.Len())
-		return
+		return ingestErrorf(http.StatusBadRequest, "hello names %d metrics, schema has %d", len(h.Metrics), schema.Len())
 	}
 	cols := make([]int, len(h.Metrics))
 	seen := make([]bool, schema.Len())
 	for i, name := range h.Metrics {
 		idx, ok := schema.Index(name)
 		if !ok {
-			writeBinError(w, http.StatusBadRequest, modelreg.Hash{}, "hello names unknown metric %q", name)
-			return
+			return ingestErrorf(http.StatusBadRequest, "hello names unknown metric %q", name)
 		}
 		if seen[idx] {
-			writeBinError(w, http.StatusBadRequest, modelreg.Hash{}, "hello names metric %q twice", name)
-			return
+			return ingestErrorf(http.StatusBadRequest, "hello names metric %q twice", name)
 		}
 		seen[idx] = true
 		cols[i] = idx
@@ -315,15 +309,14 @@ func (s *Server) handleBinHello(w http.ResponseWriter, payload []byte) {
 	// turns a misconfigured model into one clear error instead of a
 	// failure on the first batch.
 	if _, err := am.model.Classifier.GatherIndices(schema); err != nil {
-		writeBinError(w, http.StatusInternalServerError, modelreg.Hash{}, "model rejects schema: %v", err)
-		return
+		return ingestErrorf(http.StatusInternalServerError, "model rejects schema: %v", err)
 	}
 	var pinned modelreg.Hash
 	copy(pinned[:], h.ModelHash[:])
 	if !pinned.IsZero() && pinned != am.model.Hash {
 		s.counters.binStaleStreams.Add(1)
-		writeBinError(w, http.StatusConflict, am.model.Hash, "pinned model %x is not serving (active %s)", h.ModelHash[:6], am.model.ID)
-		return
+		return &ingestError{code: http.StatusConflict, hash: am.model.Hash,
+			msg: fmt.Sprintf("pinned model %x is not serving (active %s)", h.ModelHash[:6], am.model.ID)}
 	}
 	st := &binStream{cols: cols, hash: am.model.Hash, vms: make(map[string]string)}
 	st.lastUsed.Store(s.now().UnixNano())
@@ -332,8 +325,7 @@ func (s *Server) handleBinHello(w http.ResponseWriter, payload []byte) {
 			s.counters.binStreamsExpired.Add(int64(n))
 		}
 		if !s.binStreams.add(st) {
-			writeBinError(w, http.StatusServiceUnavailable, modelreg.Hash{}, "stream registry full (%d streams)", maxBinStreams)
-			return
+			return ingestErrorf(http.StatusServiceUnavailable, "stream registry full (%d streams)", maxBinStreams)
 		}
 	}
 	s.counters.binHandshakes.Add(1)
@@ -350,4 +342,5 @@ func (s *Server) handleBinHello(w http.ResponseWriter, payload []byte) {
 	w.Header().Set("Content-Type", wire.ContentType)
 	w.WriteHeader(http.StatusOK)
 	_, _ = w.Write(buf)
+	return nil
 }

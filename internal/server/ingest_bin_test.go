@@ -292,36 +292,43 @@ func TestBinaryIngestMalformed(t *testing.T) {
 	unknown[2] = "bogus_metric"
 	badVersion := oneFrame(wire.AppendHello(nil, wire.Hello{Version: 99, Metrics: schema.Names()}))
 
+	// errs is how much the request moves appclassd_ingest_errors_total:
+	// every rejected batch counts once, a stale-stream 409 not at all.
 	cases := []struct {
 		name string
 		body []byte
 		want int
+		errs int64
 	}{
-		{"empty body", nil, 400},
-		{"garbage frame", []byte{1, 2, 3}, 400},
+		{"empty body", nil, 400, 1},
+		{"garbage frame", []byte{1, 2, 3}, 400, 1},
 		{"corrupt crc", func() []byte {
 			b := batchOn(sid, []float64{0}, zrow)
 			b[len(b)-1] ^= 0xFF
 			return b
-		}(), 400},
-		{"unknown frame type", oneFrame([]byte{0x7E, 0, 0}), 400},
-		{"hello with trailing frame", append(hello(schema.Names()), batchOn(sid, []float64{0}, zrow)...), 400},
-		{"hello after batch", append(batchOn(sid, []float64{0}, zrow), hello(schema.Names())...), 400},
-		{"hello wrong metric count", hello(schema.Names()[:3]), 400},
-		{"hello unknown metric", hello(unknown), 400},
-		{"hello duplicate metric", hello(dup), 400},
-		{"hello bad version", badVersion, 400},
-		{"batch on unknown stream", batchOn(sid+999, []float64{0}, zrow), 409},
-		{"nan value", batchOn(sid, []float64{0}, nanRow), 400},
-		{"inf value", batchOn(sid, []float64{0}, infRow), 400},
-		{"non-finite time", batchOn(sid, []float64{math.Inf(1)}, zrow), 400},
-		{"oversized body", make([]byte, maxIngestBody+16), 413},
+		}(), 400, 1},
+		{"unknown frame type", oneFrame([]byte{0x7E, 0, 0}), 400, 1},
+		{"hello with trailing frame", append(hello(schema.Names()), batchOn(sid, []float64{0}, zrow)...), 400, 1},
+		{"hello after batch", append(batchOn(sid, []float64{0}, zrow), hello(schema.Names())...), 400, 1},
+		{"hello wrong metric count", hello(schema.Names()[:3]), 400, 1},
+		{"hello unknown metric", hello(unknown), 400, 1},
+		{"hello duplicate metric", hello(dup), 400, 1},
+		{"hello bad version", badVersion, 400, 1},
+		{"batch on unknown stream", batchOn(sid+999, []float64{0}, zrow), 409, 0},
+		{"nan value", batchOn(sid, []float64{0}, nanRow), 400, 1},
+		{"inf value", batchOn(sid, []float64{0}, infRow), 400, 1},
+		{"non-finite time", batchOn(sid, []float64{math.Inf(1)}, zrow), 400, 1},
+		{"oversized body", make([]byte, maxIngestBody+16), 413, 1},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
+			before := s.counters.ingestErrors.Load()
 			w := postBin(t, h, tc.body)
 			if w.Code != tc.want {
 				t.Fatalf("status = %d, want %d (body %x)", w.Code, tc.want, w.Body.Bytes())
+			}
+			if d := s.counters.ingestErrors.Load() - before; d != tc.errs {
+				t.Errorf("ingest errors moved by %d, want %d", d, tc.errs)
 			}
 			payload, _, err := wire.NextFrame(w.Body.Bytes())
 			if err != nil {

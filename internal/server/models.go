@@ -584,11 +584,3 @@ func (s *Server) retrainOnce() {
 	s.cfg.Logf("server: retrain: candidate %s installed from %d record(s), %d class(es); shadow evaluation started",
 		m.ID, stats.Records, len(stats.RowsPerClass))
 }
-
-// modelGauges is the model-lifecycle view rendered in /metricsz.
-type modelGauges struct {
-	activeID      string
-	swapLastNanos int64
-	shadow        *shadowView
-	probation     *probationView
-}

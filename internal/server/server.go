@@ -161,7 +161,8 @@ type Config struct {
 	// /dashboard/ (appclassd -dashboard): live sessions, class mix,
 	// breaker/durability state, and paginated finalized runs, all served
 	// from assets compiled into the binary. Off by default; the JSON
-	// endpoints backing it (/v1/runs, /v1/status) are always on.
+	// endpoints backing it (/v1/status, /v1/classes, /v1/vms, /v1/runs)
+	// are always on.
 	Dashboard bool
 	// EnablePprof mounts net/http/pprof's profiling handlers under
 	// /debug/pprof/ on the daemon's mux. Off by default: the profiler

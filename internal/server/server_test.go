@@ -84,44 +84,51 @@ func TestHandlerStatusCodes(t *testing.T) {
 	s := newTestServer(t, Config{})
 	h := s.Handler()
 
+	// errs is how much the request moves appclassd_ingest_errors_total:
+	// every rejected ingest batch counts once.
 	tests := []struct {
 		name   string
 		method string
 		path   string
 		body   string
 		want   int
+		errs   int64
 	}{
 		{"ingest happy path", "POST", "/v1/ingest",
-			mustJSON(map[string]any{"snapshots": []any{zeroSnapshot("vm-ok", 0)}}), 200},
-		{"malformed body", "POST", "/v1/ingest", "{not json", 400},
-		{"empty batch", "POST", "/v1/ingest", `{"snapshots":[]}`, 400},
+			mustJSON(map[string]any{"snapshots": []any{zeroSnapshot("vm-ok", 0)}}), 200, 0},
+		{"malformed body", "POST", "/v1/ingest", "{not json", 400, 1},
+		{"empty batch", "POST", "/v1/ingest", `{"snapshots":[]}`, 400, 1},
 		{"missing vm name", "POST", "/v1/ingest",
-			mustJSON(map[string]any{"snapshots": []any{map[string]any{"time_s": 0, "values": []float64{1}}}}), 400},
+			mustJSON(map[string]any{"snapshots": []any{map[string]any{"time_s": 0, "values": []float64{1}}}}), 400, 1},
 		{"wrong value count", "POST", "/v1/ingest",
-			mustJSON(map[string]any{"snapshots": []any{map[string]any{"vm": "v", "values": []float64{1, 2}}}}), 400},
+			mustJSON(map[string]any{"snapshots": []any{map[string]any{"vm": "v", "values": []float64{1, 2}}}}), 400, 1},
 		{"neither values nor metrics", "POST", "/v1/ingest",
-			mustJSON(map[string]any{"snapshots": []any{map[string]any{"vm": "v"}}}), 400},
+			mustJSON(map[string]any{"snapshots": []any{map[string]any{"vm": "v"}}}), 400, 1},
 		{"unknown metric name", "POST", "/v1/ingest",
-			mustJSON(map[string]any{"snapshots": []any{map[string]any{"vm": "v", "metrics": map[string]float64{"bogus": 1}}}}), 400},
+			mustJSON(map[string]any{"snapshots": []any{map[string]any{"vm": "v", "metrics": map[string]float64{"bogus": 1}}}}), 400, 1},
 		{"vm name over the wire limit", "POST", "/v1/ingest",
-			mustJSON(map[string]any{"snapshots": []any{zeroSnapshot(strings.Repeat("v", 2000), 0)}}), 400},
-		{"unknown vm", "GET", "/v1/vms/nope", "", 404},
-		{"finish unknown vm", "POST", "/v1/vms/nope/finish", "", 404},
-		{"method not allowed on ingest", "GET", "/v1/ingest", "", 405},
-		{"method not allowed on vms", "POST", "/v1/vms", "", 405},
-		{"method not allowed on finish", "GET", "/v1/vms/x/finish", "", 405},
-		{"vms list", "GET", "/v1/vms", "", 200},
-		{"classes", "GET", "/v1/classes", "", 200},
-		{"healthz", "GET", "/healthz", "", 200},
-		{"metricsz", "GET", "/metricsz", "", 200},
+			mustJSON(map[string]any{"snapshots": []any{zeroSnapshot(strings.Repeat("v", 2000), 0)}}), 400, 1},
+		{"unknown vm", "GET", "/v1/vms/nope", "", 404, 0},
+		{"finish unknown vm", "POST", "/v1/vms/nope/finish", "", 404, 0},
+		{"method not allowed on ingest", "GET", "/v1/ingest", "", 405, 0},
+		{"method not allowed on vms", "POST", "/v1/vms", "", 405, 0},
+		{"method not allowed on finish", "GET", "/v1/vms/x/finish", "", 405, 0},
+		{"vms list", "GET", "/v1/vms", "", 200, 0},
+		{"classes", "GET", "/v1/classes", "", 200, 0},
+		{"healthz", "GET", "/healthz", "", 200, 0},
+		{"metricsz", "GET", "/metricsz", "", 200, 0},
 	}
 	for _, tc := range tests {
 		t.Run(tc.name, func(t *testing.T) {
+			before := s.counters.ingestErrors.Load()
 			req := httptest.NewRequest(tc.method, tc.path, strings.NewReader(tc.body))
 			w := httptest.NewRecorder()
 			h.ServeHTTP(w, req)
 			if w.Code != tc.want {
 				t.Errorf("%s %s = %d, want %d (body %s)", tc.method, tc.path, w.Code, tc.want, w.Body.String())
+			}
+			if d := s.counters.ingestErrors.Load() - before; d != tc.errs {
+				t.Errorf("%s %s moved ingest errors by %d, want %d", tc.method, tc.path, d, tc.errs)
 			}
 		})
 	}
