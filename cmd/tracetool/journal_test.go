@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"encoding/json"
 	"os"
 	"path/filepath"
 	"strings"
@@ -34,7 +35,7 @@ func writeTestJournal(t *testing.T) string {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := wal.SaveCheckpoint(dir, pos, time.Unix(1700000000, 0), "", []byte(`{"sessions":[]}`)); err != nil {
+	if _, err := wal.SaveCheckpoint(dir, pos, time.Unix(1700000000, 0), "", json.RawMessage(`{"sessions":[]}`)); err != nil {
 		t.Fatal(err)
 	}
 	if err := j.Close(); err != nil {

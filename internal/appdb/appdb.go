@@ -243,7 +243,10 @@ func matchFilter(f Filter, r *Record) bool {
 
 // Fingerprints returns the fingerprint dictionary: each application's
 // most recent fingerprinted run. This is the corpus BestMatch compares
-// a finalizing session against.
+// a finalizing session against. The map is the caller's, but the
+// fingerprints in it are shared with the engine (its stored records,
+// or the segmented store's decoded dictionary): callers must not
+// modify them.
 func (db *DB) Fingerprints() map[string]phase.Fingerprint {
 	if db.store != nil {
 		fps, err := db.store.Fingerprints()

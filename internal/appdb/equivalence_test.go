@@ -3,6 +3,7 @@ package appdb
 import (
 	"bytes"
 	"fmt"
+	"math/rand"
 	"path/filepath"
 	"reflect"
 	"sort"
@@ -233,5 +234,58 @@ func TestOpenMigratesLegacyFile(t *testing.T) {
 	}
 	if _, ok := db.StoreStats(); !ok {
 		t.Error("StoreStats not available on store-backed DB")
+	}
+}
+
+// TestFingerprintsMatchMemoryEngineUnderChurn feeds the in-memory
+// engine and the segmented store the same seeded appends, prunes,
+// compactions and reopens: after every step the store's cached
+// fingerprint dictionary must equal the memory engine's.
+func TestFingerprintsMatchMemoryEngineUnderChurn(t *testing.T) {
+	dir := filepath.Join(t.TempDir(), "store")
+	opt := appstore.Options{SegmentBytes: 2048, NoFsync: true}
+	mem := New()
+	st, err := Open(dir, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() { st.Close() }()
+	rng := rand.New(rand.NewSource(5))
+	for step := 0; step < 400; step++ {
+		switch p := rng.Intn(100); {
+		case p < 85:
+			r := traceRecords()[0]
+			r.App = fmt.Sprintf("vm-%d", rng.Intn(20))
+			r.MatchedApp, r.MatchScore = "", 0
+			if rng.Intn(2) == 0 {
+				r.Fingerprint = &phase.Fingerprint{Phases: []phase.PhaseSig{
+					{Class: appclass.CPU, DurFrac: 1, Centroid: []float64{float64(step), rng.Float64()}},
+				}}
+			}
+			for _, db := range []*DB{mem, st} {
+				if err := db.Put(r); err != nil {
+					t.Fatal(err)
+				}
+			}
+		case p < 93:
+			keep := 1 + rng.Intn(3)
+			if got, want := st.Prune(keep), mem.Prune(keep); got != want {
+				t.Fatalf("step %d: Prune(%d) dropped %d from the store, %d from memory", step, keep, got, want)
+			}
+		case p < 97:
+			if err := st.Store().Compact(); err != nil {
+				t.Fatal(err)
+			}
+		default:
+			if err := st.Close(); err != nil {
+				t.Fatal(err)
+			}
+			if st, err = Open(dir, opt); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if got, want := st.Fingerprints(), mem.Fingerprints(); !reflect.DeepEqual(got, want) {
+			t.Fatalf("step %d: store dictionary differs from the memory engine's:\nstore %v\nmem   %v", step, got, want)
+		}
 	}
 }

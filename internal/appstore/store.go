@@ -8,6 +8,7 @@ import (
 	"sort"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/appclass"
@@ -78,6 +79,9 @@ type Stats struct {
 	// finalize hot-path latency the JSON store paid O(n) for.
 	AppendLastNanos  int64
 	AppendTotalNanos int64
+	// RecordReads counts record bodies preaded and decoded since open.
+	// Open reads none: the index is rebuilt from meta headers alone.
+	RecordReads int64
 	// The scrub counts; the store loses only live records to damage.
 	seglog.ScrubStats
 }
@@ -126,6 +130,21 @@ type Store struct {
 	// scrubNext is the scrub cursor: the next closed segment Scrub
 	// examines, so successive low-rate passes cycle the store.
 	scrubNext uint64
+	// fps is the decoded fingerprint dictionary, one entry per
+	// application tagged with the seq of the record it was decoded
+	// from. Fingerprints replaces it under fpMu, taken inside the read
+	// lock.
+	fpMu sync.Mutex
+	fps  map[string]fpEntry
+	// recordReads backs Stats.RecordReads. Readers share the read lock,
+	// so it cannot live in stats.
+	recordReads atomic.Int64
+}
+
+// fpEntry is one decoded fingerprint-dictionary entry.
+type fpEntry struct {
+	seq uint64
+	fp  phase.Fingerprint
 }
 
 // Open opens (or creates) a store at dir. If dir is an existing regular
@@ -515,6 +534,7 @@ func (s *Store) Stats() Stats {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	st := s.stats
+	st.RecordReads = s.recordReads.Load()
 	st.Segments = len(s.segs)
 	for _, info := range s.segs {
 		st.Bytes += info.size
@@ -529,6 +549,7 @@ func (s *Store) Stats() Stats {
 // readers share the segment's cached handle — ReadAt carries its own
 // offset, so no further locking is needed here.
 func (s *Store) readEntry(e *entry) (Record, error) {
+	s.recordReads.Add(1)
 	buf, err := s.readFrame(e, nil)
 	if err != nil {
 		return Record{}, err
@@ -763,16 +784,27 @@ func (s *Store) TotalExecution() time.Duration {
 }
 
 // Fingerprints returns the fingerprint dictionary — each application's
-// most recent fingerprinted live record. Only those records' bodies are
-// read, so the finalize-path dictionary lookup is O(apps), not
-// O(records). An unreadable dictionary entry drops its application from
-// the map; the partial dictionary is returned alongside an error naming
-// the loss, so the caller can log that matching degraded rather than
-// silently losing applications.
+// most recent fingerprinted live record. The index names each
+// application's entry; a body is decoded only when that record's seq
+// differs from the seq of the entry decoded by an earlier call (a newer
+// run was appended, or the old entry was pruned or lost to damage and
+// an older record stands in). So the first call after open reads one
+// body per application, and a call after one fingerprinted append
+// reads one. Prune, retention, compaction and scrub need no hook:
+// compaction keeps seqs, and a removed entry is simply no longer the
+// one the index names. The returned fingerprints share their slices
+// with that cache; callers must not modify them. An unreadable
+// dictionary entry drops its application from the map (the next call
+// tries it again); the partial dictionary is returned alongside an
+// error naming the loss, so the caller can log that matching degraded
+// rather than silently losing applications.
 func (s *Store) Fingerprints() (map[string]phase.Fingerprint, error) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	out := make(map[string]phase.Fingerprint)
+	s.fpMu.Lock()
+	defer s.fpMu.Unlock()
+	cache := make(map[string]fpEntry, len(s.fps))
+	out := make(map[string]phase.Fingerprint, len(s.fps))
 	var firstErr error
 	failed := 0
 	for app, idxs := range s.byApp {
@@ -781,20 +813,27 @@ func (s *Store) Fingerprints() (map[string]phase.Fingerprint, error) {
 			if e.dead || !e.hasFP {
 				continue
 			}
-			r, err := s.readEntry(e)
-			if err != nil {
-				if firstErr == nil {
-					firstErr = err
+			c, ok := s.fps[app]
+			if !ok || c.seq != e.seq {
+				r, err := s.readEntry(e)
+				if err != nil {
+					if firstErr == nil {
+						firstErr = err
+					}
+					failed++
+					break
 				}
-				failed++
-				break
+				if r.Fingerprint == nil || r.Fingerprint.Empty() {
+					break
+				}
+				c = fpEntry{seq: e.seq, fp: *r.Fingerprint}
 			}
-			if r.Fingerprint != nil && !r.Fingerprint.Empty() {
-				out[app] = *r.Fingerprint
-			}
+			cache[app] = c
+			out[app] = c.fp
 			break
 		}
 	}
+	s.fps = cache
 	if firstErr != nil {
 		return out, fmt.Errorf("appstore: %d unreadable fingerprint dictionary entr(ies): %w", failed, firstErr)
 	}

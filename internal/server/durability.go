@@ -56,12 +56,7 @@ func (s *Server) Checkpoint() error {
 
 	// ExportState deep-copies, so encoding and the disk write happen
 	// outside the quiesce.
-	doc, err := json.Marshal(payload)
-	if err != nil {
-		s.counters.checkpointErrors.Add(1)
-		return fmt.Errorf("server: encode checkpoint: %w", err)
-	}
-	seq, err := wal.SaveCheckpoint(j.Dir(), pos, s.now(), modelHash, doc)
+	seq, err := wal.SaveCheckpoint(j.Dir(), pos, s.now(), modelHash, payload)
 	if err != nil {
 		s.counters.checkpointErrors.Add(1)
 		return fmt.Errorf("server: checkpoint: %w", err)
@@ -264,7 +259,7 @@ func (s *Server) Recover() (RecoveryStats, error) {
 				// classified anything. Nothing to finalize again.
 				return nil
 			}
-			if s.finalize(sess, false) {
+			if _, ok := s.finalize(sess, false); ok {
 				rs.Finalized++
 			}
 		}

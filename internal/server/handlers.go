@@ -453,7 +453,8 @@ func (s *Server) handleFinish(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusNotFound, "no live session for vm %q", vm)
 		return
 	}
-	if !s.finalize(sess, true) {
+	rec, ok := s.finalize(sess, true)
+	if !ok {
 		if _, live := s.reg.get(vm); live {
 			// The finalize marker could not be journaled; the session was
 			// deliberately kept live so no state outruns the journal.
@@ -465,18 +466,21 @@ func (s *Server) handleFinish(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	s.counters.finishes.Add(1)
-	rec, err := s.cfg.DB.Latest(vm)
-	if err != nil {
-		writeError(w, http.StatusInternalServerError, "finalized %s but no record: %v", vm, err)
+	if rec == nil {
+		// Never answer with an older run's record in its place.
+		writeError(w, http.StatusInternalServerError, "finalized %s but no record was stored", vm)
 		return
 	}
+	// Summarize counts the application's runs from the index alone. It
+	// fails only when none is live any more, which reports 0.
+	sum, _ := s.cfg.DB.Summarize(vm)
 	writeJSON(w, http.StatusOK, finishResponse{
 		VM:             vm,
 		Class:          string(rec.Class),
 		Composition:    rec.Composition,
 		ExecutionSecs:  rec.ExecutionTime.Seconds(),
 		Samples:        rec.Samples,
-		HistoricalRuns: len(s.cfg.DB.Runs(vm)),
+		HistoricalRuns: sum.Runs,
 		Verdict:        string(rec.Verdict),
 		Phases:         len(rec.Phases),
 		MatchedApp:     rec.MatchedApp,

@@ -267,6 +267,7 @@ func (s *Server) collect(emit func(name, help, typ string, v float64, labels ...
 		counter("appclassd_appdb_dropped_records_total", "Records physically removed by compaction since open.", st.DroppedRecords)
 		counter("appclassd_appdb_corrupt_frames_total", "Corrupt application-database frames skipped at open.", st.CorruptFrames)
 		gauge("appclassd_appdb_append_last_seconds", "Duration of the store's most recent record append.", float64(st.AppendLastNanos)/1e9)
+		counter("appclassd_appdb_record_reads_total", "Application-database record bodies read and decoded since open.", st.RecordReads)
 		counter("appclassd_appdb_scrub_scans_total", "Closed application-database segments examined by the scrubber since open.", st.ScrubScans)
 		counter("appclassd_appdb_scrub_repaired_segments_total", "Application-database segments rewritten by the scrubber to drop damaged frames.", st.ScrubRepairedSegments)
 		counter("appclassd_appdb_scrub_lost_records_total", "Live application-database records inside damaged frames the scrubber could not save.", st.ScrubLostRecords)

@@ -472,7 +472,7 @@ func (s *Server) EvictIdle() int {
 		if !idle {
 			continue
 		}
-		if s.finalize(sess, true) {
+		if _, ok := s.finalize(sess, true); ok {
 			evicted++
 			s.counters.evictions.Add(1)
 		}
@@ -481,8 +481,10 @@ func (s *Server) EvictIdle() int {
 }
 
 // finalize removes sess from the registry and writes its record to the
-// application database. It returns false if another finalizer won the
-// race, or if the finalize marker could not be journaled. journal
+// application database. ok is false if another finalizer won the race,
+// or if the finalize marker could not be journaled. On success rec is
+// the record stored, nil when nothing was (the session classified
+// nothing, or the database refused the record). journal
 // controls whether a finalize marker is appended to the write-ahead
 // journal: live finalizations journal so crash recovery re-finalizes
 // the session instead of resurrecting it; the replay path passes false
@@ -492,7 +494,7 @@ func (s *Server) EvictIdle() int {
 // so a crash anywhere in this sequence replays into a state no newer
 // than the journal. A finalize whose marker cannot be journaled does
 // not proceed: the session stays live and the janitor retries later.
-func (s *Server) finalize(sess *session, journal bool) bool {
+func (s *Server) finalize(sess *session, journal bool) (rec *appdb.Record, ok bool) {
 	journal = journal && s.cfg.Journal != nil
 	if journal && s.degraded.mode.Load() {
 		// Degraded durability: finalize memory-only, like ingest. The next
@@ -509,7 +511,7 @@ func (s *Server) finalize(sess *session, journal bool) bool {
 	sess.mu.Lock()
 	if sess.finalized {
 		sess.mu.Unlock()
-		return false
+		return nil, false
 	}
 	if journal {
 		if _, err := s.cfg.Journal.AppendFinalize(sess.vm); err != nil {
@@ -517,7 +519,7 @@ func (s *Server) finalize(sess *session, journal bool) bool {
 			if !s.cfg.DegradeOnWALError {
 				sess.mu.Unlock()
 				s.cfg.Logf("server: journal finalize %s: %v (session kept live)", sess.vm, err)
-				return false
+				return nil, false
 			}
 			s.enterDegraded(err)
 		} else {
@@ -542,13 +544,13 @@ func (s *Server) finalize(sess *session, journal bool) bool {
 	if view.Total == 0 {
 		// A session that never classified anything (e.g. its first
 		// Observe failed) has no record worth keeping.
-		return true
+		return nil, true
 	}
 	exec := view.LastAt - view.FirstAt
 	if exec < 0 {
 		exec = 0
 	}
-	rec := appdb.Record{
+	rec = &appdb.Record{
 		App:             sess.vm,
 		Class:           view.Class,
 		Composition:     view.Composition,
@@ -585,16 +587,16 @@ func (s *Server) finalize(sess *session, journal bool) bool {
 	// records and Scan/retention can order by it.
 	rec.FinalizedAt = s.now().UnixNano()
 	putStart := s.now()
-	if err := s.cfg.DB.Put(rec); err != nil {
+	if err := s.cfg.DB.Put(*rec); err != nil {
 		s.counters.finalizeErrors.Add(1)
 		s.cfg.Logf("server: finalize %s: %v", sess.vm, err)
-	} else {
-		elapsed := s.now().Sub(putStart).Nanoseconds()
-		s.counters.finalizeAppendLastNanos.Store(elapsed)
-		s.counters.finalizeAppendNanos.Add(elapsed)
-		s.counters.finalizeAppends.Add(1)
+		return nil, true
 	}
-	return true
+	elapsed := s.now().Sub(putStart).Nanoseconds()
+	s.counters.finalizeAppendLastNanos.Store(elapsed)
+	s.counters.finalizeAppendNanos.Add(elapsed)
+	s.counters.finalizeAppends.Add(1)
+	return rec, true
 }
 
 // FlushAll finalizes every open session, returning how many were
@@ -602,7 +604,7 @@ func (s *Server) finalize(sess *session, journal bool) bool {
 func (s *Server) FlushAll() int {
 	n := 0
 	for _, sess := range s.reg.all() {
-		if s.finalize(sess, true) {
+		if _, ok := s.finalize(sess, true); ok {
 			n++
 			s.counters.flushed.Add(1)
 		}

@@ -8,12 +8,16 @@ import (
 	"math"
 	"net/http"
 	"net/http/httptest"
+	"path/filepath"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
 	"time"
 
 	"repro/internal/appclass"
+	"repro/internal/appdb"
+	"repro/internal/appstore"
 	"repro/internal/classify"
 	"repro/internal/core"
 	"repro/internal/metrics"
@@ -437,6 +441,52 @@ func TestIdleEvictionFinalizesToDB(t *testing.T) {
 	}
 	if s.counters.evictions.Load() != 1 {
 		t.Errorf("evictions counter = %d", s.counters.evictions.Load())
+	}
+}
+
+// TestFinishRepliesWithTheStoredRecord: a finish answers from the
+// record it stored and reads no stored body to do so; a finish whose
+// record was not stored answers 500, never with the application's
+// previous record.
+func TestFinishRepliesWithTheStoredRecord(t *testing.T) {
+	db, err := appdb.Open(filepath.Join(t.TempDir(), "store"), appstore.Options{NoFsync: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { db.Close() })
+	s := newTestServer(t, Config{DB: db})
+	h := s.Handler()
+
+	pushSpan(t, h, "a", profiledTrace(t, "PostMark"), 0, 30)
+	w := postJSON(t, h, "/v1/vms/a/finish", nil)
+	if w.Code != http.StatusOK {
+		t.Fatalf("first finish: %d %s", w.Code, w.Body.String())
+	}
+	var fin finishResponse
+	decodeJSON(t, w, &fin)
+	stored, err := db.Latest("a")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if fin.Samples != 30 || fin.Class != string(stored.Class) || fin.HistoricalRuns != 1 ||
+		fin.ExecutionSecs != stored.ExecutionTime.Seconds() || fin.Verdict != string(stored.Verdict) ||
+		fin.Phases != len(stored.Phases) || !reflect.DeepEqual(fin.Composition, stored.Composition) {
+		t.Fatalf("finish reply %+v does not match the stored record %+v", fin, stored)
+	}
+	if st, _ := db.StoreStats(); st.RecordReads != 1 {
+		t.Fatalf("record bodies read = %d, want 1 (the check above; the finish reads none)", st.RecordReads)
+	}
+
+	pushSpan(t, h, "a", profiledTrace(t, "SPECseis96_C"), 0, 7)
+	if err := db.Close(); err != nil {
+		t.Fatal(err)
+	}
+	w = postJSON(t, h, "/v1/vms/a/finish", nil)
+	if w.Code != http.StatusInternalServerError {
+		t.Fatalf("finish with the store closed: %d %s, want 500", w.Code, w.Body.String())
+	}
+	if n := s.counters.finalizeErrors.Load(); n != 1 {
+		t.Fatalf("finalize errors = %d, want 1", n)
 	}
 }
 

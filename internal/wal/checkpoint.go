@@ -63,8 +63,11 @@ func listCheckpoints(dir string) ([]seglog.Seg, error) {
 // directory fsync), then prunes all but the newest checkpointsToKeep
 // files. modelHash is the hex compatibility hash of the model the
 // payload was serialized under ("" to leave the checkpoint unstamped).
+// payload is the caller's state as a value: it is JSON-encoded in the
+// same pass as the envelope. Bytes already encoded go in as a
+// json.RawMessage; a plain []byte would be encoded as a base64 string.
 // It returns the new checkpoint's sequence.
-func SaveCheckpoint(dir string, pos Position, takenAt time.Time, modelHash string, payload []byte) (uint64, error) {
+func SaveCheckpoint(dir string, pos Position, takenAt time.Time, modelHash string, payload any) (uint64, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return 0, fmt.Errorf("wal: create %s: %w", dir, err)
 	}
@@ -76,13 +79,14 @@ func SaveCheckpoint(dir string, pos Position, takenAt time.Time, modelHash strin
 	if n := len(cps); n > 0 {
 		seq = cps[n-1].Seq + 1
 	}
-	doc, err := json.Marshal(Checkpoint{
-		Seq:           seq,
-		Pos:           pos,
-		TakenAtUnixNS: takenAt.UnixNano(),
-		ModelHash:     modelHash,
-		Payload:       payload,
-	})
+	// The outer Payload shadows Checkpoint.Payload and is its last
+	// field, so the document has Checkpoint's fields in Checkpoint's
+	// order: the bytes a RawMessage of the encoded payload would give,
+	// without compacting those bytes a second time.
+	doc, err := json.Marshal(struct {
+		Checkpoint
+		Payload any `json:"payload"`
+	}{Checkpoint{Seq: seq, Pos: pos, TakenAtUnixNS: takenAt.UnixNano(), ModelHash: modelHash}, payload})
 	if err != nil {
 		return 0, fmt.Errorf("wal: encode checkpoint: %w", err)
 	}

@@ -1,6 +1,7 @@
 package wal
 
 import (
+	"encoding/json"
 	"os"
 	"path/filepath"
 	"testing"
@@ -259,7 +260,7 @@ func TestOpenSeedsRetainFloorFromCheckpoint(t *testing.T) {
 	if err := j.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := SaveCheckpoint(dir, pos, time.Unix(1700000000, 0), "", []byte(`{}`)); err != nil {
+	if _, err := SaveCheckpoint(dir, pos, time.Unix(1700000000, 0), "", json.RawMessage(`{}`)); err != nil {
 		t.Fatal(err)
 	}
 	j2 := openTestJournal(t, Config{Dir: dir, Fsync: FsyncNever, SegmentBytes: 2 << 10, MaxBytes: 1})

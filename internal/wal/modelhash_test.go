@@ -3,6 +3,7 @@ package wal
 import (
 	"encoding/binary"
 	"encoding/hex"
+	"encoding/json"
 	"os"
 	"path/filepath"
 	"testing"
@@ -217,7 +218,7 @@ func TestCheckpointModelHashRoundtrip(t *testing.T) {
 	dir := t.TempDir()
 	at := time.Unix(1700000000, 0)
 	hash := "deadbeef"
-	if _, err := SaveCheckpoint(dir, Position{Seg: 2, Off: 99}, at, hash, []byte(`{"sessions":[]}`)); err != nil {
+	if _, err := SaveCheckpoint(dir, Position{Seg: 2, Off: 99}, at, hash, json.RawMessage(`{"sessions":[]}`)); err != nil {
 		t.Fatalf("SaveCheckpoint: %v", err)
 	}
 	cp, err := LatestCheckpoint(dir)
@@ -228,7 +229,7 @@ func TestCheckpointModelHashRoundtrip(t *testing.T) {
 		t.Fatalf("checkpoint ModelHash = %+v, want %q", cp, hash)
 	}
 	// Empty hash (legacy daemons) is preserved as empty, not invented.
-	if _, err := SaveCheckpoint(dir, Position{Seg: 3}, at.Add(time.Second), "", []byte(`{}`)); err != nil {
+	if _, err := SaveCheckpoint(dir, Position{Seg: 3}, at.Add(time.Second), "", json.RawMessage(`{}`)); err != nil {
 		t.Fatal(err)
 	}
 	cp, err = LatestCheckpoint(dir)

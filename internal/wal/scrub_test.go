@@ -1,6 +1,7 @@
 package wal
 
 import (
+	"encoding/json"
 	"os"
 	"path/filepath"
 	"slices"
@@ -118,7 +119,7 @@ func TestScrubDirRespectsCheckpoint(t *testing.T) {
 	// Checkpoint covering the first four records; damage before its
 	// offset must not be repaired (replay-from-checkpoint would land
 	// mid-record after the shift).
-	if _, err := SaveCheckpoint(dir, Position{Seg: seq, Off: ends[3]}, time.Now(), "", []byte(`{}`)); err != nil {
+	if _, err := SaveCheckpoint(dir, Position{Seg: seq, Off: ends[3]}, time.Now(), "", json.RawMessage(`{}`)); err != nil {
 		t.Fatal(err)
 	}
 	flipPayloadByte(t, segPath, ends, 1)
@@ -132,7 +133,7 @@ func TestScrubDirRespectsCheckpoint(t *testing.T) {
 	// Damage past the checkpoint offset is repairable.
 	dir2, segPath2, ends2 := buildJournal(t, 6)
 	seq2, _ := segFormat.Parse(filepath.Base(segPath2))
-	if _, err := SaveCheckpoint(dir2, Position{Seg: seq2, Off: ends2[1]}, time.Now(), "", []byte(`{}`)); err != nil {
+	if _, err := SaveCheckpoint(dir2, Position{Seg: seq2, Off: ends2[1]}, time.Now(), "", json.RawMessage(`{}`)); err != nil {
 		t.Fatal(err)
 	}
 	flipPayloadByte(t, segPath2, ends2, 4)
