@@ -228,7 +228,8 @@ func BenchmarkTable4ConcurrentVsSequential(b *testing.B) {
 // classification cost: one snapshot through the fused affine kernel
 // (gathered mat-vec) and the integer-label 3-NN vote, with caller-owned
 // scratch — the daemon's steady-state hot path, which must stay at
-// 0 allocs/op (the paper's per-sample figure was ~15 ms on a 750 MHz
+// 0 allocs/op, as classify's TestClassifySnapshotScratchZeroAllocs pins
+// (the paper's per-sample figure was ~15 ms on a 750 MHz
 // Pentium III; see docs/performance.md for the staged-pipeline
 // baseline this replaced).
 func BenchmarkClassificationCostPerSample(b *testing.B) {
@@ -419,7 +420,7 @@ func benchIngestBatch(b *testing.B, journal *wal.Journal, segmented, scrubbed bo
 // change-point segmenter all run on every Observe. Steady state must
 // stay allocation-free — the segmenter's ring reuses its entries, the
 // history cap recycles its backing array, and phase splits amortize to
-// zero — and CI gates on 0 allocs/op.
+// zero — and classify's TestOnlineObserveSegmentedZeroAllocs pins it.
 func BenchmarkObserveWithSegmentation(b *testing.B) {
 	training, tests := loadRuns(b)
 	cl, err := classify.Train(training, classify.Config{})
@@ -476,7 +477,8 @@ func phaseDefaults() phase.Config { return phase.Config{} }
 // in isolation: an 8-snapshot batch encoded (length prefix + CRC32C +
 // binary payload) and written to the active segment. With fsync=never
 // the encode buffer is reused and the path must stay at 0 allocs/op
-// (rotation and retention pruning amortize to zero); CI gates on it.
+// (rotation and retention pruning amortize to zero); wal's
+// TestAppendBatchZeroAllocs pins it.
 func BenchmarkJournalAppend(b *testing.B) {
 	_, tests := loadRuns(b)
 	trace := tests[0].trace

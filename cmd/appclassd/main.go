@@ -62,11 +62,9 @@ type config struct {
 	gmetad string
 	poll   time.Duration
 	ttl    time.Duration
-	shards int
 	seed   int64
 	hosts  string
 	rates  string
-	drift  float64
 	pprof  bool
 
 	dashboard     bool
@@ -75,35 +73,25 @@ type config struct {
 
 	journalDir      string
 	fsync           string
-	fsyncInterval   time.Duration
 	fsyncGroup      bool
 	checkpointEvery time.Duration
-	journalSegBytes int64
 	journalMaxBytes int64
 
-	pollBackoffMax  time.Duration
-	breakerFailures int
-	breakerOpenFor  time.Duration
 	maxInflightB    int64
 	maxInflightReq  int64
 	ingestTimeout   time.Duration
 	degradeOnWALErr bool
 
-	segWindow    int
-	unknownSlack float64
-
-	recoverForce   bool
-	trainReservoir int
-	modelDir       string
-	retrainEvery   time.Duration
-	retrainOut     string
+	recoverForce bool
+	modelDir     string
+	retrainEvery time.Duration
+	retrainOut   string
 
 	shutdownTimeout time.Duration
 	scrubEvery      time.Duration
 	storeMaintEvery time.Duration
 
-	probationWindow   time.Duration
-	probationMinSnaps int64
+	probationWindow time.Duration
 }
 
 // flagDeps lists the flags that do nothing unless another flag enables
@@ -114,53 +102,41 @@ var flagDeps = []struct {
 	deps    []string
 }{
 	{"-db", func(c config) bool { return c.dbPath != "" },
-		[]string{"appdb-max-bytes", "appdb-retain"}},
+		[]string{"appdb-max-bytes", "appdb-retain", "store-maint-every"}},
+	{"-hosts", func(c config) bool { return c.hosts != "" },
+		[]string{"rates"}},
 	{"-journal-dir", func(c config) bool { return c.journalDir != "" },
-		[]string{"checkpoint-every", "degraded-on-wal-error", "fsync", "fsync-group-commit", "fsync-interval", "journal-max-bytes", "journal-segment-bytes", "recover-force"}},
+		[]string{"checkpoint-every", "degraded-on-wal-error", "fsync", "fsync-group-commit", "journal-max-bytes", "recover-force"}},
 	{"-retrain-every", func(c config) bool { return c.retrainEvery > 0 },
 		[]string{"retrain-out"}},
-	{"-gmetad", func(c config) bool { return c.gmetad != "" },
-		[]string{"breaker-failures", "breaker-open-for", "poll-backoff-max"}},
-	{"-probation-window", func(c config) bool { return c.probationWindow > 0 },
-		[]string{"probation-min-snapshots"}},
 }
 
-func parseFlags(args []string) (config, error) {
+// newFlagSet defines every appclassd flag, each bound to its cfg field.
+func newFlagSet(cfg *config) *flag.FlagSet {
 	fs := flag.NewFlagSet("appclassd", flag.ContinueOnError)
-	var cfg config
 	fs.StringVar(&cfg.addr, "addr", ":8080", "listen address")
 	fs.StringVar(&cfg.model, "model", "", "load a trained classifier from this JSON file instead of training")
 	fs.StringVar(&cfg.dbPath, "db", "", "application database store directory (a legacy JSON database file at the path is converted in place)")
 	fs.StringVar(&cfg.gmetad, "gmetad", "", "poll this gmetad URL for cluster state (pull mode)")
 	fs.DurationVar(&cfg.poll, "poll", 5*time.Second, "gmetad poll interval")
 	fs.DurationVar(&cfg.ttl, "ttl", 5*time.Minute, "idle session TTL before eviction to the database")
-	fs.IntVar(&cfg.shards, "shards", 0, "session registry shard count (default 16)")
 	fs.Int64Var(&cfg.seed, "seed", 1, "simulation seed when training (no -model)")
 	fs.StringVar(&cfg.hosts, "hosts", "", "placement host inventory as name:slots[,name:slots...] (enables /v1/placements)")
 	fs.StringVar(&cfg.rates, "rates", "", "cost-model rates as cpu,mem,io,net,idle (default 1,1,1,1,0)")
-	fs.Float64Var(&cfg.drift, "drift", 0, "migration-advisor drift threshold in [0,1] (default 0.25)")
 	fs.BoolVar(&cfg.pprof, "pprof", false, "expose net/http/pprof profiling under /debug/pprof/")
 	fs.BoolVar(&cfg.dashboard, "dashboard", false, "serve the embedded control-plane dashboard at /dashboard/")
 	fs.Int64Var(&cfg.appdbMaxBytes, "appdb-max-bytes", 0, "cap the application-database store at this total segment size, pruning the oldest runs (default unlimited)")
 	fs.DurationVar(&cfg.appdbRetain, "appdb-retain", 0, "drop application-database runs finalized longer ago than this (default keep forever)")
 	fs.StringVar(&cfg.journalDir, "journal-dir", "", "write-ahead journal directory (enables durable ingest and crash recovery)")
-	fs.StringVar(&cfg.fsync, "fsync", "interval", "journal fsync policy: always, interval, or never")
-	fs.DurationVar(&cfg.fsyncInterval, "fsync-interval", time.Second, "fsync cadence for -fsync interval")
+	fs.StringVar(&cfg.fsync, "fsync", "interval", "journal fsync policy: always, interval (every second), or never")
 	fs.BoolVar(&cfg.fsyncGroup, "fsync-group-commit", false, "coalesce concurrent -fsync always appends behind shared fsyncs (group commit)")
 	fs.DurationVar(&cfg.checkpointEvery, "checkpoint-every", 30*time.Second, "session checkpoint cadence")
-	fs.Int64Var(&cfg.journalSegBytes, "journal-segment-bytes", 0, "rotate journal segments at this size (default 8 MiB)")
 	fs.Int64Var(&cfg.journalMaxBytes, "journal-max-bytes", 0, "cap closed journal segments at this total size, dropping the oldest (default unlimited)")
-	fs.DurationVar(&cfg.pollBackoffMax, "poll-backoff-max", 0, "cap exponential poll backoff after consecutive gmetad failures (default 1m)")
-	fs.IntVar(&cfg.breakerFailures, "breaker-failures", 0, "consecutive gmetad failures that open the poll circuit breaker (default 5)")
-	fs.DurationVar(&cfg.breakerOpenFor, "breaker-open-for", 0, "how long an open poll breaker skips gmetad before a half-open probe (default 30s)")
 	fs.Int64Var(&cfg.maxInflightB, "max-inflight-bytes", 0, "shed ingest once this many request-body bytes are in flight (default 64 MiB, negative disables)")
 	fs.Int64Var(&cfg.maxInflightReq, "max-inflight-requests", 0, "shed ingest once this many requests are in flight (default 256, negative disables)")
 	fs.DurationVar(&cfg.ingestTimeout, "ingest-timeout", 0, "abandon an ingest request that cannot finish within this deadline (default none)")
 	fs.BoolVar(&cfg.degradeOnWALErr, "degraded-on-wal-error", false, "on persistent journal errors, continue ingest memory-only (degraded durability) instead of rejecting batches")
-	fs.IntVar(&cfg.segWindow, "seg-window", 0, "phase segmentation half-window in snapshots (default 8, negative disables segmentation)")
-	fs.Float64Var(&cfg.unknownSlack, "unknown-slack", 0, "open-set threshold slack over training self-distances (default 3.0, negative disables UNKNOWN verdicts)")
 	fs.BoolVar(&cfg.recoverForce, "recover-force", false, "recover past a checkpoint/journal model-hash mismatch by discarding the mismatching checkpoint and replaying the journal tail only")
-	fs.IntVar(&cfg.trainReservoir, "train-reservoir", 0, "per-session reservoir of raw sample rows retained for online retraining (default 256, negative disables sampling)")
 	fs.StringVar(&cfg.modelDir, "model-dir", "", "confine POST /v1/models artifact paths to this directory (default: paths taken as given)")
 	fs.DurationVar(&cfg.retrainEvery, "retrain-every", 0, "refit a candidate model from labeled appdb sessions at this cadence and shadow-evaluate it (default off)")
 	fs.StringVar(&cfg.retrainOut, "retrain-out", "", "persist each retrained model artifact to this path (atomic rename)")
@@ -168,15 +144,17 @@ func parseFlags(args []string) (config, error) {
 	fs.DurationVar(&cfg.scrubEvery, "scrub-every", 0, "verify one sealed journal segment and one closed appdb segment for latent corruption at this cadence, repairing damage (default off)")
 	fs.DurationVar(&cfg.storeMaintEvery, "store-maint-every", 0, "compact the application-database store at this cadence (default off)")
 	fs.DurationVar(&cfg.probationWindow, "probation-window", 0, "keep a freshly promoted model on probation this long, the displaced model shadow-guarding it; breaches auto-roll back (default off)")
-	fs.Int64Var(&cfg.probationMinSnaps, "probation-min-snapshots", 0, "snapshots the guard must see before the unknown-rate test can breach (default 50)")
+	return fs
+}
+
+func parseFlags(args []string) (config, error) {
+	var cfg config
+	fs := newFlagSet(&cfg)
 	if err := fs.Parse(args); err != nil {
 		return config{}, err
 	}
 	if fs.NArg() > 0 {
 		return config{}, fmt.Errorf("unexpected arguments: %v", fs.Args())
-	}
-	if cfg.hosts == "" && cfg.rates != "" {
-		return config{}, fmt.Errorf("-rates requires -hosts")
 	}
 	for _, d := range flagDeps {
 		if d.on(cfg) {
@@ -201,9 +179,6 @@ func parseFlags(args []string) (config, error) {
 	if cfg.fsyncGroup && cfg.fsync != "always" {
 		return config{}, fmt.Errorf("-fsync-group-commit requires -fsync always, got -fsync %s", cfg.fsync)
 	}
-	if cfg.retrainEvery > 0 && cfg.trainReservoir < 0 {
-		return config{}, fmt.Errorf("-retrain-every needs sampling; do not disable -train-reservoir")
-	}
 	if cfg.shutdownTimeout <= 0 {
 		return config{}, fmt.Errorf("-shutdown-timeout must be positive, got %v", cfg.shutdownTimeout)
 	}
@@ -212,12 +187,6 @@ func parseFlags(args []string) (config, error) {
 	}
 	if cfg.scrubEvery > 0 && cfg.journalDir == "" && cfg.dbPath == "" {
 		return config{}, fmt.Errorf("-scrub-every needs something to scrub: set -journal-dir and/or -db")
-	}
-	if cfg.storeMaintEvery > 0 && cfg.dbPath == "" {
-		return config{}, fmt.Errorf("-store-maint-every requires -db")
-	}
-	if cfg.probationMinSnaps < 0 {
-		return config{}, fmt.Errorf("-probation-min-snapshots must be non-negative")
 	}
 	return cfg, nil
 }
@@ -319,10 +288,9 @@ func run(ctx context.Context, cfg config, ready chan<- string) error {
 			}
 		}
 		placer, err = placement.New(placement.Config{
-			Hosts:          hosts,
-			Rates:          rates,
-			History:        db,
-			DriftThreshold: cfg.drift,
+			Hosts:   hosts,
+			Rates:   rates,
+			History: db,
 		})
 		if err != nil {
 			return err
@@ -337,13 +305,11 @@ func run(ctx context.Context, cfg config, ready chan<- string) error {
 			return err
 		}
 		journal, err = wal.Open(wal.Config{
-			Dir:          cfg.journalDir,
-			SegmentBytes: cfg.journalSegBytes,
-			MaxBytes:     cfg.journalMaxBytes,
-			Fsync:        policy,
-			FsyncEvery:   cfg.fsyncInterval,
-			GroupCommit:  cfg.fsyncGroup,
-			Logf:         log.Printf,
+			Dir:         cfg.journalDir,
+			MaxBytes:    cfg.journalMaxBytes,
+			Fsync:       policy,
+			GroupCommit: cfg.fsyncGroup,
+			Logf:        log.Printf,
 		})
 		if err != nil {
 			return err
@@ -357,32 +323,27 @@ func run(ctx context.Context, cfg config, ready chan<- string) error {
 	}
 
 	srv, err := server.New(server.Config{
-		Classifier:            cl,
-		Schema:                metrics.DefaultSchema(),
-		DB:                    db,
-		IdleTTL:               cfg.ttl,
-		Shards:                cfg.shards,
-		Placement:             placer,
-		Dashboard:             cfg.dashboard,
-		EnablePprof:           cfg.pprof,
-		Journal:               journal,
-		CheckpointEvery:       cfg.checkpointEvery,
-		MaxInflightBytes:      cfg.maxInflightB,
-		MaxInflightRequests:   cfg.maxInflightReq,
-		IngestTimeout:         cfg.ingestTimeout,
-		DegradeOnWALError:     cfg.degradeOnWALErr,
-		SegmentWindow:         cfg.segWindow,
-		UnknownSlack:          cfg.unknownSlack,
-		RecoverForce:          cfg.recoverForce,
-		TrainReservoir:        cfg.trainReservoir,
-		ModelDir:              cfg.modelDir,
-		RetrainEvery:          cfg.retrainEvery,
-		RetrainOut:            cfg.retrainOut,
-		ScrubEvery:            cfg.scrubEvery,
-		StoreMaintEvery:       cfg.storeMaintEvery,
-		ProbationWindow:       cfg.probationWindow,
-		ProbationMinSnapshots: cfg.probationMinSnaps,
-		Logf:                  log.Printf,
+		Classifier:          cl,
+		Schema:              metrics.DefaultSchema(),
+		DB:                  db,
+		IdleTTL:             cfg.ttl,
+		Placement:           placer,
+		Dashboard:           cfg.dashboard,
+		EnablePprof:         cfg.pprof,
+		Journal:             journal,
+		CheckpointEvery:     cfg.checkpointEvery,
+		MaxInflightBytes:    cfg.maxInflightB,
+		MaxInflightRequests: cfg.maxInflightReq,
+		IngestTimeout:       cfg.ingestTimeout,
+		DegradeOnWALError:   cfg.degradeOnWALErr,
+		RecoverForce:        cfg.recoverForce,
+		ModelDir:            cfg.modelDir,
+		RetrainEvery:        cfg.retrainEvery,
+		RetrainOut:          cfg.retrainOut,
+		ScrubEvery:          cfg.scrubEvery,
+		StoreMaintEvery:     cfg.storeMaintEvery,
+		ProbationWindow:     cfg.probationWindow,
+		Logf:                log.Printf,
 	})
 	if err != nil {
 		return err
@@ -425,13 +386,7 @@ func run(ctx context.Context, cfg config, ready chan<- string) error {
 		log.Printf("appclassd: promoted models serve a %v probation under their displaced predecessor", cfg.probationWindow)
 	}
 	if cfg.gmetad != "" {
-		if err := srv.StartPoller(server.PollConfig{
-			URL:             cfg.gmetad,
-			Interval:        cfg.poll,
-			BackoffMax:      cfg.pollBackoffMax,
-			BreakerFailures: cfg.breakerFailures,
-			BreakerOpenFor:  cfg.breakerOpenFor,
-		}); err != nil {
+		if err := srv.StartPoller(server.PollConfig{URL: cfg.gmetad, Interval: cfg.poll}); err != nil {
 			ln.Close()
 			return err
 		}

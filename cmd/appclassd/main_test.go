@@ -4,10 +4,12 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"flag"
 	"net"
 	"net/http"
 	"os"
 	"path/filepath"
+	"regexp"
 	"strings"
 	"sync"
 	"testing"
@@ -32,11 +34,11 @@ func TestParseFlags(t *testing.T) {
 	if cfg.addr != ":8080" || cfg.ttl != 5*time.Minute || cfg.poll != 5*time.Second || cfg.seed != 1 {
 		t.Errorf("defaults = %+v", cfg)
 	}
-	cfg, err = parseFlags([]string{"-addr", "127.0.0.1:0", "-ttl", "30s", "-shards", "4", "-gmetad", "http://x/", "-db", "a.json"})
+	cfg, err = parseFlags([]string{"-addr", "127.0.0.1:0", "-ttl", "30s", "-gmetad", "http://x/", "-db", "a.json"})
 	if err != nil {
 		t.Fatalf("parse: %v", err)
 	}
-	if cfg.addr != "127.0.0.1:0" || cfg.ttl != 30*time.Second || cfg.shards != 4 || cfg.gmetad != "http://x/" || cfg.dbPath != "a.json" {
+	if cfg.addr != "127.0.0.1:0" || cfg.ttl != 30*time.Second || cfg.gmetad != "http://x/" || cfg.dbPath != "a.json" {
 		t.Errorf("parsed = %+v", cfg)
 	}
 	if _, err := parseFlags([]string{"-no-such-flag"}); err == nil {
@@ -347,11 +349,11 @@ func TestRunFailsOnBusyPort(t *testing.T) {
 }
 
 func TestParsePlacementFlags(t *testing.T) {
-	cfg, err := parseFlags([]string{"-hosts", "a:2,b:4", "-rates", "10,8,6,4,1", "-drift", "0.4"})
+	cfg, err := parseFlags([]string{"-hosts", "a:2,b:4", "-rates", "10,8,6,4,1"})
 	if err != nil {
 		t.Fatalf("parse: %v", err)
 	}
-	if cfg.hosts != "a:2,b:4" || cfg.rates != "10,8,6,4,1" || cfg.drift != 0.4 {
+	if cfg.hosts != "a:2,b:4" || cfg.rates != "10,8,6,4,1" {
 		t.Errorf("parsed = %+v", cfg)
 	}
 	if _, err := parseFlags([]string{"-rates", "1,1,1,1,0"}); err == nil {
@@ -467,14 +469,14 @@ func TestRunWithPlacement(t *testing.T) {
 
 func TestParseJournalFlags(t *testing.T) {
 	cfg, err := parseFlags([]string{
-		"-journal-dir", "/tmp/j", "-fsync", "always", "-fsync-interval", "2s",
-		"-checkpoint-every", "10s", "-journal-segment-bytes", "1024", "-journal-max-bytes", "4096",
+		"-journal-dir", "/tmp/j", "-fsync", "always",
+		"-checkpoint-every", "10s", "-journal-max-bytes", "4096",
 	})
 	if err != nil {
 		t.Fatalf("parse: %v", err)
 	}
-	if cfg.journalDir != "/tmp/j" || cfg.fsync != "always" || cfg.fsyncInterval != 2*time.Second ||
-		cfg.checkpointEvery != 10*time.Second || cfg.journalSegBytes != 1024 || cfg.journalMaxBytes != 4096 {
+	if cfg.journalDir != "/tmp/j" || cfg.fsync != "always" ||
+		cfg.checkpointEvery != 10*time.Second || cfg.journalMaxBytes != 4096 {
 		t.Errorf("parsed = %+v", cfg)
 	}
 	if _, err := parseFlags([]string{"-journal-dir", "/tmp/j", "-fsync", "sometimes"}); err == nil {
@@ -521,19 +523,15 @@ func TestParseFlagDependencies(t *testing.T) {
 	}{
 		{[]string{"-appdb-max-bytes", "1"}, []string{"-db", "appdb"}},
 		{[]string{"-appdb-retain", "1h"}, []string{"-db", "appdb"}},
+		{[]string{"-store-maint-every", "1m"}, []string{"-db", "appdb"}},
+		{[]string{"-rates", "1,1,1,1,0"}, []string{"-hosts", "a:1"}},
 		{[]string{"-checkpoint-every", "1s"}, []string{"-journal-dir", "j"}},
 		{[]string{"-degraded-on-wal-error"}, []string{"-journal-dir", "j"}},
 		{[]string{"-fsync", "never"}, []string{"-journal-dir", "j"}},
 		{[]string{"-fsync-group-commit", "-fsync", "always"}, []string{"-journal-dir", "j"}},
-		{[]string{"-fsync-interval", "1s"}, []string{"-journal-dir", "j"}},
 		{[]string{"-journal-max-bytes", "1"}, []string{"-journal-dir", "j"}},
-		{[]string{"-journal-segment-bytes", "1"}, []string{"-journal-dir", "j"}},
 		{[]string{"-recover-force"}, []string{"-journal-dir", "j"}},
 		{[]string{"-retrain-out", "m.json"}, []string{"-retrain-every", "1m"}},
-		{[]string{"-breaker-failures", "1"}, []string{"-gmetad", "http://gm/"}},
-		{[]string{"-breaker-open-for", "1s"}, []string{"-gmetad", "http://gm/"}},
-		{[]string{"-poll-backoff-max", "1s"}, []string{"-gmetad", "http://gm/"}},
-		{[]string{"-probation-min-snapshots", "1"}, []string{"-probation-window", "1m"}},
 	} {
 		_, err := parseFlags(tc.args)
 		if err == nil || !strings.Contains(err.Error(), tc.args[0]) || !strings.HasSuffix(err.Error(), "require(s) "+tc.enabler[0]) {
@@ -542,6 +540,28 @@ func TestParseFlagDependencies(t *testing.T) {
 		if _, err := parseFlags(append(tc.args, tc.enabler...)); err != nil {
 			t.Errorf("%v %v: %v", tc.args, tc.enabler, err)
 		}
+	}
+}
+
+// TestREADMEFlagTables: every flag appclassd defines has exactly one
+// row in the README's flag tables, and every row names a defined flag.
+func TestREADMEFlagTables(t *testing.T) {
+	readme, err := os.ReadFile("../../README.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	rows := map[string]int{}
+	for _, m := range regexp.MustCompile("(?m)^\\| `-([^`]+)` \\|").FindAllSubmatch(readme, -1) {
+		rows[string(m[1])]++
+	}
+	newFlagSet(new(config)).VisitAll(func(f *flag.Flag) {
+		if n := rows[f.Name]; n != 1 {
+			t.Errorf("-%s has %d README row(s), want 1", f.Name, n)
+		}
+		delete(rows, f.Name)
+	})
+	for name := range rows {
+		t.Errorf("README row for -%s, which appclassd does not define", name)
 	}
 }
 
@@ -602,8 +622,7 @@ func TestRunDefaultModelHash(t *testing.T) {
 
 func TestParseResilienceFlags(t *testing.T) {
 	cfg, err := parseFlags([]string{
-		"-gmetad", "http://gm:8651/", "-poll-backoff-max", "2m",
-		"-breaker-failures", "3", "-breaker-open-for", "45s",
+		"-gmetad", "http://gm:8651/",
 		"-max-inflight-bytes", "1048576", "-max-inflight-requests", "32",
 		"-ingest-timeout", "2s",
 		"-journal-dir", "/tmp/j", "-degraded-on-wal-error",
@@ -611,23 +630,11 @@ func TestParseResilienceFlags(t *testing.T) {
 	if err != nil {
 		t.Fatalf("parse: %v", err)
 	}
-	if cfg.pollBackoffMax != 2*time.Minute || cfg.breakerFailures != 3 || cfg.breakerOpenFor != 45*time.Second {
-		t.Errorf("poll resilience flags = %+v", cfg)
-	}
 	if cfg.maxInflightB != 1<<20 || cfg.maxInflightReq != 32 || cfg.ingestTimeout != 2*time.Second {
 		t.Errorf("admission flags = %+v", cfg)
 	}
 	if !cfg.degradeOnWALErr {
 		t.Error("degraded-on-wal-error not parsed")
-	}
-	for _, args := range [][]string{
-		{"-poll-backoff-max", "2m"},
-		{"-breaker-failures", "3"},
-		{"-breaker-open-for", "45s"},
-	} {
-		if _, err := parseFlags(args); err == nil {
-			t.Errorf("%v without -gmetad: want error", args)
-		}
 	}
 	if _, err := parseFlags([]string{"-degraded-on-wal-error"}); err == nil {
 		t.Error("-degraded-on-wal-error without -journal-dir: want error")

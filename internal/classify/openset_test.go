@@ -220,6 +220,51 @@ func TestOnlineSegmentationDetectsPhases(t *testing.T) {
 	}
 }
 
+// TestOnlineObserveSegmentedZeroAllocs pins the phase-aware streaming
+// path: with segmentation (phase defaults) and the open-set test on,
+// Observe over a repeating CPU→IO stream, which keeps the segmenter
+// splitting, allocates nothing per snapshot once warmed up. A split's
+// fresh phase accumulator amortizes below one allocation per run.
+func TestOnlineObserveSegmentedZeroAllocs(t *testing.T) {
+	cl := trainSynthetic(t, Config{})
+	oset, err := cl.CalibrateOpenSet(OpenSetConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var snaps []metrics.Snapshot
+	for _, tr := range []*metrics.Trace{syntheticTrace(t, appclass.CPU, 60, 31), syntheticTrace(t, appclass.IO, 60, 32)} {
+		for i := 0; i < tr.Len(); i++ {
+			snaps = append(snaps, tr.At(i))
+		}
+	}
+	online, err := NewOnline(cl, metrics.ExpertSchema())
+	if err != nil {
+		t.Fatal(err)
+	}
+	online.SetHistoryCap(512)
+	online.EnableSegmentation(phase.Config{})
+	online.EnableOpenSet(oset)
+	n := 0
+	observe := func() {
+		snap := snaps[n%len(snaps)]
+		snap.Time = time.Duration(n) * 5 * time.Second
+		n++
+		if _, err := online.Observe(snap); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for n < 2*len(snaps) {
+		observe()
+	}
+	before := online.PhaseCount()
+	if allocs := testing.AllocsPerRun(500, observe); allocs != 0 {
+		t.Errorf("segmented Observe allocates %v per run, want 0", allocs)
+	}
+	if online.PhaseCount() <= before {
+		t.Errorf("segmenter never split during the measured runs (%d phases)", before)
+	}
+}
+
 // TestOnlineStateRoundTripWithSegAndUnknown checkpoints an Online
 // mid-stream (segmentation + open-set active), restores it through the
 // JSON wire form, feeds both the same remainder, and requires identical

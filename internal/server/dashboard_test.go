@@ -136,6 +136,8 @@ func TestRunsEndpointFilters(t *testing.T) {
 	for _, q := range []string{
 		"?class=bogus", "?verdict=bogus", "?since=not-a-time",
 		"?until=not-a-time", "?cursor=-1", "?limit=0", "?limit=nope",
+		// Past int64 nanoseconds: refused, not wrapped.
+		"?since=10000000000", "?since=3000-01-01T00:00:00Z", "?until=10000000000",
 	} {
 		if code, _ := getRuns(t, h, q); code != 400 {
 			t.Errorf("GET /v1/runs%s status = %d, want 400", q, code)

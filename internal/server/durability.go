@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"repro/internal/classify"
-	"repro/internal/supervise"
 	"repro/internal/wal"
 )
 
@@ -81,21 +80,9 @@ func (s *Server) StartCheckpointer() {
 	if s.cfg.Journal == nil {
 		return
 	}
-	hb := 4 * s.cfg.CheckpointEvery
-	s.sup.Go("checkpointer", supervise.TaskOptions{Heartbeat: hb}, func(stop <-chan struct{}, t *supervise.Task) {
-		tick := time.NewTicker(s.cfg.CheckpointEvery)
-		defer tick.Stop()
-		for {
-			select {
-			case <-stop:
-				return
-			case <-tick.C:
-			case <-s.ckptKick:
-			}
-			t.Beat()
-			if err := s.Checkpoint(); err != nil {
-				s.cfg.Logf("server: %v", err)
-			}
+	s.every("checkpointer", s.cfg.CheckpointEvery, 4*s.cfg.CheckpointEvery, s.ckptKick, func() {
+		if err := s.Checkpoint(); err != nil {
+			s.cfg.Logf("server: %v", err)
 		}
 	})
 }

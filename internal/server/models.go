@@ -15,7 +15,6 @@ import (
 	"repro/internal/classify"
 	"repro/internal/metrics"
 	"repro/internal/modelreg"
-	"repro/internal/supervise"
 )
 
 // activeModel pairs the serving model with its calibrated open-set
@@ -517,19 +516,7 @@ func (s *Server) StartRetrainer() {
 	if s.cfg.RetrainEvery <= 0 {
 		return
 	}
-	s.sup.Go("retrainer", supervise.TaskOptions{Heartbeat: 4 * s.cfg.RetrainEvery}, func(stop <-chan struct{}, t *supervise.Task) {
-		tick := time.NewTicker(s.cfg.RetrainEvery)
-		defer tick.Stop()
-		for {
-			select {
-			case <-stop:
-				return
-			case <-tick.C:
-				t.Beat()
-				s.retrainOnce()
-			}
-		}
-	})
+	s.every("retrainer", s.cfg.RetrainEvery, 4*s.cfg.RetrainEvery, nil, s.retrainOnce)
 }
 
 // retrainOnce runs one retraining pass. Split out for tests.

@@ -526,7 +526,7 @@ func TestRetrainNeverDisplacesOperatorCandidate(t *testing.T) {
 // a finished session's appdb record carries its model provenance and
 // the retained training rows the retrainer feeds on.
 func TestFinalizeStampsTrainingSamples(t *testing.T) {
-	s := newTestServer(t, Config{Schema: metrics.ExpertSchema(), TrainReservoir: 16})
+	s := newTestServer(t, Config{Schema: metrics.ExpertSchema()})
 	tr := sigTrace(t, appclass.CPU, 30, 21)
 	ingestTraceRange(t, s, "vm-train", tr, 0, 30)
 	if w := postJSON(t, s.Handler(), "/v1/vms/vm-train/finish", nil); w.Code != 200 {
@@ -539,8 +539,8 @@ func TestFinalizeStampsTrainingSamples(t *testing.T) {
 	if rec.ModelID != s.ActiveModelID() {
 		t.Fatalf("record model = %q, want %q", rec.ModelID, s.ActiveModelID())
 	}
-	if len(rec.TrainSamples) == 0 || len(rec.TrainSamples) > 16 {
-		t.Fatalf("record retained %d rows, want 1..16", len(rec.TrainSamples))
+	if len(rec.TrainSamples) == 0 || len(rec.TrainSamples) > classify.DefaultTrainReservoir {
+		t.Fatalf("record retained %d rows, want 1..%d", len(rec.TrainSamples), classify.DefaultTrainReservoir)
 	}
 	if len(rec.TrainMetrics) != metrics.ExpertSchema().Len() {
 		t.Fatalf("record sampled metrics = %v", rec.TrainMetrics)

@@ -364,7 +364,7 @@ func TestConcurrentPlacementsVsIngest(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s := newTestServer(t, Config{Placement: svc, Shards: 8})
+	s := newTestServer(t, Config{Placement: svc})
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 

@@ -5,7 +5,6 @@ import (
 	"time"
 
 	"repro/internal/modelreg"
-	"repro/internal/supervise"
 )
 
 // Guarded promotion: a freshly promoted model does not get unconditional
@@ -193,17 +192,5 @@ func (s *Server) StartProbationWatcher() {
 	if tick > 5*time.Second {
 		tick = 5 * time.Second
 	}
-	s.sup.Go("probation", supervise.TaskOptions{Heartbeat: 8 * tick}, func(stop <-chan struct{}, t *supervise.Task) {
-		tk := time.NewTicker(tick)
-		defer tk.Stop()
-		for {
-			select {
-			case <-stop:
-				return
-			case <-tk.C:
-				t.Beat()
-				s.checkProbation()
-			}
-		}
-	})
+	s.every("probation", tick, 8*tick, nil, s.checkProbation)
 }

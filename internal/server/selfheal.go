@@ -2,11 +2,9 @@ package server
 
 import (
 	"fmt"
-	"time"
 
 	"repro/internal/appdb"
 	"repro/internal/seglog"
-	"repro/internal/supervise"
 	"repro/internal/wal"
 )
 
@@ -40,19 +38,9 @@ func (s *Server) StartStoreMaint() {
 	if s.cfg.StoreMaintEvery <= 0 || s.cfg.DB == nil || s.cfg.DB.Store() == nil {
 		return
 	}
-	s.sup.Go("store-maint", supervise.TaskOptions{Heartbeat: 4 * s.cfg.StoreMaintEvery}, func(stop <-chan struct{}, t *supervise.Task) {
-		tick := time.NewTicker(s.cfg.StoreMaintEvery)
-		defer tick.Stop()
-		for {
-			select {
-			case <-stop:
-				return
-			case <-tick.C:
-				t.Beat()
-				if err := s.cfg.DB.Store().Compact(); err != nil {
-					s.cfg.Logf("server: store maintenance: %v", err)
-				}
-			}
+	s.every("store-maint", s.cfg.StoreMaintEvery, 4*s.cfg.StoreMaintEvery, nil, func() {
+		if err := s.cfg.DB.Store().Compact(); err != nil {
+			s.cfg.Logf("server: store maintenance: %v", err)
 		}
 	})
 }
@@ -68,19 +56,7 @@ func (s *Server) StartScrubber() {
 	if s.cfg.ScrubEvery <= 0 {
 		return
 	}
-	s.sup.Go("scrubber", supervise.TaskOptions{Heartbeat: 4 * s.cfg.ScrubEvery}, func(stop <-chan struct{}, t *supervise.Task) {
-		tick := time.NewTicker(s.cfg.ScrubEvery)
-		defer tick.Stop()
-		for {
-			select {
-			case <-stop:
-				return
-			case <-tick.C:
-				t.Beat()
-				s.scrubTick()
-			}
-		}
-	})
+	s.every("scrubber", s.cfg.ScrubEvery, 4*s.cfg.ScrubEvery, nil, s.scrubTick)
 }
 
 // checkpointBeforeRepair is the journal scrubber's PreRepair hook.

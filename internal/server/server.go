@@ -45,8 +45,6 @@ type Config struct {
 	// janitor, sweeping every IdleTTL/4, finalizes and evicts it. Zero
 	// means 5 minutes.
 	IdleTTL time.Duration
-	// Shards sets the registry stripe count. Zero means 16.
-	Shards int
 	// Placement is the class-aware placement service exposed under
 	// /v1/placements and /v1/hosts. Nil disables the placement API (the
 	// endpoints answer 503). The server wires the service's live
@@ -105,11 +103,6 @@ type Config struct {
 	// replayed from scratch under the current model. Off by default —
 	// a mismatch refuses recovery with a clear error.
 	RecoverForce bool
-	// TrainReservoir caps the per-session reservoir of raw snapshot rows
-	// retained for online retraining. Zero means
-	// classify.DefaultTrainReservoir; negative disables sampling (and
-	// with it retraining from this daemon's records).
-	TrainReservoir int
 	// ModelDir, when set, confines POST /v1/models artifact paths: load
 	// requests are resolved relative to it and may not escape it. Empty
 	// means paths are taken as given (trusted operators only).
@@ -127,7 +120,8 @@ type Config struct {
 	// tick it verifies one sealed journal segment and one closed
 	// application-database segment frame-by-frame, repairing damage by
 	// copy-forward and quarantining the damaged original. Zero or
-	// negative disables scrubbing (appclassd enables it by default).
+	// negative disables scrubbing (appclassd -scrub-every, off by
+	// default).
 	ScrubEvery time.Duration
 	// StoreMaintEvery is the cadence of the store maintenance task,
 	// which compacts tombstoned application-database records between
@@ -231,9 +225,7 @@ type Server struct {
 
 	mu      sync.Mutex
 	httpSrv *http.Server
-	stopc   chan struct{}
 	stopped bool
-	loops   sync.WaitGroup
 }
 
 // New builds a daemon. No goroutines are started: callers serve the
@@ -280,9 +272,8 @@ func New(cfg Config) (*Server, error) {
 	}
 	s := &Server{
 		cfg:      cfg,
-		reg:      newRegistry(cfg.Shards),
+		reg:      newRegistry(defaultShards),
 		counters: newCounters(),
-		stopc:    make(chan struct{}),
 		ckptKick: make(chan struct{}, 1),
 	}
 	s.start = cfg.Now()
@@ -359,11 +350,12 @@ func New(cfg Config) (*Server, error) {
 }
 
 // armOnline attaches the daemon's phase segmentation, open-set, and
-// training-reservoir configuration to a session's classifier. Restored
-// sessions keep the segmenter and reservoir that came out of their
-// checkpoint (re-attaching would drop accumulated state); the open-set
-// thresholds are always re-attached because they are deterministic from
-// the trained model and never serialized.
+// training reservoir (classify.DefaultTrainReservoir rows) to a
+// session's classifier. Restored sessions keep the segmenter and
+// reservoir that came out of their checkpoint (re-attaching would drop
+// accumulated state); the open-set thresholds are always re-attached
+// because they are deterministic from the trained model and never
+// serialized.
 func (s *Server) armOnline(o *classify.Online) {
 	if s.segCfg != nil && !o.SegmentationEnabled() {
 		o.EnableSegmentation(*s.segCfg)
@@ -371,12 +363,8 @@ func (s *Server) armOnline(o *classify.Online) {
 	if os := s.activeOpenSet(); os != nil {
 		o.EnableOpenSet(os)
 	}
-	if s.cfg.TrainReservoir >= 0 && !o.SamplingEnabled() {
-		capRows := s.cfg.TrainReservoir
-		if capRows == 0 {
-			capRows = classify.DefaultTrainReservoir
-		}
-		o.EnableSampling(capRows)
+	if !o.SamplingEnabled() {
+		o.EnableSampling(classify.DefaultTrainReservoir)
 	}
 }
 
@@ -433,25 +421,36 @@ func (s *Server) ListenAndServe(addr string) error {
 	return s.Serve(l)
 }
 
-// StartJanitor launches the idle-TTL eviction loop as a supervised
-// task: a panic restarts it under backoff, and a sweep that wedges
-// (e.g. behind a stuck session lock) misses its heartbeat and degrades
-// /readyz instead of silently leaving sessions unevicted.
-func (s *Server) StartJanitor() {
-	sweep := s.cfg.IdleTTL / 4
-	s.sup.Go("janitor", supervise.TaskOptions{Heartbeat: 4 * sweep}, func(stop <-chan struct{}, t *supervise.Task) {
-		tick := time.NewTicker(sweep)
+// every runs fn in the supervised task name once per period, and once
+// per receive on kick (nil for none), until Shutdown. The task beats
+// before each call, so a call that wedges misses its heartbeat and
+// degrades /readyz; a panic restarts the loop under backoff.
+func (s *Server) every(name string, period, heartbeat time.Duration, kick <-chan struct{}, fn func()) {
+	s.sup.Go(name, supervise.TaskOptions{Heartbeat: heartbeat}, func(stop <-chan struct{}, t *supervise.Task) {
+		tick := time.NewTicker(period)
 		defer tick.Stop()
 		for {
 			select {
 			case <-stop:
 				return
 			case <-tick.C:
-				t.Beat()
-				if n := s.EvictIdle(); n > 0 {
-					s.cfg.Logf("server: evicted %d idle session(s)", n)
-				}
+			case <-kick:
 			}
+			t.Beat()
+			fn()
+		}
+	})
+}
+
+// StartJanitor launches the idle-TTL eviction loop as a supervised
+// task: a panic restarts it under backoff, and a sweep that wedges
+// (e.g. behind a stuck session lock) misses its heartbeat and degrades
+// /readyz instead of silently leaving sessions unevicted.
+func (s *Server) StartJanitor() {
+	sweep := s.cfg.IdleTTL / 4
+	s.every("janitor", sweep, 4*sweep, nil, func() {
+		if n := s.EvictIdle(); n > 0 {
+			s.cfg.Logf("server: evicted %d idle session(s)", n)
 		}
 	})
 }
@@ -625,7 +624,6 @@ func (s *Server) Shutdown(ctx context.Context) error {
 		return nil
 	}
 	s.stopped = true
-	close(s.stopc)
 	srv := s.httpSrv
 	s.mu.Unlock()
 
@@ -636,7 +634,6 @@ func (s *Server) Shutdown(ctx context.Context) error {
 		s.cfg.Logf("server: shutdown: %v", serr)
 		err = serr
 	}
-	s.loops.Wait()
 	if srv != nil {
 		if herr := srv.Shutdown(ctx); herr != nil && err == nil {
 			err = herr

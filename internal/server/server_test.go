@@ -324,7 +324,7 @@ func TestServerMatchesBatchClassifier(t *testing.T) {
 // overlapping VM names; run under -race this exercises the striped
 // registry and per-session locking.
 func TestConcurrentIngest(t *testing.T) {
-	s := newTestServer(t, Config{Shards: 8})
+	s := newTestServer(t, Config{})
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 
@@ -519,7 +519,7 @@ func TestShutdownFlushesAllSessions(t *testing.T) {
 }
 
 func TestMetricszExposesCounters(t *testing.T) {
-	s := newTestServer(t, Config{Shards: 4})
+	s := newTestServer(t, Config{})
 	w := postJSON(t, s.Handler(), "/v1/ingest", map[string]any{"snapshots": []any{zeroSnapshot("m-vm", 0)}})
 	if w.Code != 200 {
 		t.Fatalf("ingest: %d", w.Code)

@@ -384,6 +384,26 @@ func TestFsyncPolicies(t *testing.T) {
 	}
 }
 
+// TestAppendBatchZeroAllocs pins the journal append path: with
+// fsync=never and the encode buffer warmed by one append, an
+// 8-snapshot batch of 33 metrics is framed and written without
+// allocating.
+func TestAppendBatchZeroAllocs(t *testing.T) {
+	j := openTestJournal(t, Config{Fsync: FsyncNever})
+	snaps := testSnaps("vm", 8, 33, 0)
+	if _, err := j.AppendBatch("vm", snaps); err != nil {
+		t.Fatal(err)
+	}
+	allocs := testing.AllocsPerRun(500, func() {
+		if _, err := j.AppendBatch("vm", snaps); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs != 0 {
+		t.Errorf("AppendBatch allocates %v per run, want 0", allocs)
+	}
+}
+
 func TestStatsTrackDepth(t *testing.T) {
 	j := openTestJournal(t, Config{Fsync: FsyncNever})
 	st := j.Stats()
