@@ -418,9 +418,10 @@ func benchIngestBatch(b *testing.B, journal *wal.Journal, segmented, scrubbed bo
 // per-snapshot cost with the full phase-aware extension attached:
 // fused-kernel classification, open-set distance test, and the
 // change-point segmenter all run on every Observe. Steady state must
-// stay allocation-free — the segmenter's ring reuses its entries, the
-// history cap recycles its backing array, and phase splits amortize to
-// zero — and classify's TestOnlineObserveSegmentedZeroAllocs pins it.
+// stay allocation-free — the segmenter's ring reuses its entries, a
+// repeated class extends the newest stage, and phase splits and new
+// stages amortize to zero — and classify's
+// TestOnlineObserveSegmentedZeroAllocs pins it.
 func BenchmarkObserveWithSegmentation(b *testing.B) {
 	training, tests := loadRuns(b)
 	cl, err := classify.Train(training, classify.Config{})
@@ -432,7 +433,6 @@ func BenchmarkObserveWithSegmentation(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	online.SetHistoryCap(512)
 	online.EnableSegmentation(phaseDefaults())
 	oset, err := cl.CalibrateOpenSet(classify.OpenSetConfig{})
 	if err != nil {
@@ -441,7 +441,7 @@ func BenchmarkObserveWithSegmentation(b *testing.B) {
 	online.EnableOpenSet(oset)
 
 	// Warm up past the transient allocations: fill the segmenter ring,
-	// the history buffer, and the first phase accumulators.
+	// the stage list, and the first phase accumulators.
 	const cadence = 5 * time.Second
 	at := time.Duration(0)
 	feed := func(n int) {

@@ -4,7 +4,6 @@ import (
 	"math"
 	"math/rand"
 	"testing"
-	"time"
 
 	"repro/internal/appclass"
 	"repro/internal/metrics"
@@ -196,7 +195,6 @@ func TestOnlineObserveSteadyStateZeroAllocs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	online.SetHistoryCap(128)
 	snaps := make([]metrics.Snapshot, tr.Len())
 	for i := range snaps {
 		snaps[i] = tr.At(i)
@@ -216,68 +214,6 @@ func TestOnlineObserveSteadyStateZeroAllocs(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Errorf("Observe allocates %v per run at steady state, want 0", allocs)
-	}
-}
-
-// TestHistoryCap exercises the retention cap: bounded History length,
-// accurate drop accounting, and first/last times spanning the full
-// stream rather than the retained window.
-func TestHistoryCap(t *testing.T) {
-	cl := trainSynthetic(t, Config{})
-	tr := syntheticTrace(t, appclass.CPU, 10, 3)
-	online, err := NewOnline(cl, tr.Schema())
-	if err != nil {
-		t.Fatal(err)
-	}
-	online.SetHistoryCap(100)
-	const total = 1000
-	for i := 0; i < total; i++ {
-		snap := tr.At(i % tr.Len())
-		snap.Time = time.Duration(i) * time.Second
-		if _, err := online.Observe(snap); err != nil {
-			t.Fatal(err)
-		}
-	}
-	hist := online.History()
-	if len(hist) > 100+100/4 {
-		t.Errorf("history length %d exceeds cap slack", len(hist))
-	}
-	if got := online.HistoryDropped() + len(hist); got != total {
-		t.Errorf("dropped %d + retained %d = %d, want %d",
-			online.HistoryDropped(), len(hist), got, total)
-	}
-	// The retained window is the most recent suffix, in order.
-	for i := range hist {
-		want := time.Duration(total-len(hist)+i) * time.Second
-		if hist[i].At != want {
-			t.Fatalf("history[%d].At = %v, want %v", i, hist[i].At, want)
-		}
-	}
-	v := online.Snapshot()
-	if v.FirstAt != 0 {
-		t.Errorf("FirstAt = %v, want 0 (spans dropped entries)", v.FirstAt)
-	}
-	if want := time.Duration(total-1) * time.Second; v.LastAt != want {
-		t.Errorf("LastAt = %v, want %v", v.LastAt, want)
-	}
-	if v.Total != total {
-		t.Errorf("Total = %d, want %d", v.Total, total)
-	}
-	// Stage analysis stays valid over the retained window.
-	if _, err := StagesFromHistory(hist, 1, online.HistoryDropped()); err != nil {
-		t.Errorf("StagesFromHistory over retained window: %v", err)
-	}
-	// Cap can be lowered after the fact.
-	online.SetHistoryCap(10)
-	if got := len(online.History()); got > 10+10/4 {
-		t.Errorf("after lowering cap, history length %d", got)
-	}
-	// And disabled.
-	online.SetHistoryCap(0)
-	for i := 0; i < 50; i++ {
-		if _, err := online.Observe(tr.At(i % tr.Len())); err != nil {
-			t.Fatal(err)
-		}
 	}
 }
 

@@ -26,7 +26,6 @@ type Online struct {
 
 	counts map[appclass.Class]int
 	total  int
-	last   appclass.Class
 
 	// drift tracks the incoming distribution of each expert metric.
 	drift []stats.Welford
@@ -37,15 +36,13 @@ type Online struct {
 	// over a stream with missing coverage rather than the full run.
 	gaps    int
 	gapTime time.Duration
-	// history records the class sequence for stage analysis. It is
-	// capped at histCap entries (oldest dropped first); dropped counts
-	// the entries trimmed away, and firstAt/lastAt span every snapshot
-	// ever observed, including dropped ones.
-	history []TimedClass
-	histCap int
+	// stages is the class sequence run-length encoded, oldest first and
+	// capped near StageCap; the newest holds the last class and time.
+	// dropped counts the snapshots in trimmed stages, and firstAt is the
+	// time of the first snapshot ever observed, including dropped ones.
+	stages  []Stage
 	dropped int
 	firstAt time.Duration
-	lastAt  time.Duration
 
 	// seg, when enabled, maintains online phase segmentation over the
 	// fused feature stream (see EnableSegmentation).
@@ -61,17 +58,10 @@ type Online struct {
 	sampler *trainSampler
 }
 
-// DefaultHistoryCap bounds the classification history an Online retains.
-// At the paper's one-snapshot-per-second monitoring cadence this keeps
-// roughly nine hours of history per session while bounding a long-lived
-// daemon session to a few hundred kilobytes.
-const DefaultHistoryCap = 32768
-
-// TimedClass is one classified snapshot in arrival order.
-type TimedClass struct {
-	At    time.Duration
-	Class appclass.Class
-}
+// StageCap bounds the stages an Online retains. A stage is a run of
+// equal consecutive classes, so a session that flips class on every
+// snapshot, the worst case, stays near 1 MiB of stages.
+const StageCap = 16384
 
 // NewOnline wraps a trained classifier for streaming input against the
 // given snapshot schema.
@@ -87,41 +77,38 @@ func NewOnline(cl *Classifier, schema *metrics.Schema) (*Online, error) {
 		return nil, fmt.Errorf("classify: online schema: %w", err)
 	}
 	return &Online{
-		cl:      cl,
-		schema:  schema,
-		subset:  subset,
-		counts:  make(map[appclass.Class]int),
-		drift:   make([]stats.Welford, len(subset)),
-		histCap: DefaultHistoryCap,
+		cl:     cl,
+		schema: schema,
+		subset: subset,
+		counts: make(map[appclass.Class]int),
+		drift:  make([]stats.Welford, len(subset)),
 	}, nil
 }
 
-// SetHistoryCap bounds the retained classification history to at most n
-// entries (oldest trimmed first); n <= 0 removes the bound. Counts,
-// composition, drift, and first/last times keep covering every snapshot
-// ever observed — only History and stage analysis see the shorter
-// window.
-func (o *Online) SetHistoryCap(n int) {
-	o.histCap = n
-	o.trimHistory()
-}
-
-// HistoryDropped returns how many old history entries the retention cap
-// has discarded.
+// HistoryDropped returns how many snapshots the retention cap has
+// discarded with their stages.
 func (o *Online) HistoryDropped() int { return o.dropped }
 
-// trimHistory enforces histCap. It trims in chunks — only once the
-// slice overshoots the cap by 25% — so steady-state appends stay O(1)
-// amortized and reuse the same backing array instead of reallocating on
-// every snapshot.
-func (o *Online) trimHistory() {
-	if o.histCap <= 0 || len(o.history) <= o.histCap+o.histCap/4 {
+// extend folds one classified snapshot into the stage list. The oldest
+// stages are trimmed in one copy once the list overshoots StageCap by
+// 25%, so appends stay O(1) amortized and a session at the cap reuses
+// its backing array.
+func (o *Online) extend(at time.Duration, class appclass.Class) {
+	if n := len(o.stages); n > 0 && o.stages[n-1].Class == class {
+		o.stages[n-1].End = at
+		o.stages[n-1].Snapshots++
 		return
 	}
-	drop := len(o.history) - o.histCap
-	copy(o.history, o.history[drop:])
-	o.history = o.history[:o.histCap]
-	o.dropped += drop
+	o.stages = append(o.stages, Stage{Class: class, Start: at, End: at, Snapshots: 1})
+	if len(o.stages) <= StageCap+StageCap/4 {
+		return
+	}
+	drop := len(o.stages) - StageCap
+	for _, st := range o.stages[:drop] {
+		o.dropped += st.Snapshots
+	}
+	copy(o.stages, o.stages[drop:])
+	o.stages = o.stages[:StageCap]
 }
 
 // EnableSegmentation attaches an online phase segmenter (see
@@ -176,7 +163,7 @@ func (o *Online) TrainSamples() ([]string, [][]float64) {
 // Rebind atomically points this session at a different trained
 // classifier — the hot-swap primitive. The new classifier must use the
 // identical expert-metric list (the drift accumulators and retained
-// samples are per-metric); counts, history, drift, gaps, phase
+// samples are per-metric); counts, stages, drift, gaps, phase
 // segmentation, and the training reservoir all carry over, while
 // subsequent snapshots classify under the new model with the supplied
 // open-set thresholds (nil disables the open-set test). The caller must
@@ -245,10 +232,7 @@ func (o *Online) record(snap metrics.Snapshot, class appclass.Class) {
 		o.firstAt = snap.Time
 	}
 	o.total++
-	o.last = class
-	o.lastAt = snap.Time
-	o.history = append(o.history, TimedClass{At: snap.Time, Class: class})
-	o.trimHistory()
+	o.extend(snap.Time, class)
 	for i, j := range o.subset {
 		o.drift[i].Add(snap.Values[j])
 	}
@@ -352,8 +336,13 @@ func (o *Online) PhaseCount() int {
 	return o.seg.Count()
 }
 
-// Last returns the most recent snapshot class.
-func (o *Online) Last() appclass.Class { return o.last }
+// Last returns the most recent snapshot class ("" before any snapshot).
+func (o *Online) Last() appclass.Class {
+	if len(o.stages) == 0 {
+		return ""
+	}
+	return o.stages[len(o.stages)-1].Class
+}
 
 // Composition returns the running class composition.
 func (o *Online) Composition() map[appclass.Class]float64 {
@@ -425,7 +414,7 @@ type View struct {
 // View.
 func (o *Online) Snapshot() View {
 	v := View{
-		LastClass:       o.last,
+		LastClass:       o.Last(),
 		Composition:     o.Composition(),
 		Total:           o.total,
 		Drift:           o.DriftScore(),
@@ -438,17 +427,21 @@ func (o *Online) Snapshot() View {
 	if o.total > 0 {
 		v.Class = o.majority()
 		v.FirstAt = o.firstAt
-		v.LastAt = o.lastAt
+		v.LastAt = o.stages[len(o.stages)-1].End
 		v.Verdict = o.Verdict()
 	}
 	return v
 }
 
-// History returns the classified snapshot sequence over the retained
-// window (see SetHistoryCap); HistoryDropped reports how much older
-// history has been trimmed.
-func (o *Online) History() []TimedClass {
-	return append([]TimedClass(nil), o.history...)
+// Stages returns the retained execution stages, oldest first, as a
+// fresh copy. When the retention cap has dropped older stages, the
+// first one returned is flagged Partial: it may have begun earlier.
+func (o *Online) Stages() []Stage {
+	out := append([]Stage(nil), o.stages...)
+	if len(out) > 0 && o.dropped > 0 {
+		out[0].Partial = true
+	}
+	return out
 }
 
 // DriftScore measures how far the observed stream's per-metric means

@@ -44,8 +44,12 @@ func TestOnlineMatchesBatch(t *testing.T) {
 	if online.Last() != batch.Snapshots[29] {
 		t.Errorf("Last = %s", online.Last())
 	}
-	if len(online.History()) != 30 {
-		t.Errorf("History = %d", len(online.History()))
+	n := 0
+	for _, st := range online.Stages() {
+		n += st.Snapshots
+	}
+	if n != 30 {
+		t.Errorf("Stages hold %d snapshots, want 30", n)
 	}
 }
 

@@ -8,22 +8,23 @@ import (
 	"repro/internal/metrics"
 )
 
-// Stage is a maximal run of consecutive snapshots whose windowed
-// majority class is constant — one execution stage of a multi-stage
-// application (Section 1 motivates identifying such stages for
-// migration and stage-aware scheduling).
+// Stage is a maximal run of consecutive snapshots of one class (for
+// DetectStages, the windowed majority class) — one execution stage of a
+// multi-stage application (Section 1 motivates identifying such stages
+// for migration and stage-aware scheduling).
 type Stage struct {
 	// Class is the stage's dominant class.
-	Class appclass.Class
+	Class appclass.Class `json:"class"`
 	// Start and End are the stage's snapshot time bounds (End is the
 	// time of the stage's last snapshot).
-	Start, End time.Duration
+	Start time.Duration `json:"start_ns"`
+	End   time.Duration `json:"end_ns"`
 	// Snapshots is the number of snapshots in the stage.
-	Snapshots int
-	// Partial marks a stage whose beginning fell outside the retained
-	// history window (see StagesFromHistory): its Start, Snapshots, and
-	// duration describe only the retained tail, not the full stage.
-	Partial bool
+	Snapshots int `json:"snapshots"`
+	// Partial marks the first stage Online.Stages returns once older
+	// stages were dropped: it may have begun before them, so its Start,
+	// Snapshots, and duration may cover only its retained tail.
+	Partial bool `json:"-"`
 }
 
 // Duration returns the stage's time span.
@@ -113,59 +114,6 @@ func DetectStages(trace *metrics.Trace, result *Result, window, minLen int) ([]S
 			continue
 		}
 		out = append(out, st)
-	}
-	return out, nil
-}
-
-// StagesFromHistory segments an online classification history (the
-// TimedClass sequence an Online classifier accumulates) into execution
-// stages: consecutive snapshots of equal class merge, and stages
-// shorter than minLen snapshots are absorbed into their predecessor.
-// It is the streaming counterpart of DetectStages for callers that hold
-// no trace, e.g. the classification daemon's per-VM stage history.
-//
-// dropped is the number of history entries the retention cap has
-// trimmed away (Online.HistoryDropped). When it is nonzero, the first
-// stage may have begun before the retained window: it is flagged
-// Partial so consumers do not mistake its truncated start and length
-// for the stage's real extent.
-func StagesFromHistory(history []TimedClass, minLen, dropped int) ([]Stage, error) {
-	if minLen <= 0 {
-		return nil, fmt.Errorf("classify: minLen must be positive, got %d", minLen)
-	}
-	if dropped < 0 {
-		return nil, fmt.Errorf("classify: negative dropped count %d", dropped)
-	}
-	var stages []Stage
-	for _, tc := range history {
-		if n := len(stages); n > 0 && stages[n-1].Class == tc.Class {
-			stages[n-1].End = tc.At
-			stages[n-1].Snapshots++
-			continue
-		}
-		stages = append(stages, Stage{Class: tc.Class, Start: tc.At, End: tc.At, Snapshots: 1})
-	}
-	if len(stages) > 0 && dropped > 0 {
-		stages[0].Partial = true
-	}
-	if minLen == 1 {
-		return stages, nil
-	}
-	out := stages[:0]
-	for _, st := range stages {
-		switch {
-		case st.Snapshots < minLen && len(out) > 0:
-			prev := &out[len(out)-1]
-			prev.End = st.End
-			prev.Snapshots += st.Snapshots
-		case len(out) > 0 && out[len(out)-1].Class == st.Class:
-			prev := &out[len(out)-1]
-			prev.End = st.End
-			prev.Snapshots += st.Snapshots
-			prev.Partial = prev.Partial || st.Partial
-		default:
-			out = append(out, st)
-		}
 	}
 	return out, nil
 }

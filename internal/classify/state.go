@@ -20,16 +20,17 @@ type OnlineState struct {
 	Counts map[string]int `json:"counts"`
 	// Total is the number of snapshots observed.
 	Total int `json:"total"`
-	// Last is the most recent snapshot class ("" before any snapshot).
-	Last string `json:"last,omitempty"`
-	// FirstAtNS and LastAtNS span every observed snapshot.
+	// FirstAtNS is the time of the first observed snapshot; the newest
+	// stage holds the last class and time.
 	FirstAtNS int64 `json:"first_at_ns"`
-	LastAtNS  int64 `json:"last_at_ns"`
-	// HistCap is the history retention cap in effect.
-	HistCap int `json:"hist_cap"`
-	// Dropped counts history entries trimmed by the retention cap.
+	// Dropped counts the snapshots in stages trimmed by the retention
+	// cap.
 	Dropped int `json:"dropped"`
-	// History is the retained classified-snapshot sequence.
+	// Stages is the retained stage list, oldest first.
+	Stages []Stage `json:"stages,omitempty"`
+	// History is only read: a state written before sessions kept
+	// stages carries its per-snapshot class sequence here, and
+	// RestoreOnline folds it into stages.
 	History []TimedClassState `json:"history,omitempty"`
 	// Drift holds one streaming accumulator per expert metric.
 	Drift []stats.WelfordState `json:"drift"`
@@ -51,7 +52,8 @@ type OnlineState struct {
 	Sampler *TrainSamplerState `json:"sampler,omitempty"`
 }
 
-// TimedClassState is the wire form of one TimedClass entry.
+// TimedClassState is one classified snapshot of a per-snapshot
+// history (see OnlineState.History).
 type TimedClassState struct {
 	AtNS  int64  `json:"at_ns"`
 	Class string `json:"class"`
@@ -63,12 +65,9 @@ func (o *Online) ExportState() OnlineState {
 	st := OnlineState{
 		Counts:    make(map[string]int, len(o.counts)),
 		Total:     o.total,
-		Last:      string(o.last),
 		FirstAtNS: int64(o.firstAt),
-		LastAtNS:  int64(o.lastAt),
-		HistCap:   o.histCap,
 		Dropped:   o.dropped,
-		History:   make([]TimedClassState, len(o.history)),
+		Stages:    append([]Stage(nil), o.stages...),
 		Drift:     make([]stats.WelfordState, len(o.drift)),
 		Gaps:      o.gaps,
 		GapTimeNS: int64(o.gapTime),
@@ -84,9 +83,6 @@ func (o *Online) ExportState() OnlineState {
 	}
 	for c, n := range o.counts {
 		st.Counts[string(c)] = n
-	}
-	for i, tc := range o.history {
-		st.History[i] = TimedClassState{AtNS: int64(tc.At), Class: string(tc.Class)}
 	}
 	for i := range o.drift {
 		st.Drift[i] = o.drift[i].State()
@@ -122,19 +118,34 @@ func RestoreOnline(cl *Classifier, schema *metrics.Schema, st OnlineState) (*Onl
 	if sum != st.Total {
 		return nil, fmt.Errorf("classify: restore: counts sum to %d, total is %d", sum, st.Total)
 	}
-	if st.Dropped < 0 || st.Dropped+len(st.History) != st.Total {
-		return nil, fmt.Errorf("classify: restore: %d retained + %d dropped history entries, total is %d",
-			len(st.History), st.Dropped, st.Total)
+	o.dropped = st.Dropped
+	if len(st.Stages) == 0 {
+		// A state written before sessions kept stages: fold its
+		// per-snapshot history through the step Observe uses.
+		for i, tc := range st.History {
+			class, err := appclass.Parse(tc.Class)
+			if err != nil {
+				return nil, fmt.Errorf("classify: restore: history entry %d: %w", i, err)
+			}
+			o.extend(time.Duration(tc.AtNS), class)
+		}
+	}
+	for i, sg := range st.Stages {
+		if !appclass.Valid(sg.Class) || sg.Snapshots < 1 {
+			return nil, fmt.Errorf("classify: restore: stage %d has class %q and %d snapshots", i, sg.Class, sg.Snapshots)
+		}
+	}
+	o.stages = append(o.stages, st.Stages...)
+	n := o.dropped
+	for _, sg := range o.stages {
+		n += sg.Snapshots
+	}
+	if st.Dropped < 0 || n != st.Total || (n > 0 && len(o.stages) == 0) {
+		return nil, fmt.Errorf("classify: restore: %d stages hold %d snapshots beside %d dropped, total is %d",
+			len(o.stages), n-o.dropped, o.dropped, st.Total)
 	}
 	if len(st.Drift) != len(o.subset) {
 		return nil, fmt.Errorf("classify: restore: %d drift accumulators, want %d", len(st.Drift), len(o.subset))
-	}
-	if st.Total > 0 {
-		last, err := appclass.Parse(st.Last)
-		if err != nil {
-			return nil, fmt.Errorf("classify: restore: last class: %w", err)
-		}
-		o.last = last
 	}
 	if st.Gaps < 0 || st.GapTimeNS < 0 {
 		return nil, fmt.Errorf("classify: restore: negative gap accounting (%d gaps, %dns)", st.Gaps, st.GapTimeNS)
@@ -143,19 +154,6 @@ func RestoreOnline(cl *Classifier, schema *metrics.Schema, st OnlineState) (*Onl
 	o.gapTime = time.Duration(st.GapTimeNS)
 	o.total = st.Total
 	o.firstAt = time.Duration(st.FirstAtNS)
-	o.lastAt = time.Duration(st.LastAtNS)
-	o.histCap = st.HistCap
-	o.dropped = st.Dropped
-	if len(st.History) > 0 {
-		o.history = make([]TimedClass, len(st.History))
-		for i, tc := range st.History {
-			class, err := appclass.Parse(tc.Class)
-			if err != nil {
-				return nil, fmt.Errorf("classify: restore: history entry %d: %w", i, err)
-			}
-			o.history[i] = TimedClass{At: time.Duration(tc.AtNS), Class: class}
-		}
-	}
 	for i, ws := range st.Drift {
 		w, err := stats.WelfordFromState(ws)
 		if err != nil {

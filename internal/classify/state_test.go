@@ -91,8 +91,8 @@ func TestStateRoundTripResumesExactly(t *testing.T) {
 	if d := math.Abs(vo.Drift - vr.Drift); d > 1e-12 {
 		t.Errorf("drift scores diverge by %v (%v vs %v)", d, vo.Drift, vr.Drift)
 	}
-	if !reflect.DeepEqual(orig.History(), restored.History()) {
-		t.Errorf("histories diverge (%d vs %d entries)", len(orig.History()), len(restored.History()))
+	if !reflect.DeepEqual(orig.Stages(), restored.Stages()) {
+		t.Errorf("stages diverge (%d vs %d stages)", len(orig.Stages()), len(restored.Stages()))
 	}
 	if orig.HistoryDropped() != restored.HistoryDropped() {
 		t.Errorf("dropped diverge: %d vs %d", orig.HistoryDropped(), restored.HistoryDropped())
@@ -163,7 +163,8 @@ func TestStateRoundTripCarriesGaps(t *testing.T) {
 }
 
 // TestStateRoundTripWithTrimmedHistory checkpoints a session whose
-// retention cap has already dropped entries.
+// retention cap has already dropped stages: alternating the IO and CPU
+// halves of the mixed trace opens a stage per snapshot.
 func TestStateRoundTripWithTrimmedHistory(t *testing.T) {
 	cl := trainSynthetic(t, Config{})
 	schema := metrics.ExpertSchema()
@@ -173,14 +174,16 @@ func TestStateRoundTripWithTrimmedHistory(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	o.SetHistoryCap(4)
-	for i := 0; i < trace.Len(); i++ {
-		if _, err := o.Observe(trace.At(i)); err != nil {
+	half := trace.Len() / 2
+	for i := 0; i <= StageCap+StageCap/4; i++ {
+		snap := trace.At(i/2%half + i%2*half)
+		snap.Time = time.Duration(i) * time.Second
+		if _, err := o.Observe(snap); err != nil {
 			t.Fatal(err)
 		}
 	}
 	if o.HistoryDropped() == 0 {
-		t.Fatalf("test needs a trimmed history (trace len %d, cap 4)", trace.Len())
+		t.Fatalf("test needs a trimmed stage list (%d stages)", len(o.Stages()))
 	}
 	restored, err := RestoreOnline(cl, schema, o.ExportState())
 	if err != nil {
@@ -190,8 +193,8 @@ func TestStateRoundTripWithTrimmedHistory(t *testing.T) {
 		t.Errorf("restored seen/dropped = %d/%d, want %d/%d",
 			restored.Seen(), restored.HistoryDropped(), o.Seen(), o.HistoryDropped())
 	}
-	if !reflect.DeepEqual(restored.History(), o.History()) {
-		t.Errorf("trimmed histories diverge")
+	if !reflect.DeepEqual(restored.Stages(), o.Stages()) {
+		t.Errorf("trimmed stage lists diverge")
 	}
 }
 
@@ -214,15 +217,27 @@ func TestRestoreOnlineRejectsInvalidState(t *testing.T) {
 		f(&st)
 		return st
 	}
+	last := string(good.Stages[0].Class)
 	cases := map[string]OnlineState{
-		"bad count class":  mutate(func(s *OnlineState) { s.Counts["warp"] = s.Counts[s.Last]; delete(s.Counts, s.Last) }),
-		"count mismatch":   mutate(func(s *OnlineState) { s.Total += 3 }),
-		"history mismatch": mutate(func(s *OnlineState) { s.History = nil }),
-		"bad last":         mutate(func(s *OnlineState) { s.Last = "warp" }),
-		"drift arity":      mutate(func(s *OnlineState) { s.Drift = s.Drift[:1] }),
-		"bad drift":        mutate(func(s *OnlineState) { s.Drift[0] = stats.WelfordState{N: -1} }),
+		"bad count class": mutate(func(s *OnlineState) { s.Counts["warp"] = s.Counts[last]; delete(s.Counts, last) }),
+		"count mismatch":  mutate(func(s *OnlineState) { s.Total += 3 }),
+		"stage mismatch":  mutate(func(s *OnlineState) { s.Stages = nil }),
+		"negative dropped": mutate(func(s *OnlineState) {
+			s.Dropped = -1
+			s.Stages[0].Snapshots++
+		}),
+		"all dropped": mutate(func(s *OnlineState) { s.Dropped, s.Stages = 1, nil }),
+		"drift arity": mutate(func(s *OnlineState) { s.Drift = s.Drift[:1] }),
+		"bad drift":   mutate(func(s *OnlineState) { s.Drift[0] = stats.WelfordState{N: -1} }),
+		"bad stage class": mutate(func(s *OnlineState) {
+			s.Stages[0].Class = "warp"
+		}),
+		"empty stage": mutate(func(s *OnlineState) {
+			s.Stages = append(s.Stages, Stage{Class: appclass.Class(last)})
+		}),
 		"bad history class": mutate(func(s *OnlineState) {
-			s.History[0].Class = "warp"
+			s.Stages = nil
+			s.History = []TimedClassState{{Class: "warp"}}
 		}),
 	}
 	for name, st := range cases {

@@ -172,6 +172,10 @@ func (s *Server) decodeJSON(sc *ingestScratch, r *http.Request) *ingestError {
 		if len(snap.VM) > wire.MaxVMName {
 			return ingestErrorf(http.StatusBadRequest, "snapshot %d vm name is %d bytes, over the %d-byte limit", i, len(snap.VM), wire.MaxVMName)
 		}
+		if !validSnapshotTime(snap.TimeSeconds) {
+			return ingestErrorf(http.StatusBadRequest, "snapshot %d (%s) time_s %g is outside ±%.4g, the span of int64 nanoseconds",
+				i, snap.VM, snap.TimeSeconds, maxSnapshotSeconds)
+		}
 		switch {
 		case len(snap.Values) > 0 && len(snap.Metrics) > 0:
 			return ingestErrorf(http.StatusBadRequest, "snapshot %d (%s) sets both values and metrics", i, snap.VM)
@@ -257,8 +261,14 @@ func (s *Server) summarize(sess *session) vmSummary {
 	lastSeen := sess.lastSeen
 	model := sess.model
 	sess.mu.Unlock()
+	return newVMSummary(sess.vm, view, lastSeen, model)
+}
+
+// newVMSummary builds a session's /v1/vms row from its view, last-seen
+// time and serving model.
+func newVMSummary(vm string, view classify.View, lastSeen time.Time, model string) vmSummary {
 	return vmSummary{
-		VM:              sess.vm,
+		VM:              vm,
 		Class:           string(view.Class),
 		LastClass:       string(view.LastClass),
 		Snapshots:       view.Total,
@@ -298,8 +308,8 @@ type vmDetail struct {
 	LastSeconds  float64                    `json:"last_s"`
 	Stages       []stageJSON                `json:"stages"`
 	// PhaseList is the segmenter's phase breakdown (empty with
-	// segmentation disabled). Unlike Stages, which merges the label
-	// history, phases come from change-point detection over the fused
+	// segmentation disabled). Unlike Stages, runs of equal snapshot
+	// classes, phases come from change-point detection over the fused
 	// feature stream, so they survive label flicker inside one regime.
 	PhaseList []phaseJSON `json:"phase_list,omitempty"`
 }
@@ -309,8 +319,8 @@ type stageJSON struct {
 	StartSeconds float64 `json:"start_s"`
 	EndSeconds   float64 `json:"end_s"`
 	Snapshots    int     `json:"snapshots"`
-	// Partial marks a stage whose beginning was trimmed by the history
-	// retention cap.
+	// Partial marks the first stage once the retention cap has dropped
+	// older stages (see classify.Stage).
 	Partial bool `json:"partial,omitempty"`
 }
 
@@ -332,32 +342,13 @@ func (s *Server) handleVM(w http.ResponseWriter, r *http.Request) {
 	}
 	sess.mu.Lock()
 	view := sess.online.Snapshot()
-	history := sess.online.History()
-	dropped := sess.online.HistoryDropped()
+	stages := sess.online.Stages()
 	lastSeen := sess.lastSeen
 	model := sess.model
 	sess.mu.Unlock()
 
-	stages, err := classify.StagesFromHistory(history, 1, dropped)
-	if err != nil {
-		writeError(w, http.StatusInternalServerError, "stage history: %v", err)
-		return
-	}
 	detail := vmDetail{
-		vmSummary: vmSummary{
-			VM:              vm,
-			Class:           string(view.Class),
-			LastClass:       string(view.LastClass),
-			Snapshots:       view.Total,
-			Drift:           view.Drift,
-			LastSeen:        lastSeen.UTC().Format(time.RFC3339),
-			Gaps:            view.Gaps,
-			GapSeconds:      view.GapTime.Seconds(),
-			Verdict:         string(view.Verdict),
-			UnknownFraction: view.UnknownFraction,
-			Phases:          len(view.Phases),
-			Model:           model,
-		},
+		vmSummary:    newVMSummary(vm, view, lastSeen, model),
 		Composition:  view.Composition,
 		FirstSeconds: view.FirstAt.Seconds(),
 		LastSeconds:  view.LastAt.Seconds(),

@@ -5,6 +5,7 @@ import (
 	"context"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"time"
 
@@ -77,6 +78,17 @@ type ingestError struct {
 
 func ingestErrorf(code int, format string, args ...any) *ingestError {
 	return &ingestError{code: code, msg: fmt.Sprintf(format, args...)}
+}
+
+// maxSnapshotSeconds bounds a snapshot time: past it the nanoseconds
+// of a time.Duration wrap (about 292 years).
+const maxSnapshotSeconds = math.MaxInt64 / float64(time.Second)
+
+// validSnapshotTime reports whether a snapshot time in seconds converts
+// to a time.Duration without wrapping; NaN and ±Inf do not.
+func validSnapshotTime(sec float64) bool {
+	ns := sec * float64(time.Second)
+	return ns >= math.MinInt64 && ns < math.MaxInt64
 }
 
 // countRejected counts a request refused with 400 or 413, on either

@@ -202,7 +202,7 @@ func (s *Server) binDecodeError(format string, args ...any) *ingestError {
 // scattered through the stream's column table into sc before anything
 // is classified, so a 400 never leaves a half-ingested request behind.
 // NaN and Inf are rejected, as they are unrepresentable on the JSON
-// path.
+// path; a time whose nanoseconds would wrap is rejected on both.
 func (s *Server) decodeBin(w http.ResponseWriter, sc *ingestScratch, r *http.Request) (*binStream, *ingestError) {
 	if e := sc.readBody(r); e != nil {
 		s.counters.binDecodeErrors.Add(1)
@@ -255,8 +255,9 @@ func (s *Server) decodeBin(w http.ResponseWriter, sc *ingestScratch, r *http.Req
 		start := len(sc.snaps)
 		for row := 0; row < g.Rows; row++ {
 			ts := g.TimeSeconds(row)
-			if ts-ts != 0 { // NaN or ±Inf
-				return nil, s.binDecodeError("group %d (%s) row %d has non-finite time", gi, vm, row)
+			if !validSnapshotTime(ts) {
+				return nil, s.binDecodeError("group %d (%s) row %d time %g s is outside ±%.4g, the span of int64 nanoseconds",
+					gi, vm, row, ts, maxSnapshotSeconds)
 			}
 			vals := sc.row(len(sc.snaps), schemaLen)
 			for c, idx := range st.cols {

@@ -120,7 +120,8 @@ func TestBinaryIngestRoundTrip(t *testing.T) {
 // through the JSON path of one server and the binary path of another
 // (with a shuffled wire column table, so the scatter is doing real
 // work) and asserts the outcomes are bit-identical: per-snapshot
-// classes, the /v1/vms composition report, and the journal segments on
+// classes, the /v1/vms composition report, each VM's /v1/vms/{name}
+// detail (stages and phase list included), and the journal segments on
 // disk.
 func TestBinaryJSONEquivalence(t *testing.T) {
 	schema := metrics.DefaultSchema()
@@ -206,19 +207,25 @@ func TestBinaryJSONEquivalence(t *testing.T) {
 		}
 	}
 
-	// Composition reports must match byte for byte (the fake clock makes
-	// last_seen deterministic).
-	getBody := func(s *Server) string {
-		req := httptest.NewRequest(http.MethodGet, "/v1/vms", nil)
+	// The session list and each session's detail must match byte for
+	// byte (the fake clock makes last_seen deterministic).
+	getBody := func(s *Server, path string) string {
+		req := httptest.NewRequest(http.MethodGet, path, nil)
 		w := httptest.NewRecorder()
 		s.Handler().ServeHTTP(w, req)
 		if w.Code != http.StatusOK {
-			t.Fatalf("GET /v1/vms = %d", w.Code)
+			t.Fatalf("GET %s = %d", path, w.Code)
 		}
 		return w.Body.String()
 	}
-	if j, b := getBody(sJSON), getBody(sBin); j != b {
-		t.Errorf("/v1/vms diverged:\njson: %s\nbinary: %s", j, b)
+	paths := []string{"/v1/vms"}
+	for _, vm := range vms {
+		paths = append(paths, "/v1/vms/"+vm)
+	}
+	for _, path := range paths {
+		if j, b := getBody(sJSON, path), getBody(sBin, path); j != b {
+			t.Errorf("%s diverged:\njson: %s\nbinary: %s", path, j, b)
+		}
 	}
 
 	// Journals must be bit-identical: same segments, same bytes.
@@ -318,6 +325,7 @@ func TestBinaryIngestMalformed(t *testing.T) {
 		{"nan value", batchOn(sid, []float64{0}, nanRow), 400, 1},
 		{"inf value", batchOn(sid, []float64{0}, infRow), 400, 1},
 		{"non-finite time", batchOn(sid, []float64{math.Inf(1)}, zrow), 400, 1},
+		{"time beyond int64 nanoseconds", batchOn(sid, []float64{1e12}, zrow), 400, 1},
 		{"oversized body", make([]byte, maxIngestBody+16), 413, 1},
 	}
 	for _, tc := range cases {

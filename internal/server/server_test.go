@@ -112,6 +112,8 @@ func TestHandlerStatusCodes(t *testing.T) {
 			mustJSON(map[string]any{"snapshots": []any{map[string]any{"vm": "v", "metrics": map[string]float64{"bogus": 1}}}}), 400, 1},
 		{"vm name over the wire limit", "POST", "/v1/ingest",
 			mustJSON(map[string]any{"snapshots": []any{zeroSnapshot(strings.Repeat("v", 2000), 0)}}), 400, 1},
+		{"time beyond int64 nanoseconds", "POST", "/v1/ingest",
+			mustJSON(map[string]any{"snapshots": []any{zeroSnapshot("v", 1e12)}}), 400, 1},
 		{"unknown vm", "GET", "/v1/vms/nope", "", 404, 0},
 		{"finish unknown vm", "POST", "/v1/vms/nope/finish", "", 404, 0},
 		{"method not allowed on ingest", "GET", "/v1/ingest", "", 405, 0},
