@@ -356,8 +356,8 @@ func run(ctx context.Context, cfg config, ready chan<- string) error {
 			return err
 		}
 		if rs.Sessions > 0 || rs.Records > 0 {
-			log.Printf("appclassd: recovered %d session(s), replayed %d snapshot(s), %d finalize(s)",
-				rs.Sessions, rs.Snapshots, rs.Finalized)
+			log.Printf("appclassd: recovered %d session(s), replayed %d snapshot(s), %d finalize(s), %d already stored",
+				rs.Sessions, rs.Snapshots, rs.Finalized, rs.AlreadyStored)
 		}
 	}
 

@@ -153,26 +153,17 @@ func run(cmd string, args []string, stdout io.Writer) error {
 		})
 	case "fingerprints":
 		return withDB(args, nil, func(db *appdb.DB, _ *flag.FlagSet) error {
-			dict := db.Fingerprints()
+			dict := db.Dictionary()
 			if len(dict) == 0 {
 				fmt.Fprintln(stdout, "no fingerprinted runs")
 				return nil
 			}
-			apps := make([]string, 0, len(dict))
-			for app := range dict {
-				apps = append(apps, app)
-			}
-			sort.Strings(apps)
-			for _, app := range apps {
-				rec, err := db.Latest(app)
-				if err != nil {
-					return err
+			for _, d := range dict {
+				line := fmt.Sprintf("%-20s %s", d.Run.App, d.Run.Fingerprint)
+				if d.Run.MatchedApp != "" {
+					line += fmt.Sprintf("  (matched %s, score %.2f)", d.Run.MatchedApp, d.Run.MatchScore)
 				}
-				line := fmt.Sprintf("%-20s %s", app, dict[app])
-				if rec.MatchedApp != "" {
-					line += fmt.Sprintf("  (matched %s, score %.2f)", rec.MatchedApp, rec.MatchScore)
-				}
-				if rec.Verdict == appclass.Unknown {
+				if d.Run.Verdict == appclass.Unknown {
 					line += "  [UNKNOWN verdict]"
 				}
 				fmt.Fprintln(stdout, line)
@@ -207,11 +198,11 @@ func run(cmd string, args []string, stdout io.Writer) error {
 			if f.Until, err = parseTime(*until); err != nil {
 				return fmt.Errorf("ls: -until: %w", err)
 			}
-			recs, next, err := db.Scan(f, *cursor, *limit)
+			rows, next, err := db.Scan(f, *cursor, *limit)
 			if err != nil {
 				return err
 			}
-			for _, r := range recs {
+			for _, r := range rows {
 				at := "-"
 				if r.FinalizedAt > 0 {
 					at = time.Unix(0, r.FinalizedAt).UTC().Format(time.RFC3339)
@@ -227,7 +218,7 @@ func run(cmd string, args []string, stdout io.Writer) error {
 			if next != 0 {
 				fmt.Fprintf(stdout, "more: rerun with -cursor %d\n", next)
 			} else {
-				fmt.Fprintf(stdout, "%d record(s), end of database\n", len(recs))
+				fmt.Fprintf(stdout, "%d record(s), end of database\n", len(rows))
 			}
 			return nil
 		})

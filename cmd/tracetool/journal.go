@@ -44,7 +44,12 @@ func journalDump(w io.Writer, dir string) error {
 			}
 			fmt.Fprintf(tw, "%d\t%d\tbatch\t%s\t%d\t%s\n", pos.Seg, pos.Off, rec.VM, len(rec.Snaps), span)
 		case wal.RecordFinalize:
-			fmt.Fprintf(tw, "%d\t%d\tfinalize\t%s\t-\t-\n", pos.Seg, pos.Off, rec.VM)
+			// The stamp is the stored record's finalized_at_ns.
+			at := "-"
+			if rec.At != 0 {
+				at = fmt.Sprintf("at %d (%s)", rec.At, time.Unix(0, rec.At).UTC().Format(time.RFC3339Nano))
+			}
+			fmt.Fprintf(tw, "%d\t%d\tfinalize\t%s\t-\t%s\n", pos.Seg, pos.Off, rec.VM, at)
 		}
 		return nil
 	})

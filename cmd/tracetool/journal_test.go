@@ -31,7 +31,7 @@ func writeTestJournal(t *testing.T) string {
 			t.Fatal(err)
 		}
 	}
-	pos, err := j.AppendFinalize("vm1")
+	pos, err := j.AppendFinalize("vm1", 1_700_000_000_123_456_789)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -50,7 +50,8 @@ func TestJournalDump(t *testing.T) {
 	if err := run("journal", []string{"dump", dir}, &out); err != nil {
 		t.Fatalf("dump: %v", err)
 	}
-	for _, want := range []string{"batch", "finalize", "vm1", "records: 3 (snapshots: 4)", "checkpoint 1: 0 session(s)"} {
+	for _, want := range []string{"batch", "finalize", "vm1", "records: 3 (snapshots: 4)", "checkpoint 1: 0 session(s)",
+		"at 1700000000123456789 (2023-11-14T22:13:20.123456789Z)"} {
 		if !strings.Contains(out.String(), want) {
 			t.Errorf("dump output missing %q:\n%s", want, out.String())
 		}

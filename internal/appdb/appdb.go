@@ -40,6 +40,12 @@ type Summary = appstore.Summary
 // Filter narrows a Scan (see appstore.Filter).
 type Filter = appstore.Filter
 
+// Row is one run as a page of runs shows it (see appstore.Row).
+type Row = appstore.Row
+
+// DictEntry is one fingerprint-dictionary entry (see appstore.DictEntry).
+type DictEntry = appstore.DictEntry
+
 // stored is one in-memory record plus its insertion sequence number,
 // which gives the memory engine the same stable newest-first Scan
 // cursor semantics as the segmented store.
@@ -170,11 +176,12 @@ func (db *DB) Len() int {
 	return n
 }
 
-// Scan returns up to limit records matching f, newest first, resuming
-// from cursor (0 = newest; the returned cursor continues the scan, 0
-// once exhausted). Both engines serve it; the segmented store walks its
-// secondary indexes.
-func (db *DB) Scan(f Filter, cursor uint64, limit int) ([]Record, uint64, error) {
+// Scan returns up to limit runs matching f as page rows, newest first,
+// resuming from cursor (0 = newest; the returned cursor continues the
+// scan, 0 once exhausted). Both engines serve it; the segmented store
+// walks its secondary indexes and reads no body for a record that
+// carries its page fields in the index.
+func (db *DB) Scan(f Filter, cursor uint64, limit int) ([]Row, uint64, error) {
 	if db.store != nil {
 		return db.store.Scan(f, cursor, limit)
 	}
@@ -195,7 +202,7 @@ func (db *DB) Scan(f Filter, cursor uint64, limit int) ([]Record, uint64, error)
 		}
 	}
 	sort.Slice(all, func(a, b int) bool { return all[a].seq > all[b].seq })
-	var out []Record
+	var out []Row
 	var next uint64
 	for i := range all {
 		e := &all[i]
@@ -205,7 +212,7 @@ func (db *DB) Scan(f Filter, cursor uint64, limit int) ([]Record, uint64, error)
 		if !matchFilter(f, &e.rec) {
 			continue
 		}
-		out = append(out, e.rec)
+		out = append(out, appstore.RowOf(&e.rec))
 		next = e.seq
 		if len(out) >= limit {
 			return out, next, nil
@@ -269,6 +276,52 @@ func (db *DB) Fingerprints() map[string]phase.Fingerprint {
 		}
 	}
 	return out
+}
+
+// Dictionary returns the fingerprint dictionary as entries sorted by
+// application, each with the page row of its run: what
+// /v1/fingerprints serves. The segmented store builds it from the
+// entries Fingerprints keeps decoded. Rows and fingerprints are shared
+// with the engine; callers must not modify them.
+func (db *DB) Dictionary() []DictEntry {
+	if db.store != nil {
+		ents, err := db.store.Dictionary()
+		if err != nil {
+			db.logf("appdb: reading fingerprint dictionary: %v", err)
+		}
+		return ents
+	}
+	db.mu.RLock()
+	defer db.mu.RUnlock()
+	var out []DictEntry
+	for _, app := range db.appsLocked() {
+		ss := db.records[app]
+		for i := len(ss) - 1; i >= 0; i-- {
+			if fp := ss[i].rec.Fingerprint; fp != nil && !fp.Empty() {
+				out = append(out, DictEntry{Run: appstore.RowOf(&ss[i].rec), Fingerprint: *fp})
+				break
+			}
+		}
+	}
+	return out
+}
+
+// HasRun reports whether a record of app carries the finalize stamp at:
+// how crash recovery tells a finish already stored from one it must
+// redo.
+func (db *DB) HasRun(app string, at int64) bool {
+	if db.store != nil {
+		return db.store.HasRun(app, at)
+	}
+	db.mu.RLock()
+	defer db.mu.RUnlock()
+	ss := db.records[app]
+	for i := len(ss) - 1; i >= 0; i-- {
+		if ss[i].rec.FinalizedAt == at {
+			return true
+		}
+	}
+	return false
 }
 
 // Latest returns the most recent record of an application.

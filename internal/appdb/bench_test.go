@@ -144,3 +144,36 @@ func BenchmarkFinalizeDictionary(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkScanPage is the store work of one GET /v1/runs page: 50
+// rows, newest first, over a 10k-record, 200-application store of
+// daemon-shaped records, reopened from disk as the daemon opens it.
+// Their meta headers carry the page fields, so a page reads no body.
+func BenchmarkScanPage(b *testing.B) {
+	dir := filepath.Join(b.TempDir(), "store")
+	rng := rand.New(rand.NewSource(1))
+	db, err := Open(dir, appstore.Options{NoFsync: true})
+	if err != nil {
+		b.Fatal(err)
+	}
+	for i := 0; i < 10_000; i++ {
+		if err := db.Put(daemonRecord(i, rng)); err != nil {
+			b.Fatal(err)
+		}
+	}
+	if err := db.Close(); err != nil {
+		b.Fatal(err)
+	}
+	if db, err = Open(dir, appstore.Options{}); err != nil {
+		b.Fatal(err)
+	}
+	defer db.Close()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		rows, next, err := db.Scan(Filter{}, 0, 50)
+		if err != nil || len(rows) != 50 || next == 0 {
+			b.Fatalf("page of %d rows, next %d, err %v", len(rows), next, err)
+		}
+	}
+}

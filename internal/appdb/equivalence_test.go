@@ -128,6 +128,16 @@ func TestEngineEquivalence(t *testing.T) {
 	if got, want := nu.Fingerprints(), old.Fingerprints(); !reflect.DeepEqual(got, want) {
 		t.Errorf("Fingerprints: store %v, json %v", got, want)
 	}
+	if got, want := nu.Dictionary(), old.Dictionary(); !reflect.DeepEqual(got, want) {
+		t.Errorf("Dictionary: store %+v, json %+v", got, want)
+	}
+	for _, r := range recs {
+		for _, at := range []int64{r.FinalizedAt, r.FinalizedAt + 1} {
+			if got, want := nu.HasRun(r.App, at), old.HasRun(r.App, at); got != want {
+				t.Errorf("HasRun(%s, %d): store %v, json %v", r.App, at, got, want)
+			}
+		}
+	}
 	for _, c := range appclass.All() {
 		if got, want := nu.ByClass(c), old.ByClass(c); !reflect.DeepEqual(got, want) {
 			t.Errorf("ByClass(%s): store %v, json %v", c, got, want)
@@ -148,7 +158,7 @@ func TestEngineEquivalence(t *testing.T) {
 		{Verdict: appclass.IO},
 		{Since: 1_700_000_005_000_000_000, Until: 1_700_000_015_000_000_000},
 	} {
-		var fromStore, fromJSON []Record
+		var fromStore, fromJSON []Row
 		for cursor := uint64(0); ; {
 			page, next, err := nu.Scan(f, cursor, 4)
 			if err != nil {
@@ -175,7 +185,7 @@ func TestEngineEquivalence(t *testing.T) {
 		// apps sorted), so a loaded legacy DB has lost the global finalize
 		// order; compare the paginated results as sets. Per-application
 		// order is covered by the Runs comparison above.
-		sortRecs := func(rs []Record) {
+		sortRecs := func(rs []Row) {
 			sort.Slice(rs, func(a, b int) bool {
 				if rs[a].App != rs[b].App {
 					return rs[a].App < rs[b].App
@@ -286,6 +296,9 @@ func TestFingerprintsMatchMemoryEngineUnderChurn(t *testing.T) {
 		}
 		if got, want := st.Fingerprints(), mem.Fingerprints(); !reflect.DeepEqual(got, want) {
 			t.Fatalf("step %d: store dictionary differs from the memory engine's:\nstore %v\nmem   %v", step, got, want)
+		}
+		if got, want := st.Dictionary(), mem.Dictionary(); !reflect.DeepEqual(got, want) {
+			t.Fatalf("step %d: store dictionary entries differ from the memory engine's:\nstore %+v\nmem   %+v", step, got, want)
 		}
 	}
 }

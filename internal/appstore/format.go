@@ -25,26 +25,44 @@ import (
 // million-record store open in seconds; the JSON body is decoded
 // lazily, one pread per record actually fetched.
 //
-//	byte kind (1=record) | u64 seq | i64 finalized-at-ns |
+//	byte kind | u64 seq | i64 finalized-at-ns |
 //	u16 len(app) | app | u8 len(class) | class |
 //	u8 len(verdict) | verdict | u8 len(model) | model |
 //	i64 exec-ns | u32 samples | u32 gaps |
 //	u8 ncomp | ncomp × (u8 len(class) | class | f64 fraction) |
+//	[kind 2: f64 unknown-fraction | u32 phases |
+//	    u32 len(fingerprint summary) | summary |
+//	    u16 len(matched app) | matched app | f64 match score] |
 //	u8 flags (bit0: has fingerprint) | u32 len(json) | json
+//
+// Kind 2 adds the page fields: the rest of what a page of runs shows,
+// so Scan serves a page from the index without reading a body. Every
+// record appended is kind 2. Kind 1, the layout before page fields,
+// stays readable; its page fields come from the body.
+//
+// Kind 2 goes only into version-2 segments. A reader that knows only
+// version 1 takes a version-2 segment for a bad header and moves it
+// aside as .corrupt, from where renaming it back restores it; a kind-2
+// frame inside a version-1 segment would read to it as a torn tail and
+// be cut off. So open never resumes a version-1 segment. Version-2
+// segments hold both kinds, since compaction copies kind-1 frames as
+// they are.
 //
 // Deletions are not stored in segments: the tombstone set lives in a
 // small atomically rewritten sidecar file (see tombstones.go), so a
 // segment is immutable from creation to compaction.
 const (
-	segVersion = 1
-	headerSize = 8 // magic + version
+	segVersion   = 2
+	segVersionV1 = 1
+	headerSize   = 8 // magic + version
 	// maxPayload rejects garbage frame lengths before any allocation: a
 	// record with full training reservoirs stays well under 16 MiB.
 	maxPayload = 16 << 20
 	// maxName bounds every length-prefixed string in the meta header.
 	maxName = 1 << 10
 
-	kindRecord = 1
+	kindRecord = 1 // meta header without page fields
+	kindPage   = 2 // meta header with page fields
 )
 
 // segFormat is the store's segment layout.
@@ -52,7 +70,7 @@ var segFormat = seglog.Format{
 	Names:      seglog.Names{Prefix: "store-", Suffix: ".seg"},
 	Magic:      [4]byte{'A', 'C', 'D', 'B'},
 	Version:    segVersion,
-	Extra:      map[uint32]int{segVersion: 0},
+	Extra:      map[uint32]int{segVersionV1: 0, segVersion: 0},
 	MaxPayload: maxPayload,
 }
 
@@ -70,6 +88,14 @@ type meta struct {
 	gaps    int
 	comp    []compEntry
 	hasFP   bool
+	// page reports that the page fields below were decoded from a kind-2
+	// header; a kind-1 record keeps them only in its body.
+	page    bool
+	unknown float64
+	phases  int
+	summary string // Fingerprint.String(), "" without a fingerprint
+	matched string
+	score   float64
 }
 
 // compEntry is one composition fraction, kept as a slice rather than a
@@ -79,9 +105,43 @@ type compEntry struct {
 	frac  float64
 }
 
-// appendRecordPayload encodes a record payload (meta header + JSON
-// body) onto buf. The caller frames it.
+// setPage fills m's page fields from the record they summarize.
+func (m *meta) setPage(r *Record) {
+	m.page = true
+	m.unknown, m.phases = r.UnknownFraction, len(r.Phases)
+	m.summary = ""
+	if r.Fingerprint != nil && !r.Fingerprint.Empty() {
+		m.summary = r.Fingerprint.String()
+	}
+	m.matched, m.score = r.MatchedApp, r.MatchScore
+}
+
+// row renders m as a page row. The page fields are zero unless m.page.
+func (m *meta) row() Row {
+	row := Row{
+		App: m.app, Class: m.class, ExecutionTime: m.exec, Samples: m.samples,
+		FinalizedAt: m.at, Gaps: m.gaps, Verdict: m.verdict, ModelID: m.model,
+		UnknownFraction: m.unknown, Phases: m.phases, Fingerprint: m.summary,
+		MatchedApp: m.matched, MatchScore: m.score,
+	}
+	if len(m.comp) > 0 {
+		row.Composition = make(map[appclass.Class]float64, len(m.comp))
+		for _, c := range m.comp {
+			row.Composition[c.class] = c.frac
+		}
+	}
+	return row
+}
+
+// appendRecordPayload encodes a kind-2 record payload (meta header +
+// JSON body) onto buf. The caller frames it.
 func appendRecordPayload(buf []byte, seq uint64, r *Record) ([]byte, error) {
+	return appendPayload(buf, kindPage, seq, r)
+}
+
+// appendPayload encodes a record payload of the given kind. Only tests
+// write kind 1, to build stores in the layout before page fields.
+func appendPayload(buf []byte, kind byte, seq uint64, r *Record) ([]byte, error) {
 	if len(r.App) == 0 || len(r.App) > maxName {
 		return buf, fmt.Errorf("appstore: app name length %d outside [1,%d]", len(r.App), maxName)
 	}
@@ -91,11 +151,14 @@ func appendRecordPayload(buf []byte, seq uint64, r *Record) ([]byte, error) {
 	if len(r.Composition) > 255 {
 		return buf, fmt.Errorf("appstore: composition with %d classes for %q", len(r.Composition), r.App)
 	}
+	if len(r.MatchedApp) > maxName {
+		return buf, fmt.Errorf("appstore: matched app name length %d over %d for %q", len(r.MatchedApp), maxName, r.App)
+	}
 	body, err := json.Marshal(r)
 	if err != nil {
 		return buf, fmt.Errorf("appstore: encode record for %q: %w", r.App, err)
 	}
-	buf = append(buf, kindRecord)
+	buf = append(buf, kind)
 	buf = binary.LittleEndian.AppendUint64(buf, seq)
 	buf = binary.LittleEndian.AppendUint64(buf, uint64(r.FinalizedAt))
 	buf = binary.LittleEndian.AppendUint16(buf, uint16(len(r.App)))
@@ -121,6 +184,17 @@ func appendRecordPayload(buf []byte, seq uint64, r *Record) ([]byte, error) {
 	}
 	// Composition may legally carry only valid classes (Validate enforces
 	// it), so the canonical-order walk above covered every entry.
+	if kind == kindPage {
+		var m meta
+		m.setPage(r)
+		buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(m.unknown))
+		buf = binary.LittleEndian.AppendUint32(buf, uint32(m.phases))
+		buf = binary.LittleEndian.AppendUint32(buf, uint32(len(m.summary)))
+		buf = append(buf, m.summary...)
+		buf = binary.LittleEndian.AppendUint16(buf, uint16(len(m.matched)))
+		buf = append(buf, m.matched...)
+		buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(m.score))
+	}
 	var flags byte
 	if r.Fingerprint != nil && !r.Fingerprint.Empty() {
 		flags |= 1
@@ -131,14 +205,32 @@ func appendRecordPayload(buf []byte, seq uint64, r *Record) ([]byte, error) {
 	return buf, nil
 }
 
-// decodeMeta parses the fixed header of a record payload, returning the
-// meta and the JSON body. Any malformation is an error; scans treat it
-// like a CRC failure.
-func decodeMeta(p []byte) (meta, []byte, error) {
+// interner shares the strings of index entries: a header decoded
+// through it allocates no string the index already holds. A nil
+// interner allocates every string.
+type interner map[string]string
+
+func (in interner) str(b []byte) string {
+	if v, ok := in[string(b)]; ok {
+		return v
+	}
+	v := string(b)
+	if in != nil {
+		in[v] = v
+	}
+	return v
+}
+
+// decodeMeta parses the fixed header of a record payload of either
+// kind, taking its strings from in, and returns the meta and the JSON
+// body. Any malformation is an error; scans treat it like a CRC
+// failure.
+func decodeMeta(p []byte, in interner) (meta, []byte, error) {
 	var m meta
-	if len(p) < 1 || p[0] != kindRecord {
+	if len(p) < 1 || (p[0] != kindRecord && p[0] != kindPage) {
 		return m, nil, fmt.Errorf("appstore: unknown payload kind")
 	}
+	m.page = p[0] == kindPage
 	p = p[1:]
 	if len(p) < 16 {
 		return m, nil, fmt.Errorf("appstore: payload too short")
@@ -154,19 +246,19 @@ func decodeMeta(p []byte) (meta, []byte, error) {
 	if appLen == 0 || appLen > maxName || appLen > len(p) {
 		return m, nil, fmt.Errorf("appstore: app name length %d invalid", appLen)
 	}
-	m.app = string(p[:appLen])
+	m.app = in.str(p[:appLen])
 	p = p[appLen:]
 	var err error
 	var s string
-	if s, p, err = decodeStr8(p); err != nil {
+	if s, p, err = decodeStr8(p, in); err != nil {
 		return m, nil, err
 	}
 	m.class = appclass.Class(s)
-	if s, p, err = decodeStr8(p); err != nil {
+	if s, p, err = decodeStr8(p, in); err != nil {
 		return m, nil, err
 	}
 	m.verdict = appclass.Class(s)
-	if m.model, p, err = decodeStr8(p); err != nil {
+	if m.model, p, err = decodeStr8(p, in); err != nil {
 		return m, nil, err
 	}
 	if len(p) < 16 {
@@ -186,7 +278,7 @@ func decodeMeta(p []byte) (meta, []byte, error) {
 	}
 	for i := 0; i < ncomp; i++ {
 		var cl string
-		if cl, p, err = decodeStr8(p); err != nil {
+		if cl, p, err = decodeStr8(p, in); err != nil {
 			return m, nil, err
 		}
 		if len(p) < 8 {
@@ -197,6 +289,11 @@ func decodeMeta(p []byte) (meta, []byte, error) {
 			frac:  math.Float64frombits(binary.LittleEndian.Uint64(p[:8])),
 		})
 		p = p[8:]
+	}
+	if m.page {
+		if p, err = decodePage(&m, p, in); err != nil {
+			return m, nil, err
+		}
 	}
 	if len(p) < 5 {
 		return m, nil, fmt.Errorf("appstore: payload too short")
@@ -210,7 +307,38 @@ func decodeMeta(p []byte) (meta, []byte, error) {
 	return m, p, nil
 }
 
-func decodeStr8(p []byte) (string, []byte, error) {
+// decodePage parses a kind-2 header's page fields into m.
+func decodePage(m *meta, p []byte, in interner) ([]byte, error) {
+	if len(p) < 16 {
+		return nil, fmt.Errorf("appstore: payload too short")
+	}
+	m.unknown = math.Float64frombits(binary.LittleEndian.Uint64(p[:8]))
+	m.phases = int(binary.LittleEndian.Uint32(p[8:12]))
+	n := int(binary.LittleEndian.Uint32(p[12:16]))
+	p = p[16:]
+	if n > len(p) {
+		return nil, fmt.Errorf("appstore: fingerprint summary length %d overruns payload", n)
+	}
+	m.summary = in.str(p[:n])
+	p = p[n:]
+	if len(p) < 2 {
+		return nil, fmt.Errorf("appstore: payload too short")
+	}
+	n = int(binary.LittleEndian.Uint16(p[:2]))
+	p = p[2:]
+	if n > maxName || n > len(p) {
+		return nil, fmt.Errorf("appstore: matched app length %d invalid", n)
+	}
+	m.matched = in.str(p[:n])
+	p = p[n:]
+	if len(p) < 8 {
+		return nil, fmt.Errorf("appstore: payload too short")
+	}
+	m.score = math.Float64frombits(binary.LittleEndian.Uint64(p[:8]))
+	return p[8:], nil
+}
+
+func decodeStr8(p []byte, in interner) (string, []byte, error) {
 	if len(p) < 1 {
 		return "", nil, fmt.Errorf("appstore: payload too short")
 	}
@@ -219,13 +347,13 @@ func decodeStr8(p []byte) (string, []byte, error) {
 	if n > len(p) {
 		return "", nil, fmt.Errorf("appstore: string length %d overruns payload", n)
 	}
-	return string(p[:n]), p[n:], nil
+	return in.str(p[:n]), p[n:], nil
 }
 
 // decodeRecordPayload fully decodes a record payload: meta header plus
 // JSON body.
 func decodeRecordPayload(p []byte) (meta, Record, error) {
-	m, body, err := decodeMeta(p)
+	m, body, err := decodeMeta(p, nil)
 	if err != nil {
 		return m, Record{}, err
 	}

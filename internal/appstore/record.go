@@ -80,6 +80,59 @@ type Record struct {
 	TrainSamples [][]float64 `json:"train_samples,omitempty"`
 }
 
+// Row is one run as a page of runs shows it: the fields GET /v1/runs
+// and appdbtool ls print. Scan builds a row from the index alone when
+// the record's meta header carries the page fields (kind 2), and from
+// the body otherwise. Aliased as appdb.Row.
+type Row struct {
+	App             string
+	Class           appclass.Class
+	Composition     map[appclass.Class]float64
+	ExecutionTime   time.Duration
+	Samples         int
+	FinalizedAt     int64
+	Gaps            int
+	Verdict         appclass.Class
+	ModelID         string
+	UnknownFraction float64
+	// Phases counts the run's detected phases.
+	Phases int
+	// Fingerprint is the fingerprint summary, Fingerprint.String(); ""
+	// when the run has none.
+	Fingerprint string
+	MatchedApp  string
+	MatchScore  float64
+}
+
+// RowOf renders a record as a page row.
+func RowOf(r *Record) Row {
+	m := meta{
+		at: r.FinalizedAt, app: r.App, class: r.Class, verdict: r.Verdict, model: r.ModelID,
+		exec: r.ExecutionTime, samples: r.Samples, gaps: r.Gaps, comp: compOf(r),
+	}
+	m.setPage(r)
+	return m.row()
+}
+
+// compOf lists r's composition in canonical class order.
+func compOf(r *Record) []compEntry {
+	var comp []compEntry
+	for _, c := range appclass.All() {
+		if f, ok := r.Composition[c]; ok {
+			comp = append(comp, compEntry{class: c, frac: f})
+		}
+	}
+	return comp
+}
+
+// DictEntry is one fingerprint-dictionary entry: an application's
+// newest fingerprinted live run, as a page row, with its decoded
+// fingerprint. Aliased as appdb.DictEntry.
+type DictEntry struct {
+	Run         Row
+	Fingerprint phase.Fingerprint
+}
+
 // Validate checks the record's invariants.
 func (r Record) Validate() error {
 	if r.App == "" {

@@ -27,13 +27,14 @@ const (
 	MaxScanLimit     = 1000
 )
 
-// Scan returns up to limit live records matching f, newest first
-// (descending sequence number). cursor is the pagination token: 0
+// Scan returns up to limit live runs matching f as page rows, newest
+// first (descending sequence number). cursor is the pagination token: 0
 // starts at the newest record, and the returned next cursor — 0 once
 // the scan is exhausted — resumes exactly where the page ended, stable
 // under concurrent appends (new records get higher sequence numbers
-// and never shift an open cursor).
-func (s *Store) Scan(f Filter, cursor uint64, limit int) ([]Record, uint64, error) {
+// and never shift an open cursor). A row of a kind-2 record comes from
+// the index alone; a kind-1 record's page fields cost one body read.
+func (s *Store) Scan(f Filter, cursor uint64, limit int) ([]Row, uint64, error) {
 	if limit <= 0 {
 		limit = DefaultScanLimit
 	}
@@ -84,7 +85,7 @@ func (s *Store) Scan(f Filter, cursor uint64, limit int) ([]Record, uint64, erro
 		}
 		return true
 	}
-	var out []Record
+	var out []Row
 	var next uint64
 	emit := func(e *entry) (bool, error) {
 		if cursor != 0 && e.seq >= cursor {
@@ -93,7 +94,7 @@ func (s *Store) Scan(f Filter, cursor uint64, limit int) ([]Record, uint64, erro
 		if !match(e) {
 			return false, nil
 		}
-		r, err := s.readEntry(e)
+		r, err := s.rowLocked(e)
 		if err != nil {
 			return false, err
 		}
@@ -123,4 +124,19 @@ func (s *Store) Scan(f Filter, cursor uint64, limit int) ([]Record, uint64, erro
 		}
 	}
 	return out, 0, nil
+}
+
+// rowLocked renders entry e as a page row, reading its body only when
+// the meta header lacks the page fields. Caller holds the read lock.
+func (s *Store) rowLocked(e *entry) (Row, error) {
+	if e.page {
+		return e.row(), nil
+	}
+	r, err := s.readEntry(e)
+	if err != nil {
+		return Row{}, err
+	}
+	m := e.meta
+	m.setPage(&r)
+	return m.row(), nil
 }

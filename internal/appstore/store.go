@@ -101,6 +101,7 @@ type segInfo struct {
 	live    int
 	dead    int
 	corrupt bool     // undecodable bytes seen at load; never reuse as active
+	v1      bool     // a version-1 segment: never resumed, so it takes no kind-2 record
 	dups    int      // frames skipped at load because their seq was already seen
 	rd      *os.File // lazily opened read handle
 }
@@ -123,8 +124,8 @@ type Store struct {
 	byVerd  map[appclass.Class][]int
 	byModel map[string][]int
 	segs    map[uint64]*segInfo
-	interns map[string]string // string interning across entries
-	buf     []byte            // reused append encode buffer
+	interns interner // string interning across entries
+	buf     []byte   // reused append encode buffer
 	stats   Stats
 	closed  bool
 	// scrubNext is the scrub cursor: the next closed segment Scrub
@@ -141,10 +142,11 @@ type Store struct {
 	recordReads atomic.Int64
 }
 
-// fpEntry is one decoded fingerprint-dictionary entry.
+// fpEntry is one decoded fingerprint-dictionary entry and its page row.
 type fpEntry struct {
 	seq uint64
 	fp  phase.Fingerprint
+	row Row
 }
 
 // Open opens (or creates) a store at dir. If dir is an existing regular
@@ -193,7 +195,7 @@ func Open(dir string, opt Options) (*Store, error) {
 		byVerd:  make(map[appclass.Class][]int),
 		byModel: make(map[string][]int),
 		segs:    make(map[uint64]*segInfo),
-		interns: make(map[string]string),
+		interns: make(interner),
 		w:       seglog.Writer{Format: &segFormat, Dir: dir},
 	}
 	if err := s.load(); err != nil {
@@ -287,10 +289,12 @@ func (s *Store) load() error {
 	// Continue appending to the newest segment when it has room (its
 	// tail was just verified, and repaired if torn); otherwise start a
 	// fresh one. A newest segment that was quarantined or deleted above
-	// is absent from s.segs and never reused.
+	// is absent from s.segs and never reused, and a version-1 one is not
+	// reused either: a kind-2 record appended to it would read as a torn
+	// tail to a reader that knows only version 1.
 	if n := len(segNos); n > 0 {
 		last := segNos[n-1]
-		if info := s.segs[last]; info != nil && !info.corrupt && info.size < s.opt.SegmentBytes {
+		if info := s.segs[last]; info != nil && !info.corrupt && !info.v1 && info.size < s.opt.SegmentBytes {
 			if err := s.w.Resume(last, info.size); err != nil {
 				return fmt.Errorf("appstore: %w", err)
 			}
@@ -314,7 +318,7 @@ func (s *Store) loadSegment(no uint64, newest bool, seen map[uint64]bool) error 
 	path := segFormat.Path(s.dir, no)
 	info := &segInfo{}
 	sc, err := segFormat.Walk(path, 0, false, func(off int64, p []byte) error {
-		m, _, err := decodeMeta(p)
+		m, _, err := decodeMeta(p, s.interns)
 		if err != nil {
 			return seglog.Corrupt(err)
 		}
@@ -325,8 +329,6 @@ func (s *Store) loadSegment(no uint64, newest bool, seen map[uint64]bool) error 
 			return nil
 		}
 		seen[m.seq] = true
-		m.app = s.intern(m.app)
-		m.model = s.intern(m.model)
 		s.entries = append(s.entries, entry{meta: m, seg: no, off: off, n: seglog.FrameSize + int64(len(p))})
 		return nil
 	})
@@ -334,6 +336,7 @@ func (s *Store) loadSegment(no uint64, newest bool, seen map[uint64]bool) error 
 		return fmt.Errorf("appstore: read segment %d: %w", no, err)
 	}
 	info.size = sc.Size
+	info.v1 = sc.Header.Version == segVersionV1
 	if sc.Header.Size == 0 {
 		// Nothing in this segment is readable. Quarantine it aside so it
 		// stops counting against the byte cap (and can be inspected), and
@@ -372,17 +375,6 @@ func (s *Store) loadSegment(no uint64, newest bool, seen map[uint64]bool) error 
 		}
 	}
 	return nil
-}
-
-func (s *Store) intern(v string) string {
-	if v == "" {
-		return ""
-	}
-	if i, ok := s.interns[v]; ok {
-		return i
-	}
-	s.interns[v] = v
-	return v
 }
 
 // rebuildIndexLocked recomputes every posting list from s.entries.
@@ -437,6 +429,12 @@ func (s *Store) Append(r *Record) error {
 	if n := len(buf) - seglog.FrameSize; n > maxPayload {
 		return fmt.Errorf("appstore: record payload %d bytes exceeds cap %d", n, maxPayload)
 	}
+	// Index the header as open decodes it, so the online index is the
+	// one a reopen rebuilds.
+	m, _, err := decodeMeta(buf[seglog.FrameSize:], s.interns)
+	if err != nil {
+		return fmt.Errorf("appstore: record %d: %w", seq, err)
+	}
 	s.buf = seglog.EndFrame(buf, fstart)
 	seg, off := s.w.Seq(), s.w.Size()
 	err = s.w.Write(s.buf)
@@ -458,17 +456,6 @@ func (s *Store) Append(r *Record) error {
 	s.segs[seg].size = s.w.Size()
 	s.segs[seg].live++
 	s.nextSeq++
-	m := meta{
-		seq: seq, at: r.FinalizedAt, app: s.intern(r.App),
-		class: r.Class, verdict: r.Verdict, model: s.intern(r.ModelID),
-		exec: r.ExecutionTime, samples: r.Samples, gaps: r.Gaps,
-		hasFP: r.Fingerprint != nil && !r.Fingerprint.Empty(),
-	}
-	for _, c := range appclass.All() {
-		if f, ok := r.Composition[c]; ok {
-			m.comp = append(m.comp, compEntry{class: c, frac: f})
-		}
-	}
 	s.entries = append(s.entries, entry{meta: m, seg: seg, off: off, n: int64(len(s.buf))})
 	s.indexEntry(len(s.entries) - 1)
 	s.stats.Appends++
@@ -701,6 +688,21 @@ func (s *Store) Latest(app string) (Record, error) {
 	return Record{}, fmt.Errorf("appdb: no records for application %q", app)
 }
 
+// HasRun reports whether a live record of app carries the finalize
+// stamp at, from the index alone. Stamps grow with every finish, so the
+// walk starts at the application's newest record.
+func (s *Store) HasRun(app string, at int64) bool {
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	idxs := s.byApp[app]
+	for i := len(idxs) - 1; i >= 0; i-- {
+		if e := &s.entries[idxs[i]]; !e.dead && e.at == at {
+			return true
+		}
+	}
+	return false
+}
+
 // Summarize aggregates an application's live records from index
 // metadata alone — no record body is read.
 func (s *Store) Summarize(app string) (Summary, error) {
@@ -784,16 +786,9 @@ func (s *Store) TotalExecution() time.Duration {
 }
 
 // Fingerprints returns the fingerprint dictionary — each application's
-// most recent fingerprinted live record. The index names each
-// application's entry; a body is decoded only when that record's seq
-// differs from the seq of the entry decoded by an earlier call (a newer
-// run was appended, or the old entry was pruned or lost to damage and
-// an older record stands in). So the first call after open reads one
-// body per application, and a call after one fingerprinted append
-// reads one. Prune, retention, compaction and scrub need no hook:
-// compaction keeps seqs, and a removed entry is simply no longer the
-// one the index names. The returned fingerprints share their slices
-// with that cache; callers must not modify them. An unreadable
+// most recent fingerprinted live record. The returned fingerprints
+// share their slices with the store's decoded dictionary (see
+// refreshDictLocked); callers must not modify them. An unreadable
 // dictionary entry drops its application from the map (the next call
 // tries it again); the partial dictionary is returned alongside an
 // error naming the loss, so the caller can log that matching degraded
@@ -803,8 +798,44 @@ func (s *Store) Fingerprints() (map[string]phase.Fingerprint, error) {
 	defer s.mu.RUnlock()
 	s.fpMu.Lock()
 	defer s.fpMu.Unlock()
-	cache := make(map[string]fpEntry, len(s.fps))
+	err := s.refreshDictLocked()
 	out := make(map[string]phase.Fingerprint, len(s.fps))
+	for app, c := range s.fps {
+		out[app] = c.fp
+	}
+	return out, err
+}
+
+// Dictionary returns the fingerprint dictionary as entries sorted by
+// application, each with the page row of the record it came from, with
+// the same sharing and error rules as Fingerprints. A call that finds
+// every entry decoded reads no body.
+func (s *Store) Dictionary() ([]DictEntry, error) {
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	s.fpMu.Lock()
+	defer s.fpMu.Unlock()
+	err := s.refreshDictLocked()
+	var out []DictEntry
+	for _, c := range s.fps {
+		out = append(out, DictEntry{Run: c.row, Fingerprint: c.fp})
+	}
+	sort.Slice(out, func(a, b int) bool { return out[a].Run.App < out[b].Run.App })
+	return out, err
+}
+
+// refreshDictLocked brings the decoded dictionary up to the index. The
+// index names each application's entry; a body is decoded only when
+// that record's seq differs from the seq of the entry decoded by an
+// earlier call (a newer run was appended, or the old entry was pruned
+// or lost to damage and an older record stands in). So the first call
+// after open reads one body per application, and a call after one
+// fingerprinted append reads one. Prune, retention, compaction and
+// scrub need no hook: compaction keeps seqs, and a removed entry is
+// simply no longer the one the index names. Caller holds the read lock
+// and fpMu.
+func (s *Store) refreshDictLocked() error {
+	cache := make(map[string]fpEntry, len(s.fps))
 	var firstErr error
 	failed := 0
 	for app, idxs := range s.byApp {
@@ -826,16 +857,17 @@ func (s *Store) Fingerprints() (map[string]phase.Fingerprint, error) {
 				if r.Fingerprint == nil || r.Fingerprint.Empty() {
 					break
 				}
-				c = fpEntry{seq: e.seq, fp: *r.Fingerprint}
+				m := e.meta
+				m.setPage(&r)
+				c = fpEntry{seq: e.seq, fp: *r.Fingerprint, row: m.row()}
 			}
 			cache[app] = c
-			out[app] = c.fp
 			break
 		}
 	}
 	s.fps = cache
 	if firstErr != nil {
-		return out, fmt.Errorf("appstore: %d unreadable fingerprint dictionary entr(ies): %w", failed, firstErr)
+		return fmt.Errorf("appstore: %d unreadable fingerprint dictionary entr(ies): %w", failed, firstErr)
 	}
-	return out, nil
+	return nil
 }

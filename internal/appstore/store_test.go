@@ -177,7 +177,7 @@ func TestScanFiltersAndPagination(t *testing.T) {
 	}
 
 	// Newest-first, paginated in pages of 3 until exhausted.
-	var all []Record
+	var all []Row
 	cursor := uint64(0)
 	pages := 0
 	for {

@@ -40,8 +40,12 @@ type Online struct {
 	// capped near StageCap; the newest holds the last class and time.
 	// dropped counts the snapshots in trimmed stages, and firstAt is the
 	// time of the first snapshot ever observed, including dropped ones.
+	// partial marks the first stage as cut: it was folded from a
+	// per-snapshot history whose cap trimmed it mid-stage. The cap here
+	// trims whole stages, so it clears the mark rather than sets it.
 	stages  []Stage
 	dropped int
+	partial bool
 	firstAt time.Duration
 
 	// seg, when enabled, maintains online phase segmentation over the
@@ -109,6 +113,7 @@ func (o *Online) extend(at time.Duration, class appclass.Class) {
 	}
 	copy(o.stages, o.stages[drop:])
 	o.stages = o.stages[:StageCap]
+	o.partial = false
 }
 
 // EnableSegmentation attaches an online phase segmenter (see
@@ -434,11 +439,13 @@ func (o *Online) Snapshot() View {
 }
 
 // Stages returns the retained execution stages, oldest first, as a
-// fresh copy. When the retention cap has dropped older stages, the
-// first one returned is flagged Partial: it may have begun earlier.
+// fresh copy. The first one is flagged Partial only when it was cut
+// mid-stage, which only a restored per-snapshot history can do: it may
+// have begun earlier. Stages the cap trimmed whole leave the first
+// retained one complete.
 func (o *Online) Stages() []Stage {
 	out := append([]Stage(nil), o.stages...)
-	if len(out) > 0 && o.dropped > 0 {
+	if len(out) > 0 && o.partial {
 		out[0].Partial = true
 	}
 	return out

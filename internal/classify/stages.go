@@ -21,9 +21,9 @@ type Stage struct {
 	End   time.Duration `json:"end_ns"`
 	// Snapshots is the number of snapshots in the stage.
 	Snapshots int `json:"snapshots"`
-	// Partial marks the first stage Online.Stages returns once older
-	// stages were dropped: it may have begun before them, so its Start,
-	// Snapshots, and duration may cover only its retained tail.
+	// Partial marks a first stage Online.Stages returns that was cut
+	// mid-stage: it may have begun earlier, so its Start, Snapshots,
+	// and duration may cover only its retained tail.
 	Partial bool `json:"-"`
 }
 

@@ -223,14 +223,14 @@ func TestHistoryCap(t *testing.T) {
 }
 
 // TestOnlineTruncatedHistoryYieldsPartialFirstStage checks the Partial
-// flag over an alternating stream: no stage is Partial while the cap
-// has dropped nothing, and once it has, the first retained stage is and
-// no other.
+// flag over an alternating stream. The cap trims whole stages, so no
+// stage is Partial before or after a trim. A first stage restored as
+// cut keeps the flag across a re-checkpoint until the cap trims it.
 func TestOnlineTruncatedHistoryYieldsPartialFirstStage(t *testing.T) {
 	online, observe := alternating(t)
-	partial := func() []int {
+	partial := func(o *Online) []int {
 		var idx []int
-		for i, st := range online.Stages() {
+		for i, st := range o.Stages() {
 			if st.Partial {
 				idx = append(idx, i)
 			}
@@ -244,15 +244,43 @@ func TestOnlineTruncatedHistoryYieldsPartialFirstStage(t *testing.T) {
 		t.Fatalf("%d snapshots dropped at %d stages, before the list overshot the cap",
 			online.HistoryDropped(), len(online.Stages()))
 	}
-	if p := partial(); len(p) != 0 {
+	if p := partial(online); len(p) != 0 {
 		t.Errorf("untrimmed stage list flags stages %v Partial", p)
 	}
-	observe()
+	n := observe()
 	if online.HistoryDropped() == 0 {
 		t.Fatalf("nothing dropped at %d stages: the classes did not alternate", len(online.Stages()))
 	}
-	if p := partial(); !reflect.DeepEqual(p, []int{0}) {
-		t.Errorf("trimmed stage list flags stages %v Partial, want [0]", p)
+	if p := partial(online); len(p) != 0 {
+		t.Errorf("stage list trimmed by whole stages flags stages %v Partial, want none", p)
+	}
+
+	st := online.ExportState()
+	st.Partial = true
+	cut, err := RestoreOnline(online.cl, online.schema, st)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if cut, err = RestoreOnline(online.cl, online.schema, cut.ExportState()); err != nil {
+		t.Fatal(err)
+	}
+	if p := partial(cut); !reflect.DeepEqual(p, []int{0}) {
+		t.Errorf("re-checkpointed cut stage list flags stages %v Partial, want [0]", p)
+	}
+	cpu, io := syntheticTrace(t, appclass.CPU, 8, 51), syntheticTrace(t, appclass.IO, 8, 52)
+	for dropped := cut.HistoryDropped(); cut.HistoryDropped() == dropped; n++ {
+		src := cpu
+		if n%2 == 1 {
+			src = io
+		}
+		snap := src.At(n / 2 % src.Len())
+		snap.Time = time.Duration(n) * time.Second
+		if _, err := cut.Observe(snap); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if p := partial(cut); len(p) != 0 {
+		t.Errorf("cut stage trimmed away, yet stages %v are Partial", p)
 	}
 }
 
@@ -331,6 +359,13 @@ func TestRestoreParentLayoutStages(t *testing.T) {
 		}
 		if restored.HistoryDropped() != dropped {
 			t.Errorf("dropped %d: HistoryDropped = %d", dropped, restored.HistoryDropped())
+		}
+		again, err := RestoreOnline(cl, schema, restored.ExportState())
+		if err != nil {
+			t.Fatalf("dropped %d: re-checkpoint: %v", dropped, err)
+		}
+		if got := again.Stages(); !reflect.DeepEqual(got, wantStages()) {
+			t.Errorf("dropped %d: re-checkpointed stages %+v, want %+v", dropped, got, wantStages())
 		}
 		for i := cutAt; i < trace.Len(); i++ {
 			snap := trace.At(i)

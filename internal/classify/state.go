@@ -28,6 +28,9 @@ type OnlineState struct {
 	Dropped int `json:"dropped"`
 	// Stages is the retained stage list, oldest first.
 	Stages []Stage `json:"stages,omitempty"`
+	// Partial marks the first stage as cut mid-stage (see
+	// Online.Stages), so the mark survives a re-checkpoint.
+	Partial bool `json:"partial,omitempty"`
 	// History is only read: a state written before sessions kept
 	// stages carries its per-snapshot class sequence here, and
 	// RestoreOnline folds it into stages.
@@ -68,6 +71,7 @@ func (o *Online) ExportState() OnlineState {
 		FirstAtNS: int64(o.firstAt),
 		Dropped:   o.dropped,
 		Stages:    append([]Stage(nil), o.stages...),
+		Partial:   o.partial,
 		Drift:     make([]stats.WelfordState, len(o.drift)),
 		Gaps:      o.gaps,
 		GapTimeNS: int64(o.gapTime),
@@ -119,9 +123,13 @@ func RestoreOnline(cl *Classifier, schema *metrics.Schema, st OnlineState) (*Onl
 		return nil, fmt.Errorf("classify: restore: counts sum to %d, total is %d", sum, st.Total)
 	}
 	o.dropped = st.Dropped
+	o.partial = st.Partial
 	if len(st.Stages) == 0 {
 		// A state written before sessions kept stages: fold its
-		// per-snapshot history through the step Observe uses.
+		// per-snapshot history through the step Observe uses. That
+		// history was trimmed snapshot by snapshot, so after a trim its
+		// first stage may be cut.
+		o.partial = st.Dropped > 0
 		for i, tc := range st.History {
 			class, err := appclass.Parse(tc.Class)
 			if err != nil {

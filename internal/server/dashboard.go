@@ -29,8 +29,8 @@ func dashboardAssets() fs.FS {
 	return sub
 }
 
-// runJSON is one row of GET /v1/runs: a finalized application-database
-// record, rendered for operators (durations in seconds, times RFC3339).
+// runJSON is one row of GET /v1/runs: a finalized run's page row,
+// rendered for operators (durations in seconds, times RFC3339).
 type runJSON struct {
 	App           string                     `json:"app"`
 	Class         string                     `json:"class"`
@@ -124,7 +124,7 @@ func (s *Server) handleRuns(w http.ResponseWriter, r *http.Request) {
 		}
 		limit = n
 	}
-	recs, next, err := s.cfg.DB.Scan(f, cursor, limit)
+	rows, next, err := s.cfg.DB.Scan(f, cursor, limit)
 	if err != nil {
 		writeError(w, http.StatusInternalServerError, "scan: %v", err)
 		return
@@ -133,27 +133,25 @@ func (s *Server) handleRuns(w http.ResponseWriter, r *http.Request) {
 		Count      int       `json:"count"`
 		Runs       []runJSON `json:"runs"`
 		NextCursor uint64    `json:"next_cursor"`
-	}{Runs: make([]runJSON, 0, len(recs)), NextCursor: next}
-	for _, rec := range recs {
+	}{Runs: make([]runJSON, 0, len(rows)), NextCursor: next}
+	for _, run := range rows {
 		row := runJSON{
-			App:           rec.App,
-			Class:         string(rec.Class),
-			Composition:   rec.Composition,
-			ExecutionSecs: rec.ExecutionTime.Seconds(),
-			Samples:       rec.Samples,
-			Gaps:          rec.Gaps,
-			Verdict:       string(rec.Verdict),
-			Unknown:       rec.UnknownFraction,
-			Model:         rec.ModelID,
-			Phases:        len(rec.Phases),
-			MatchedApp:    rec.MatchedApp,
-			MatchScore:    rec.MatchScore,
+			App:           run.App,
+			Class:         string(run.Class),
+			Composition:   run.Composition,
+			ExecutionSecs: run.ExecutionTime.Seconds(),
+			Samples:       run.Samples,
+			Gaps:          run.Gaps,
+			Verdict:       string(run.Verdict),
+			Unknown:       run.UnknownFraction,
+			Model:         run.ModelID,
+			Phases:        run.Phases,
+			Fingerprint:   run.Fingerprint,
+			MatchedApp:    run.MatchedApp,
+			MatchScore:    run.MatchScore,
 		}
-		if rec.FinalizedAt > 0 {
-			row.FinalizedAt = time.Unix(0, rec.FinalizedAt).UTC().Format(time.RFC3339)
-		}
-		if rec.Fingerprint != nil && !rec.Fingerprint.Empty() {
-			row.Fingerprint = rec.Fingerprint.String()
+		if run.FinalizedAt > 0 {
+			row.FinalizedAt = time.Unix(0, run.FinalizedAt).UTC().Format(time.RFC3339)
 		}
 		out.Runs = append(out.Runs, row)
 	}

@@ -70,12 +70,14 @@ func (s *Server) Checkpoint() error {
 }
 
 // StartCheckpointer launches the periodic checkpoint loop (cadence
-// Config.CheckpointEvery) as a supervised task. Finalizations nudge it
-// so finalize markers are covered by a checkpoint promptly. The
-// heartbeat beats per iteration, so a checkpoint quiesce that never
-// drains (ckptMu held forever by a stuck reader) is detected as a
-// wedged task and surfaced through /readyz instead of silently leaving
-// the journal to grow unbounded. No-op without a journal.
+// Config.CheckpointEvery) as a supervised task; leaving degraded
+// durability kicks it early. A finish does not: its stamped marker
+// makes replay idempotent, so the periodic checkpoint only bounds how
+// much replay does, as it does for ingest. The heartbeat beats per
+// iteration, so a checkpoint quiesce that never drains (ckptMu held
+// forever by a stuck reader) is detected as a wedged task and surfaced
+// through /readyz instead of silently leaving the journal to grow
+// unbounded. No-op without a journal.
 func (s *Server) StartCheckpointer() {
 	if s.cfg.Journal == nil {
 		return
@@ -108,6 +110,10 @@ type RecoveryStats struct {
 	Records   int
 	Snapshots int
 	Finalized int
+	// AlreadyStored counts stamped finalize markers whose record the
+	// database already held: the finish completed before the crash, so
+	// replay dropped the session and stored nothing.
+	AlreadyStored int
 	// Errors counts records that could not be applied (logged, skipped).
 	Errors int
 	// Truncated reports a torn journal segment, the normal crash shape:
@@ -126,7 +132,9 @@ type RecoveryStats struct {
 // the serving model, then replays the journal from the checkpoint's
 // position in one walk (see wal.Journal.Recover) — batches re-classify
 // into their sessions, finalize markers finalize into the application
-// database. A refused recovery leaves the journal untouched. It
+// database unless it already holds the record the marker's stamp
+// names, so each finish is stored once however often recovery runs.
+// A refused recovery leaves the journal untouched. It
 // finishes by writing a fresh checkpoint covering everything
 // recovered. Call it after New and before serving traffic; it is
 // single-threaded and must not race ingest. No-op without a journal.
@@ -239,6 +247,7 @@ func (s *Server) Recover() (RecoveryStats, error) {
 			s.counters.replayedSnapshots.Add(int64(len(rec.Snaps)))
 		case wal.RecordFinalize:
 			rs.Records++
+			s.sawStamp(rec.At)
 			sess, ok := s.reg.get(rec.VM)
 			if !ok {
 				// Session finalized with no prior state in this tail — its
@@ -246,7 +255,17 @@ func (s *Server) Recover() (RecoveryStats, error) {
 				// classified anything. Nothing to finalize again.
 				return nil
 			}
-			if _, ok := s.finalize(sess, false); ok {
+			if rec.At != 0 && s.cfg.DB.HasRun(rec.VM, rec.At) {
+				sess.mu.Lock()
+				sess.finalized = true
+				s.reg.remove(sess.vm, sess)
+				sess.mu.Unlock()
+				rs.AlreadyStored++
+				return nil
+			}
+			// An unstamped marker, from a journal written before stamps,
+			// takes a fresh stamp.
+			if _, ok := s.finalize(sess, false, rec.At); ok {
 				rs.Finalized++
 			}
 		}
@@ -263,8 +282,8 @@ func (s *Server) Recover() (RecoveryStats, error) {
 			replay.MissingSegments, j.Dir())
 	}
 	if rs.Sessions > 0 || rs.Records > 0 {
-		s.cfg.Logf("server: recovered %d session(s) from checkpoint %d, replayed %d record(s) (%d snapshot(s), %d finalize(s), %d error(s))",
-			rs.Sessions, rs.CheckpointSeq, rs.Records, rs.Snapshots, rs.Finalized, rs.Errors)
+		s.cfg.Logf("server: recovered %d session(s) from checkpoint %d, replayed %d record(s) (%d snapshot(s), %d finalize(s), %d already stored, %d error(s))",
+			rs.Sessions, rs.CheckpointSeq, rs.Records, rs.Snapshots, rs.Finalized, rs.AlreadyStored, rs.Errors)
 	}
 	// Checkpoint immediately: the recovered state now covers everything
 	// on disk, so pinning it (and the retention floor) to the journal's

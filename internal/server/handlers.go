@@ -392,31 +392,23 @@ type fingerprintEntry struct {
 
 // handleFingerprints serves the fingerprint dictionary: each
 // application's latest fingerprinted run, the corpus finalizing
-// sessions are matched against.
+// sessions are matched against. It comes from the entries the database
+// keeps decoded for matching, so a request reads no record body.
 func (s *Server) handleFingerprints(w http.ResponseWriter, r *http.Request) {
-	db := s.cfg.DB
+	dict := s.cfg.DB.Dictionary()
 	out := struct {
 		Count        int                `json:"count"`
 		Fingerprints []fingerprintEntry `json:"fingerprints"`
-	}{}
-	for _, app := range db.Apps() {
-		rs := db.Runs(app)
-		for i := len(rs) - 1; i >= 0; i-- {
-			fp := rs[i].Fingerprint
-			if fp == nil || fp.Empty() {
-				continue
-			}
-			out.Fingerprints = append(out.Fingerprints, fingerprintEntry{
-				App:        app,
-				Summary:    fp.String(),
-				Phases:     fp.Phases,
-				MatchedApp: rs[i].MatchedApp,
-				MatchScore: rs[i].MatchScore,
-			})
-			break
-		}
+	}{Count: len(dict)}
+	for _, d := range dict {
+		out.Fingerprints = append(out.Fingerprints, fingerprintEntry{
+			App:        d.Run.App,
+			Summary:    d.Run.Fingerprint,
+			Phases:     d.Fingerprint.Phases,
+			MatchedApp: d.Run.MatchedApp,
+			MatchScore: d.Run.MatchScore,
+		})
 	}
-	out.Count = len(out.Fingerprints)
 	writeJSON(w, http.StatusOK, out)
 }
 
@@ -444,7 +436,7 @@ func (s *Server) handleFinish(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusNotFound, "no live session for vm %q", vm)
 		return
 	}
-	rec, ok := s.finalize(sess, true)
+	rec, ok := s.finalize(sess, true, 0)
 	if !ok {
 		if _, live := s.reg.get(vm); live {
 			// The finalize marker could not be journaled; the session was

@@ -187,9 +187,11 @@ type Server struct {
 	// session states it serializes are one consistent cut — replay from a
 	// checkpoint neither double-applies nor loses a record.
 	ckptMu sync.RWMutex
-	// ckptKick nudges the checkpointer loop after a finalization so the
-	// finalize record's effect is captured promptly.
+	// ckptKick nudges the checkpointer loop to checkpoint now; exiting
+	// degraded durability kicks it.
 	ckptKick chan struct{}
+	// lastStamp is the newest finalize stamp issued (see stamp).
+	lastStamp atomic.Int64
 
 	// segCfg is the phase segmenter configuration applied to every new
 	// session (nil with segmentation disabled). Immutable after New.
@@ -386,6 +388,33 @@ func (s *Server) liveComposition(app string) (map[appclass.Class]float64, bool) 
 
 func (s *Server) now() time.Time { return s.cfg.Now() }
 
+// stamp issues a finalize stamp: the clock in unix nanoseconds, moved
+// past every stamp this server issued or replayed, so a frozen or
+// stepped-back clock cannot repeat one. The pair (application, stamp)
+// identifies a finish across a crash.
+func (s *Server) stamp() int64 {
+	t := s.now().UnixNano()
+	for {
+		last := s.lastStamp.Load()
+		if t <= last {
+			t = last + 1
+		}
+		if s.lastStamp.CompareAndSwap(last, t) {
+			return t
+		}
+	}
+}
+
+// sawStamp moves the stamp floor past a replayed marker's stamp.
+func (s *Server) sawStamp(at int64) {
+	for {
+		last := s.lastStamp.Load()
+		if at <= last || s.lastStamp.CompareAndSwap(last, at) {
+			return
+		}
+	}
+}
+
 // DB returns the application database receiving finalized sessions.
 func (s *Server) DB() *appdb.DB { return s.cfg.DB }
 
@@ -471,7 +500,7 @@ func (s *Server) EvictIdle() int {
 		if !idle {
 			continue
 		}
-		if _, ok := s.finalize(sess, true); ok {
+		if _, ok := s.finalize(sess, true, 0); ok {
 			evicted++
 			s.counters.evictions.Add(1)
 		}
@@ -493,7 +522,12 @@ func (s *Server) EvictIdle() int {
 // so a crash anywhere in this sequence replays into a state no newer
 // than the journal. A finalize whose marker cannot be journaled does
 // not proceed: the session stays live and the janitor retries later.
-func (s *Server) finalize(sess *session, journal bool) (rec *appdb.Record, ok bool) {
+//
+// at is the record's FinalizedAt: the replayed marker's stamp, or 0 for
+// a fresh one. The marker carries the same stamp, so replay skips a
+// finish whose record is already stored, and no checkpoint is needed
+// to keep a crash from storing the run twice.
+func (s *Server) finalize(sess *session, journal bool, at int64) (rec *appdb.Record, ok bool) {
 	journal = journal && s.cfg.Journal != nil
 	if journal && s.degraded.mode.Load() {
 		// Degraded durability: finalize memory-only, like ingest. The next
@@ -512,8 +546,11 @@ func (s *Server) finalize(sess *session, journal bool) (rec *appdb.Record, ok bo
 		sess.mu.Unlock()
 		return nil, false
 	}
+	if at == 0 {
+		at = s.stamp()
+	}
 	if journal {
-		if _, err := s.cfg.Journal.AppendFinalize(sess.vm); err != nil {
+		if _, err := s.cfg.Journal.AppendFinalize(sess.vm, at); err != nil {
 			s.counters.journalErrors.Add(1)
 			if !s.cfg.DegradeOnWALError {
 				sess.mu.Unlock()
@@ -535,10 +572,6 @@ func (s *Server) finalize(sess *session, journal bool) (rec *appdb.Record, ok bo
 	// or waits on sess.mu and then retries against the registry.
 	s.reg.remove(sess.vm, sess)
 	sess.mu.Unlock()
-
-	if journal {
-		s.kickCheckpointer()
-	}
 
 	if view.Total == 0 {
 		// A session that never classified anything (e.g. its first
@@ -582,9 +615,9 @@ func (s *Server) finalize(sess *session, journal bool) (rec *appdb.Record, ok bo
 			s.counters.fingerprintMisses.Add(1)
 		}
 	}
-	// Stamp the finalize time so both database engines store identical
-	// records and Scan/retention can order by it.
-	rec.FinalizedAt = s.now().UnixNano()
+	// Both database engines store the stamp, and Scan and retention
+	// order by it.
+	rec.FinalizedAt = at
 	putStart := s.now()
 	if err := s.cfg.DB.Put(*rec); err != nil {
 		s.counters.finalizeErrors.Add(1)
@@ -603,7 +636,7 @@ func (s *Server) finalize(sess *session, journal bool) (rec *appdb.Record, ok bo
 func (s *Server) FlushAll() int {
 	n := 0
 	for _, sess := range s.reg.all() {
-		if _, ok := s.finalize(sess, true); ok {
+		if _, ok := s.finalize(sess, true, 0); ok {
 			n++
 			s.counters.flushed.Add(1)
 		}

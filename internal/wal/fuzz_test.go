@@ -13,7 +13,7 @@ import (
 // encodeRecord re-encodes a decoded record's payload.
 func encodeRecord(rec Record) ([]byte, error) {
 	if rec.Type == RecordFinalize {
-		return appendFinalizePayload(nil, rec.VM)
+		return appendFinalizePayload(nil, rec.VM, rec.At)
 	}
 	return appendBatchPayload(nil, rec.VM, rec.Snaps)
 }
@@ -26,13 +26,20 @@ func FuzzJournalRecord(f *testing.F) {
 	if err != nil {
 		f.Fatal(err)
 	}
-	fin, err := appendFinalizePayload(nil, "vm-fuzz")
+	fin, err := appendFinalizePayload(nil, "vm-fuzz", 0)
+	if err != nil {
+		f.Fatal(err)
+	}
+	stamped, err := appendFinalizePayload(nil, "vm-fuzz", 1_700_000_000_123_456_789)
 	if err != nil {
 		f.Fatal(err)
 	}
 	f.Add(batch)
 	f.Add(batch[:len(batch)/2])
 	f.Add(fin)
+	f.Add(stamped)
+	f.Add(stamped[:len(stamped)-3])
+	f.Add(append(append([]byte(nil), fin...), 0, 0, 0, 0, 0, 0, 0, 0))
 	f.Add([]byte{})
 	f.Add([]byte{byte(RecordBatch), 1, 0, 'v', 1, 0, 0, 0, 0, 0x80})
 	f.Fuzz(func(t *testing.T, data []byte) {
@@ -70,7 +77,7 @@ func FuzzJournalRecover(f *testing.F) {
 				f.Fatal(err)
 			}
 		}
-		if _, err := j.AppendFinalize("a"); err != nil {
+		if _, err := j.AppendFinalize("a", 1_700_000_000_000_000_001); err != nil {
 			f.Fatal(err)
 		}
 		if seg < 2 {

@@ -347,11 +347,14 @@ func (j *Journal) WaitDurable(token int64) error {
 	return j.waitDurable(token)
 }
 
-// AppendFinalize appends a finalize marker for vm: replay stops feeding
-// the VM's session and finalizes it instead.
-func (j *Journal) AppendFinalize(vm string) (Position, error) {
+// AppendFinalize appends a finalize marker for vm stamped with at, the
+// unix-nanosecond FinalizedAt of the record the finish stores: replay
+// stops feeding the VM's session and finalizes it instead, unless a
+// record with that stamp is already stored. An at of 0 writes the
+// unstamped marker.
+func (j *Journal) AppendFinalize(vm string, at int64) (Position, error) {
 	return j.append(func(buf []byte) ([]byte, error) {
-		return appendFinalizePayload(buf, vm)
+		return appendFinalizePayload(buf, vm, at)
 	})
 }
 

@@ -1,6 +1,8 @@
 package wal
 
 import (
+	"bytes"
+	"encoding/binary"
 	"encoding/json"
 	"os"
 	"path/filepath"
@@ -55,7 +57,8 @@ func TestAppendReplayRoundTrip(t *testing.T) {
 	if _, err := j.AppendBatch("vm-a", want["vm-a"][5:]); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := j.AppendFinalize("vm-b"); err != nil {
+	const stamp = 1_700_000_000_123_456_789
+	if _, err := j.AppendFinalize("vm-b", stamp); err != nil {
 		t.Fatal(err)
 	}
 	if err := j.Close(); err != nil {
@@ -70,6 +73,9 @@ func TestAppendReplayRoundTrip(t *testing.T) {
 			got[rec.VM] = append(got[rec.VM], rec.Snaps...)
 		case RecordFinalize:
 			finalized[rec.VM] = true
+			if rec.At != stamp {
+				t.Errorf("finalize marker for %s replayed stamp %d, want %d", rec.VM, rec.At, stamp)
+			}
 		}
 		return nil
 	})
@@ -112,8 +118,11 @@ func TestAppendValidation(t *testing.T) {
 	if _, err := j.AppendBatch("vm", mixed); err == nil {
 		t.Error("mixed dims: want error")
 	}
-	if _, err := j.AppendFinalize(""); err == nil {
+	if _, err := j.AppendFinalize("", 1); err == nil {
 		t.Error("empty finalize vm: want error")
+	}
+	if _, err := j.AppendFinalize("vm", -1); err == nil {
+		t.Error("negative finalize stamp: want error")
 	}
 }
 
@@ -461,5 +470,32 @@ func TestOpenIgnoresForeignFiles(t *testing.T) {
 	j := openTestJournal(t, Config{Dir: dir, Fsync: FsyncNever})
 	if got := j.Pos().Seg; got != 1 {
 		t.Errorf("active segment = %d, want 1 (foreign files ignored)", got)
+	}
+}
+
+// TestFinalizeMarkerStampOptional pins the finalize payload: the
+// unstamped layout markers had before stamping still decodes (stamp 0),
+// a stamped one carries its stamp, and a stamp field holding 0 or a
+// negative stamp is malformed.
+func TestFinalizeMarkerStampOptional(t *testing.T) {
+	parent := []byte{byte(RecordFinalize), 2, 0, 'v', 'm'}
+	if rec, err := decodePayload(parent); err != nil || rec.Type != RecordFinalize || rec.VM != "vm" || rec.At != 0 {
+		t.Errorf("unstamped marker decoded to %+v (err %v)", rec, err)
+	}
+	stamped, err := appendFinalizePayload(nil, "vm", 1_700_000_000_000_000_007)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.HasPrefix(stamped, parent) || len(stamped) != len(parent)+8 {
+		t.Errorf("stamped marker %x does not extend the unstamped layout %x by 8 bytes", stamped, parent)
+	}
+	if rec, err := decodePayload(stamped); err != nil || rec.At != 1_700_000_000_000_000_007 {
+		t.Errorf("stamped marker decoded to %+v (err %v)", rec, err)
+	}
+	for _, stamp := range []uint64{0, 1 << 63} {
+		bad := binary.LittleEndian.AppendUint64(append([]byte(nil), parent...), stamp)
+		if _, err := decodePayload(bad); err == nil {
+			t.Errorf("marker with stamp field %d decoded", int64(stamp))
+		}
 	}
 }

@@ -18,6 +18,7 @@ const (
 	RecordBatch RecordType = 1
 	// RecordFinalize marks a VM's session as finalized: the record has
 	// no snapshots, and replay must not resurrect the session past it.
+	// It carries the finalize stamp the database record is stored with.
 	RecordFinalize RecordType = 2
 )
 
@@ -29,6 +30,11 @@ type Record struct {
 	// Snaps carries the batch payload (RecordBatch only). Decoded
 	// snapshots have Node set to VM.
 	Snaps []metrics.Snapshot
+	// At is a finalize marker's stamp, unix nanoseconds: the FinalizedAt
+	// of the database record the finish stores, which lets replay tell a
+	// finish already stored from one still to do. Zero on a marker
+	// without a stamp (the layout before stamping).
+	At int64
 }
 
 // On-disk format: a seglog segment whose header extra is, from format
@@ -38,9 +44,13 @@ type Record struct {
 // Version-1 segments (8-byte header, no hash) remain readable. Record
 // payloads are
 //
-//	byte type | u16 len(vm) | vm |                       (finalize)
+//	byte type | u16 len(vm) | vm | [i64 at]              (finalize)
 //	byte type | u16 len(vm) | vm | u32 count | u16 dims |
 //	    count × (i64 time-ns | dims × f64)               (batch)
+//
+// A finalize marker's stamp is optional: a marker without it (at 0)
+// has the layout markers had before stamping, so a stamp needs no new
+// segment version, and the version feeds the model hash.
 const (
 	segmentVersion   = 2
 	segmentVersionV1 = 1
@@ -103,14 +113,21 @@ func appendBatchPayload(buf []byte, vm string, snaps []metrics.Snapshot) ([]byte
 	return buf, nil
 }
 
-// appendFinalizePayload encodes a finalize record payload onto buf.
-func appendFinalizePayload(buf []byte, vm string) ([]byte, error) {
+// appendFinalizePayload encodes a finalize record payload onto buf,
+// stamped with at unless at is 0.
+func appendFinalizePayload(buf []byte, vm string, at int64) ([]byte, error) {
 	if len(vm) == 0 || len(vm) > maxVMName {
 		return buf, fmt.Errorf("wal: vm name length %d outside [1,%d]", len(vm), maxVMName)
+	}
+	if at < 0 {
+		return buf, fmt.Errorf("wal: finalize stamp %d for %q is negative", at, vm)
 	}
 	buf = append(buf, byte(RecordFinalize))
 	buf = binary.LittleEndian.AppendUint16(buf, uint16(len(vm)))
 	buf = append(buf, vm...)
+	if at != 0 {
+		buf = binary.LittleEndian.AppendUint64(buf, uint64(at))
+	}
 	return buf, nil
 }
 
@@ -130,10 +147,17 @@ func decodePayload(p []byte) (Record, error) {
 	p = p[vmLen:]
 	switch typ {
 	case RecordFinalize:
-		if len(p) != 0 {
+		var at int64
+		switch len(p) {
+		case 0:
+		case 8:
+			if at = int64(binary.LittleEndian.Uint64(p)); at <= 0 {
+				return Record{}, fmt.Errorf("wal: finalize record has stamp %d", at)
+			}
+		default:
 			return Record{}, fmt.Errorf("wal: finalize record has %d trailing bytes", len(p))
 		}
-		return Record{Type: RecordFinalize, VM: vm}, nil
+		return Record{Type: RecordFinalize, VM: vm, At: at}, nil
 	case RecordBatch:
 		if len(p) < 6 {
 			return Record{}, fmt.Errorf("wal: batch record truncated")
