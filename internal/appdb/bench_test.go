@@ -177,3 +177,40 @@ func BenchmarkScanPage(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkStoreOpen is the store open behind the daemon's set-up: a
+// 10k-record, 200-application store of daemon-shaped records without
+// training rows (the shape of the benchmark's prior store), reopened
+// from disk. Open walks every segment and rebuilds the index.
+func BenchmarkStoreOpen(b *testing.B) {
+	dir := filepath.Join(b.TempDir(), "store")
+	rng := rand.New(rand.NewSource(1))
+	db, err := Open(dir, appstore.Options{NoFsync: true})
+	if err != nil {
+		b.Fatal(err)
+	}
+	for i := 0; i < 10_000; i++ {
+		r := daemonRecord(i, rng)
+		r.TrainMetrics, r.TrainSamples = nil, nil
+		if err := db.Put(r); err != nil {
+			b.Fatal(err)
+		}
+	}
+	if err := db.Close(); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		st, err := appstore.Open(dir, appstore.Options{})
+		if err != nil {
+			b.Fatal(err)
+		}
+		if st.Len() != 10_000 {
+			b.Fatalf("store holds %d records, want 10000", st.Len())
+		}
+		if err := st.Close(); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

@@ -232,6 +232,7 @@ func (s *Store) load() error {
 		return fmt.Errorf("appstore: read %s: %w", s.dir, err)
 	}
 	var segNos []uint64
+	var z entrySizer
 	for _, e := range ents {
 		if strings.Contains(e.Name(), ".tmp") {
 			// A compaction or sidecar rewrite that died before its atomic
@@ -242,6 +243,9 @@ func (s *Store) load() error {
 		}
 		if n, ok := segFormat.Parse(e.Name()); ok {
 			segNos = append(segNos, n)
+			if fi, err := e.Info(); err == nil {
+				z.total += fi.Size()
+			}
 		}
 	}
 	sort.Slice(segNos, func(a, b int) bool { return segNos[a] < segNos[b] })
@@ -251,9 +255,13 @@ func (s *Store) load() error {
 	}
 	seen := make(map[uint64]bool)
 	for _, no := range segNos {
-		if err := s.loadSegment(no, no == segNos[len(segNos)-1], seen); err != nil {
+		if err := s.loadSegment(no, no == segNos[len(segNos)-1], seen, &z); err != nil {
 			return err
 		}
+	}
+	if n := len(s.entries); cap(s.entries) > sizeSample && cap(s.entries) > n+n/4 {
+		// The sample's records were smaller than the rest.
+		s.entries = slices.Clone(s.entries)
 	}
 	// Entries were collected per segment; compaction copies records into
 	// higher-numbered segments, so restore global seq order.
@@ -275,16 +283,28 @@ func (s *Store) load() error {
 	// leave a fully duplicated segment: every frame decoded but every seq
 	// was already seen, so nothing indexes into it and compaction (which
 	// only targets dead>0) would never reclaim it. Its records all live
-	// elsewhere, so deleting it is safe.
+	// elsewhere, so deleting it is safe. A segment with no frame at all
+	// that will not be resumed below (a version-1 header an older daemon
+	// left after a downgrade) is deleted too; kept, it would stay for
+	// good, one more per downgrade cycle.
 	for no, info := range s.segs {
-		if info.live == 0 && info.dead == 0 && info.dups > 0 && !info.corrupt {
-			if err := os.Remove(segFormat.Path(s.dir, no)); err != nil {
-				s.opt.Logf("appstore: delete fully duplicated segment %d: %v", no, err)
-				continue
-			}
-			s.opt.Logf("appstore: deleted segment %d: all %d frame(s) were duplicates from an interrupted compaction", no, info.dups)
-			delete(s.segs, no)
+		if info.live > 0 || info.dead > 0 || info.corrupt {
+			continue
 		}
+		resumable := no == segNos[len(segNos)-1] && !info.v1 && info.size < s.opt.SegmentBytes
+		if info.dups == 0 && resumable {
+			continue
+		}
+		if err := os.Remove(segFormat.Path(s.dir, no)); err != nil {
+			s.opt.Logf("appstore: delete segment %d without live records: %v", no, err)
+			continue
+		}
+		if info.dups > 0 {
+			s.opt.Logf("appstore: deleted segment %d: all %d frame(s) were duplicates from an interrupted compaction", no, info.dups)
+		} else {
+			s.opt.Logf("appstore: deleted segment %d: it holds no record and would not be resumed", no)
+		}
+		delete(s.segs, no)
 	}
 	// Continue appending to the newest segment when it has room (its
 	// tail was just verified, and repaired if torn); otherwise start a
@@ -312,9 +332,20 @@ func (s *Store) load() error {
 	return nil
 }
 
+// entrySizer sizes s.entries while load walks the segments: after
+// sizeSample records it knows the bytes per record so far and grows the
+// array once to what all the segments' bytes hold, 5% over, instead of
+// letting append regrow it from empty.
+type entrySizer struct {
+	total  int64 // bytes of every segment on disk
+	walked int64 // bytes of the segments walked before the current one
+}
+
+const sizeSample = 64
+
 // loadSegment scans one segment, appending its valid records to
 // s.entries (unindexed; load() indexes after the global seq sort).
-func (s *Store) loadSegment(no uint64, newest bool, seen map[uint64]bool) error {
+func (s *Store) loadSegment(no uint64, newest bool, seen map[uint64]bool, z *entrySizer) error {
 	path := segFormat.Path(s.dir, no)
 	info := &segInfo{}
 	sc, err := segFormat.Walk(path, 0, false, func(off int64, p []byte) error {
@@ -329,12 +360,20 @@ func (s *Store) loadSegment(no uint64, newest bool, seen map[uint64]bool) error 
 			return nil
 		}
 		seen[m.seq] = true
-		s.entries = append(s.entries, entry{meta: m, seg: no, off: off, n: seglog.FrameSize + int64(len(p))})
+		e := entry{meta: m, seg: no, off: off, n: seglog.FrameSize + int64(len(p))}
+		s.entries = append(s.entries, e)
+		if len(s.entries) == sizeSample {
+			est := float64(z.total) / float64(z.walked+e.off+e.n) * sizeSample * 1.05
+			if est > float64(cap(s.entries)) {
+				s.entries = slices.Grow(s.entries, int(est)-len(s.entries))
+			}
+		}
 		return nil
 	})
 	if err != nil {
 		return fmt.Errorf("appstore: read segment %d: %w", no, err)
 	}
+	z.walked += sc.Size
 	info.size = sc.Size
 	info.v1 = sc.Header.Version == segVersionV1
 	if sc.Header.Size == 0 {

@@ -165,8 +165,13 @@ func (o *OpenSet) Thresholds() map[appclass.Class]float64 {
 
 // unknownID reports whether a snapshot voted into interned class id at
 // the given kth-neighbour distance falls outside the class's threshold.
+// A NaN or infinite distance (a query no finite feature explains) is
+// always unknown.
 func (o *OpenSet) unknownID(id int, dist float64) bool {
-	return id >= 0 && id < len(o.thresholds) && dist > o.thresholds[id]
+	if id < 0 || id >= len(o.thresholds) {
+		return false
+	}
+	return dist > o.thresholds[id] || math.IsNaN(dist) || math.IsInf(dist, 0)
 }
 
 // Verdict is the open-set outcome of classifying one snapshot: the

@@ -2,6 +2,7 @@ package classify
 
 import (
 	"encoding/json"
+	"math"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -59,6 +60,47 @@ func TestCalibrateOpenSetThresholds(t *testing.T) {
 	for cl, th := range ths {
 		if th <= 0 {
 			t.Errorf("class %s threshold = %v, want positive", cl, th)
+		}
+	}
+}
+
+// TestOpenSetNonFiniteIsUnknown: a NaN or infinite kth distance is
+// unknown whatever the threshold, a skipped class's +Inf included, and
+// snapshots too large for the grid's cell arithmetic come out of the
+// fused kernel classified and unknown.
+func TestOpenSetNonFiniteIsUnknown(t *testing.T) {
+	o := &OpenSet{thresholds: []float64{1, math.Inf(1)}}
+	for _, d := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		for id := range o.thresholds {
+			if !o.unknownID(id, d) {
+				t.Errorf("class %d at distance %v: known, want unknown", id, d)
+			}
+		}
+	}
+	if o.unknownID(0, 0.5) || !o.unknownID(0, 2) || o.unknownID(1, 1e300) {
+		t.Error("finite distances no longer compare against the threshold")
+	}
+	cl := trainSynthetic(t, Config{})
+	oset, err := cl.CalibrateOpenSet(OpenSetConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	idx, err := cl.GatherIndices(metrics.ExpertSchema())
+	if err != nil {
+		t.Fatal(err)
+	}
+	var s Scratch
+	for _, v := range []float64{1e20, 1e300, math.MaxFloat64} {
+		values := make([]float64, metrics.ExpertSchema().Len())
+		for i := range values {
+			values[i] = v
+		}
+		verdict, err := cl.ClassifySnapshotOpenSet(idx, values, oset, &s)
+		if err != nil {
+			t.Fatalf("values of %v: %v", v, err)
+		}
+		if !verdict.Unknown {
+			t.Errorf("values of %v: %s at distance %v, want unknown", v, verdict.Class, verdict.Distance)
 		}
 	}
 }

@@ -286,6 +286,9 @@ func (c *Classifier) ClassifyIDDist(x linalg.Vector, s *Scratch) (int, float64, 
 		return 0, 0, err
 	}
 	s.cand = nbrs[:0]
+	if len(nbrs) == 0 {
+		return 0, 0, fmt.Errorf("knn: neighbour search of %v found no neighbours", x)
+	}
 	if cap(s.votes) < len(c.classNames) {
 		s.votes = make([]int, len(c.classNames))
 	}
