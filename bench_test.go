@@ -290,9 +290,8 @@ func BenchmarkIngestBatch(b *testing.B) {
 // staying within 25% of the unjournaled snaps/s.
 func BenchmarkIngestBatchJournaled(b *testing.B) {
 	j, err := wal.Open(wal.Config{
-		Dir:      b.TempDir(),
-		Fsync:    wal.FsyncInterval,
-		MaxBytes: 64 << 20,
+		Dir:   b.TempDir(),
+		Fsync: wal.FsyncInterval,
 	})
 	if err != nil {
 		b.Fatal(err)
@@ -308,9 +307,8 @@ func BenchmarkIngestBatchJournaled(b *testing.B) {
 // measured in the same run (see BENCH_baseline.json).
 func BenchmarkIngestBatchJournaledSegmented(b *testing.B) {
 	j, err := wal.Open(wal.Config{
-		Dir:      b.TempDir(),
-		Fsync:    wal.FsyncInterval,
-		MaxBytes: 64 << 20,
+		Dir:   b.TempDir(),
+		Fsync: wal.FsyncInterval,
 	})
 	if err != nil {
 		b.Fatal(err)
@@ -330,9 +328,8 @@ func BenchmarkIngestBatchJournaledSegmented(b *testing.B) {
 // floor only to absorb shared-runner drift (see BENCH_baseline.json).
 func BenchmarkIngestBatchJournaledSegmentedScrubbed(b *testing.B) {
 	j, err := wal.Open(wal.Config{
-		Dir:      b.TempDir(),
-		Fsync:    wal.FsyncInterval,
-		MaxBytes: 64 << 20,
+		Dir:   b.TempDir(),
+		Fsync: wal.FsyncInterval,
 	})
 	if err != nil {
 		b.Fatal(err)
@@ -487,9 +484,8 @@ func BenchmarkJournalAppend(b *testing.B) {
 		snaps[i] = trace.At(i % trace.Len())
 	}
 	j, err := wal.Open(wal.Config{
-		Dir:      b.TempDir(),
-		Fsync:    wal.FsyncNever,
-		MaxBytes: 64 << 20,
+		Dir:   b.TempDir(),
+		Fsync: wal.FsyncNever,
 	})
 	if err != nil {
 		b.Fatal(err)
@@ -857,9 +853,8 @@ func BenchmarkIngestBinary(b *testing.B) {
 // judged against.
 func BenchmarkIngestBinaryJournaled(b *testing.B) {
 	j, err := wal.Open(wal.Config{
-		Dir:      b.TempDir(),
-		Fsync:    wal.FsyncInterval,
-		MaxBytes: 64 << 20,
+		Dir:   b.TempDir(),
+		Fsync: wal.FsyncInterval,
 	})
 	if err != nil {
 		b.Fatal(err)
@@ -878,7 +873,6 @@ func BenchmarkIngestBinaryJournaledGroupCommit(b *testing.B) {
 		Dir:         b.TempDir(),
 		Fsync:       wal.FsyncAlways,
 		GroupCommit: true,
-		MaxBytes:    64 << 20,
 	})
 	if err != nil {
 		b.Fatal(err)

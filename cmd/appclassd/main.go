@@ -75,7 +75,6 @@ type config struct {
 	fsync           string
 	fsyncGroup      bool
 	checkpointEvery time.Duration
-	journalMaxBytes int64
 
 	maxInflightB    int64
 	maxInflightReq  int64
@@ -106,7 +105,7 @@ var flagDeps = []struct {
 	{"-hosts", func(c config) bool { return c.hosts != "" },
 		[]string{"rates"}},
 	{"-journal-dir", func(c config) bool { return c.journalDir != "" },
-		[]string{"checkpoint-every", "degraded-on-wal-error", "fsync", "fsync-group-commit", "journal-max-bytes", "recover-force"}},
+		[]string{"checkpoint-every", "degraded-on-wal-error", "fsync", "fsync-group-commit", "recover-force"}},
 	{"-retrain-every", func(c config) bool { return c.retrainEvery > 0 },
 		[]string{"retrain-out"}},
 }
@@ -131,7 +130,6 @@ func newFlagSet(cfg *config) *flag.FlagSet {
 	fs.StringVar(&cfg.fsync, "fsync", "interval", "journal fsync policy: always, interval (every second), or never")
 	fs.BoolVar(&cfg.fsyncGroup, "fsync-group-commit", false, "coalesce concurrent -fsync always appends behind shared fsyncs (group commit)")
 	fs.DurationVar(&cfg.checkpointEvery, "checkpoint-every", 30*time.Second, "session checkpoint cadence")
-	fs.Int64Var(&cfg.journalMaxBytes, "journal-max-bytes", 0, "cap closed journal segments at this total size, dropping the oldest (default unlimited)")
 	fs.Int64Var(&cfg.maxInflightB, "max-inflight-bytes", 0, "shed ingest once this many request-body bytes are in flight (default 64 MiB, negative disables)")
 	fs.Int64Var(&cfg.maxInflightReq, "max-inflight-requests", 0, "shed ingest once this many requests are in flight (default 256, negative disables)")
 	fs.DurationVar(&cfg.ingestTimeout, "ingest-timeout", 0, "abandon an ingest request that cannot finish within this deadline (default none)")
@@ -306,7 +304,6 @@ func run(ctx context.Context, cfg config, ready chan<- string) error {
 		}
 		journal, err = wal.Open(wal.Config{
 			Dir:         cfg.journalDir,
-			MaxBytes:    cfg.journalMaxBytes,
 			Fsync:       policy,
 			GroupCommit: cfg.fsyncGroup,
 			Logf:        log.Printf,

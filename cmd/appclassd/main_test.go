@@ -470,13 +470,13 @@ func TestRunWithPlacement(t *testing.T) {
 func TestParseJournalFlags(t *testing.T) {
 	cfg, err := parseFlags([]string{
 		"-journal-dir", "/tmp/j", "-fsync", "always",
-		"-checkpoint-every", "10s", "-journal-max-bytes", "4096",
+		"-checkpoint-every", "10s",
 	})
 	if err != nil {
 		t.Fatalf("parse: %v", err)
 	}
 	if cfg.journalDir != "/tmp/j" || cfg.fsync != "always" ||
-		cfg.checkpointEvery != 10*time.Second || cfg.journalMaxBytes != 4096 {
+		cfg.checkpointEvery != 10*time.Second {
 		t.Errorf("parsed = %+v", cfg)
 	}
 	if _, err := parseFlags([]string{"-journal-dir", "/tmp/j", "-fsync", "sometimes"}); err == nil {
@@ -485,7 +485,6 @@ func TestParseJournalFlags(t *testing.T) {
 	for _, args := range [][]string{
 		{"-fsync", "always"},
 		{"-checkpoint-every", "10s"},
-		{"-journal-max-bytes", "4096"},
 		{"-fsync-group-commit", "-fsync", "always"},
 	} {
 		if _, err := parseFlags(args); err == nil {
@@ -529,7 +528,6 @@ func TestParseFlagDependencies(t *testing.T) {
 		{[]string{"-degraded-on-wal-error"}, []string{"-journal-dir", "j"}},
 		{[]string{"-fsync", "never"}, []string{"-journal-dir", "j"}},
 		{[]string{"-fsync-group-commit", "-fsync", "always"}, []string{"-journal-dir", "j"}},
-		{[]string{"-journal-max-bytes", "1"}, []string{"-journal-dir", "j"}},
 		{[]string{"-recover-force"}, []string{"-journal-dir", "j"}},
 		{[]string{"-retrain-out", "m.json"}, []string{"-retrain-every", "1m"}},
 	} {

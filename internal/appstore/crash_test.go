@@ -553,3 +553,130 @@ func TestFsyncFailureCutsRecord(t *testing.T) {
 	s.Close()
 	check(openTest(t, dir, Options{}), "after reopen")
 }
+
+// TestOpenStepsOverBadFrame: one flipped payload byte in a closed
+// segment costs that record alone. Open steps over the bad frame and
+// indexes every record behind it, so a later scrub carries them
+// forward instead of dropping them with the frame.
+func TestOpenStepsOverBadFrame(t *testing.T) {
+	dir := filepath.Join(t.TempDir(), "store")
+	opt := Options{SegmentBytes: 1200}
+	s := openTest(t, dir, opt)
+	const n = 30
+	for i := 0; i < n; i++ {
+		r := testRecord("vm", appclass.CPU, i)
+		if err := s.Append(&r); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// The second record of the first segment, a closed one.
+	s.mu.RLock()
+	first, inFirst := s.entries[0].seg, 0
+	for _, e := range s.entries {
+		if e.seg == first {
+			inFirst++
+		}
+	}
+	active := s.w.Seq()
+	s.mu.RUnlock()
+	if inFirst < 4 || first == active {
+		t.Fatalf("first segment %d holds %d record(s) (active %d), want a closed one with at least 4", first, inFirst, active)
+	}
+	corruptLiveFrame(t, s, 2)
+	s.Close()
+
+	check := func(s *Store, when string) {
+		t.Helper()
+		if got := s.Len(); got != n-1 {
+			t.Errorf("%s: %d records, want %d", when, got, n-1)
+		}
+		runs, err := s.Runs("vm")
+		if err != nil {
+			t.Fatalf("%s: runs: %v", when, err)
+		}
+		for _, r := range runs {
+			if r.Samples == 10+1 {
+				t.Errorf("%s: the damaged record is still served", when)
+			}
+		}
+	}
+	s2 := openTest(t, dir, opt)
+	check(s2, "reopen")
+	if st := s2.Stats(); st.CorruptFrames != 1 {
+		t.Errorf("reopen: CorruptFrames = %d, want 1", st.CorruptFrames)
+	}
+	reps, err := s2.Scrub(100)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if dmg := damaged(reps); len(dmg) != 1 || !dmg[0].Repaired || dmg[0].Seq != first {
+		t.Errorf("scrub reports %+v, want segment %d repaired", dmg, first)
+	}
+	check(s2, "scrub")
+	s2.Close()
+	s3 := openTest(t, dir, opt)
+	check(s3, "reopen after scrub")
+	if st := s3.Stats(); st.CorruptFrames != 0 {
+		t.Errorf("reopen after scrub: CorruptFrames = %d, want 0", st.CorruptFrames)
+	}
+}
+
+// TestTornTailCutAfterCompaction: compaction output takes a segment
+// number above the active segment's, so a crash's torn tail is not
+// always in the highest-numbered segment. Open cuts it wherever it is,
+// and the next open finds nothing wrong.
+func TestTornTailCutAfterCompaction(t *testing.T) {
+	dir := filepath.Join(t.TempDir(), "store")
+	opt := Options{SegmentBytes: 600}
+	s := openTest(t, dir, opt)
+	for i := 0; i < 12; i++ {
+		r := testRecord("vm", appclass.CPU, i)
+		if err := s.Append(&r); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := s.Prune(8); err != nil {
+		t.Fatal(err)
+	}
+	r := testRecord("vm", appclass.CPU, 12)
+	if err := s.Append(&r); err != nil {
+		t.Fatal(err)
+	}
+	want := s.Len()
+	s.mu.RLock()
+	active := s.w.Seq()
+	newest := s.nextSegNoLocked() - 1
+	s.mu.RUnlock()
+	s.Close()
+	if newest <= active {
+		t.Fatalf("newest segment %d, active %d: want compaction output above the active segment", newest, active)
+	}
+	path := segFormat.Path(dir, active)
+	fi, err := os.Stat(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	f, err := os.OpenFile(path, os.O_APPEND|os.O_WRONLY, 0o644)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.Write([]byte{0xFF, 0x13, 0x00, 0x00, 0xDE, 0xAD, 0xBE, 0xEF, 0x01, 0x02}); err != nil {
+		t.Fatal(err)
+	}
+	f.Close()
+
+	s2 := openTest(t, dir, opt)
+	if got, st := s2.Len(), s2.Stats(); got != want || st.CorruptFrames != 1 {
+		t.Errorf("reopen: %d records, CorruptFrames %d; want %d and 1", got, st.CorruptFrames, want)
+	}
+	if after, err := os.Stat(path); err != nil {
+		t.Fatal(err)
+	} else if after.Size() != fi.Size() {
+		t.Errorf("active segment %d is %d bytes after reopen, want it cut back to %d", active, after.Size(), fi.Size())
+	}
+	s2.Close()
+	s3 := openTest(t, dir, opt)
+	if got, st := s3.Len(), s3.Stats(); got != want || st.CorruptFrames != 0 {
+		t.Errorf("second reopen: %d records, CorruptFrames %d; want %d and no damage", got, st.CorruptFrames, want)
+	}
+}

@@ -3,10 +3,8 @@ package appstore
 import (
 	"fmt"
 	"os"
-	"path/filepath"
 	"slices"
 	"sort"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -97,13 +95,12 @@ type entry struct {
 
 // segInfo tracks one segment on disk.
 type segInfo struct {
-	size    int64
-	live    int
-	dead    int
-	corrupt bool     // undecodable bytes seen at load; never reuse as active
-	v1      bool     // a version-1 segment: never resumed, so it takes no kind-2 record
-	dups    int      // frames skipped at load because their seq was already seen
-	rd      *os.File // lazily opened read handle
+	size int64
+	live int
+	dead int
+	v1   bool     // a version-1 segment: never resumed, so it takes no kind-2 record
+	dups int      // frames skipped at load because their seq was already seen
+	rd   *os.File // lazily opened read handle
 }
 
 // Store is the log-structured application-record store. It is safe for
@@ -186,6 +183,9 @@ func Open(dir string, opt Options) (*Store, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("appstore: create %s: %w", dir, err)
 	}
+	if err := seglog.RemoveTemps(dir); err != nil {
+		return nil, fmt.Errorf("appstore: %w", err)
+	}
 	s := &Store{
 		dir:     dir,
 		opt:     opt,
@@ -221,41 +221,32 @@ func Open(dir string, opt Options) (*Store, error) {
 func (s *Store) Dir() string { return s.dir }
 
 // load rebuilds the in-memory index from the segments on disk: every
-// frame is CRC-checked and only its fixed meta header decoded. A torn
-// tail on the newest segment is repaired by truncation (the normal
-// crash shape); corruption elsewhere skips the remainder of that
-// segment with a loud log. Records seen twice (a crash between a
-// compaction's copy and its deletes) keep their first copy.
+// frame is CRC-checked and only its fixed meta header decoded. Records
+// are independent, so a bad frame (bit rot) is stepped over and every
+// intact record behind it indexed. Each segment is cut after its last
+// intact frame: by default every append is fsynced before the next
+// starts, so a crash's torn tail lies in whichever segment was being
+// appended, which after a compaction is not the highest-numbered one.
+// Records seen twice (a crash between a compaction's copy and its
+// deletes) keep their first copy.
 func (s *Store) load() error {
-	ents, err := os.ReadDir(s.dir)
+	segs, err := segFormat.List(s.dir)
 	if err != nil {
-		return fmt.Errorf("appstore: read %s: %w", s.dir, err)
+		return fmt.Errorf("appstore: %w", err)
 	}
-	var segNos []uint64
+	segNos := make([]uint64, len(segs))
 	var z entrySizer
-	for _, e := range ents {
-		if strings.Contains(e.Name(), ".tmp") {
-			// A compaction or sidecar rewrite that died before its atomic
-			// rename; the file never became visible, so its contents are
-			// all elsewhere.
-			os.Remove(filepath.Join(s.dir, e.Name()))
-			continue
-		}
-		if n, ok := segFormat.Parse(e.Name()); ok {
-			segNos = append(segNos, n)
-			if fi, err := e.Info(); err == nil {
-				z.total += fi.Size()
-			}
-		}
+	for i, sg := range segs {
+		segNos[i] = sg.Seq
+		z.total += sg.Size
 	}
-	sort.Slice(segNos, func(a, b int) bool { return segNos[a] < segNos[b] })
 	tombs, err := loadTombstones(s.dir)
 	if err != nil {
 		return err
 	}
 	seen := make(map[uint64]bool)
 	for _, no := range segNos {
-		if err := s.loadSegment(no, no == segNos[len(segNos)-1], seen, &z); err != nil {
+		if err := s.loadSegment(no, seen, &z); err != nil {
 			return err
 		}
 	}
@@ -288,7 +279,7 @@ func (s *Store) load() error {
 	// left after a downgrade) is deleted too; kept, it would stay for
 	// good, one more per downgrade cycle.
 	for no, info := range s.segs {
-		if info.live > 0 || info.dead > 0 || info.corrupt {
+		if info.live > 0 || info.dead > 0 {
 			continue
 		}
 		resumable := no == segNos[len(segNos)-1] && !info.v1 && info.size < s.opt.SegmentBytes
@@ -307,14 +298,14 @@ func (s *Store) load() error {
 		delete(s.segs, no)
 	}
 	// Continue appending to the newest segment when it has room (its
-	// tail was just verified, and repaired if torn); otherwise start a
-	// fresh one. A newest segment that was quarantined or deleted above
+	// tail was just verified, and cut if torn); otherwise start a fresh
+	// one. A newest segment with an unusable header, or deleted above,
 	// is absent from s.segs and never reused, and a version-1 one is not
 	// reused either: a kind-2 record appended to it would read as a torn
 	// tail to a reader that knows only version 1.
 	if n := len(segNos); n > 0 {
 		last := segNos[n-1]
-		if info := s.segs[last]; info != nil && !info.corrupt && !info.v1 && info.size < s.opt.SegmentBytes {
+		if info := s.segs[last]; info != nil && !info.v1 && info.size < s.opt.SegmentBytes {
 			if err := s.w.Resume(last, info.size); err != nil {
 				return fmt.Errorf("appstore: %w", err)
 			}
@@ -343,12 +334,13 @@ type entrySizer struct {
 
 const sizeSample = 64
 
-// loadSegment scans one segment, appending its valid records to
-// s.entries (unindexed; load() indexes after the global seq sort).
-func (s *Store) loadSegment(no uint64, newest bool, seen map[uint64]bool, z *entrySizer) error {
+// loadSegment scans one segment, appending its intact records to
+// s.entries (unindexed; load() indexes after the global seq sort),
+// and cuts it after its last intact frame.
+func (s *Store) loadSegment(no uint64, seen map[uint64]bool, z *entrySizer) error {
 	path := segFormat.Path(s.dir, no)
 	info := &segInfo{}
-	sc, err := segFormat.Walk(path, 0, false, func(off int64, p []byte) error {
+	sc, err := segFormat.Walk(path, 0, true, func(off int64, p []byte) error {
 		m, _, err := decodeMeta(p, s.interns)
 		if err != nil {
 			return seglog.Corrupt(err)
@@ -374,44 +366,39 @@ func (s *Store) loadSegment(no uint64, newest bool, seen map[uint64]bool, z *ent
 		return fmt.Errorf("appstore: read segment %d: %w", no, err)
 	}
 	z.walked += sc.Size
-	info.size = sc.Size
-	info.v1 = sc.Header.Version == segVersionV1
 	if sc.Header.Size == 0 {
 		// Nothing in this segment is readable. Quarantine it aside so it
-		// stops counting against the byte cap (and can be inspected), and
-		// so it is never reused as the active segment.
+		// can be inspected; either way it is left out of s.segs, so it
+		// neither counts against the byte cap nor is ever appended to,
+		// compacted or deleted.
 		s.stats.CorruptFrames++
 		quarantine, err := seglog.Quarantine(path, false)
 		if err != nil {
-			// Can't move it; keep tracking its real on-disk size (never a
-			// fabricated one, which would skew Stats.Bytes and retention)
-			// and flag it so it is neither appended to nor deleted.
-			info.corrupt = true
-			s.segs[no] = info
 			s.opt.Logf("appstore: segment %d has a bad header and could not be quarantined (%v); ignoring its contents", no, err)
 			return nil
 		}
 		s.opt.Logf("appstore: segment %d has a bad header; quarantined to %s", no, quarantine)
 		return nil
 	}
+	info.size = sc.Size
+	info.v1 = sc.Header.Version == segVersionV1
 	s.segs[no] = info
+	if len(sc.Bad) > 0 {
+		s.stats.CorruptFrames += int64(len(sc.Bad))
+		s.opt.Logf("appstore: CORRUPTION in segment %d: stepped over %d bad frame(s), the first at offset %d",
+			no, len(sc.Bad), sc.Bad[0])
+	}
 	if sc.Torn {
 		s.stats.CorruptFrames++
-		if newest {
-			// The normal crash shape: a torn append at the tail. Repair in
-			// place so the segment can keep taking appends.
-			if err := os.Truncate(path, sc.End); err != nil {
-				return fmt.Errorf("appstore: repair torn tail of segment %d: %w", no, err)
-			}
-			info.size = sc.End
-			s.opt.Logf("appstore: repaired torn tail of segment %d (truncated %d bytes)", no, sc.Size-sc.End)
-		} else {
-			// Corruption inside a closed segment is not a crash artifact;
-			// keep what decoded and say so loudly.
-			info.corrupt = true
-			s.opt.Logf("appstore: CORRUPTION in closed segment %d at offset %d; %d trailing bytes unreadable",
-				no, sc.End, sc.Size-sc.End)
+	}
+	if sc.Intact < sc.Size {
+		// A torn tail, or bad frames with no intact one after them: cut
+		// them off so the segment ends on a whole frame.
+		if err := os.Truncate(path, sc.Intact); err != nil {
+			return fmt.Errorf("appstore: cut segment %d after its last intact frame: %w", no, err)
 		}
+		info.size = sc.Intact
+		s.opt.Logf("appstore: cut %d byte(s) after the last intact frame of segment %d", sc.Size-sc.Intact, no)
 	}
 	return nil
 }

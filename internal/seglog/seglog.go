@@ -230,6 +230,10 @@ type Scan struct {
 	// back to), the torn offset or end of file when it steps over bad
 	// frames. Zero for an unusable header.
 	End int64
+	// Intact is just past the last intact frame (the walk's start when
+	// there is none): cutting the segment there drops only bad frames
+	// and a torn tail. Zero for an unusable header.
+	Intact int64
 	// Bad holds the offsets of the frames stepped over.
 	Bad []int64
 	// Torn reports that the walk ended on bytes that are not a walkable
@@ -330,6 +334,7 @@ func (f *Format) Walk(path string, from int64, skipBad bool, fn func(off int64, 
 		br.Reset(file)
 		sc.End = from
 	}
+	sc.Intact = sc.End
 	var fh [FrameSize]byte
 	var p []byte
 	for off := sc.End; ; off = sc.End {
@@ -370,12 +375,13 @@ func (f *Format) Walk(path string, from int64, skipBad bool, fn func(off int64, 
 		if bad != "" && !skipBad {
 			return stop("%s", bad)
 		}
+		sc.End = off + FrameSize + int64(n)
 		if bad != "" {
 			sc.Bad = append(sc.Bad, off)
 		} else {
 			sc.Frames++
+			sc.Intact = sc.End
 		}
-		sc.End = off + FrameSize + int64(n)
 	}
 }
 

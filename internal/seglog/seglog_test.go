@@ -60,7 +60,7 @@ func TestWalkStopsAtOrStepsOverBadFrames(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !sc.Torn || sc.End != second || sc.Frames != 1 || !reflect.DeepEqual(got, []string{"one"}) {
+	if !sc.Torn || sc.End != second || sc.Intact != second || sc.Frames != 1 || !reflect.DeepEqual(got, []string{"one"}) {
 		t.Fatalf("stop walk = %+v over %v, want torn at %d after one frame", sc, got, second)
 	}
 	if string(sc.Header.Extra) != "xtra" || sc.Header.Version != 2 {
@@ -75,7 +75,7 @@ func TestWalkStopsAtOrStepsOverBadFrames(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if sc.Torn || sc.Frames != 2 || !reflect.DeepEqual(sc.Bad, []int64{second}) || sc.End != int64(len(data)) {
+	if sc.Torn || sc.Frames != 2 || !reflect.DeepEqual(sc.Bad, []int64{second}) || sc.End != int64(len(data)) || sc.Intact != sc.End {
 		t.Fatalf("skip walk = %+v, want two frames and one bad at %d", sc, second)
 	}
 	if !reflect.DeepEqual(got, []string{"one", "three"}) {
@@ -92,6 +92,17 @@ func TestWalkStopsAtOrStepsOverBadFrames(t *testing.T) {
 	})
 	if err != nil || len(sc.Bad) != 2 || sc.Frames != 1 {
 		t.Errorf("corrupt verdict walk = %+v, %v", sc, err)
+	}
+	// Intact stops short of bad frames at the end: a cut there keeps
+	// every intact frame.
+	sc, err = testFormat.Walk(path, 0, true, func(_ int64, p []byte) error {
+		if string(p) == "three" {
+			return Corrupt(errors.New("undecodable"))
+		}
+		return nil
+	})
+	if err != nil || sc.Frames != 1 || sc.End != int64(len(data)) || sc.Intact != second {
+		t.Errorf("walk with a bad last frame = %+v, %v; want it intact to %d only", sc, err, second)
 	}
 	boom := errors.New("boom")
 	if _, err := testFormat.Walk(path, 0, false, func(int64, []byte) error { return boom }); !errors.Is(err, boom) {

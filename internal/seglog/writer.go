@@ -6,6 +6,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"strings"
 )
 
 // File is the subset of *os.File a Writer needs from its active
@@ -212,6 +213,22 @@ func WriteFile(path string, write func(w io.Writer) error) error {
 		return fmt.Errorf("seglog: write %s: %w", path, err)
 	}
 	return SyncDir(filepath.Dir(path))
+}
+
+// RemoveTemps removes from dir the temp files of WriteFile calls that
+// a crash stopped before their rename. Such a file never became
+// visible, so its contents are all still where they were.
+func RemoveTemps(dir string) error {
+	ents, err := os.ReadDir(dir)
+	if err != nil {
+		return fmt.Errorf("seglog: read %s: %w", dir, err)
+	}
+	for _, e := range ents {
+		if e.Type().IsRegular() && strings.Contains(e.Name(), ".tmp") {
+			os.Remove(filepath.Join(dir, e.Name()))
+		}
+	}
+	return nil
 }
 
 // SyncDir fsyncs a directory so creates, renames and removes within it

@@ -33,6 +33,8 @@ func (s *Server) Checkpoint() error {
 	if j == nil {
 		return nil
 	}
+	s.saveMu.Lock()
+	defer s.saveMu.Unlock()
 	// Quiesce ingest: with the write side of ckptMu held, no journal
 	// append can interleave with its session-state application, so the
 	// position and the states below are one consistent cut.
@@ -60,8 +62,9 @@ func (s *Server) Checkpoint() error {
 		s.counters.checkpointErrors.Add(1)
 		return fmt.Errorf("server: checkpoint: %w", err)
 	}
-	// Everything before pos is folded into the checkpoint; retention may
-	// now discard older segments, but nothing at or after pos.Seg.
+	// Everything before pos is folded into the checkpoint. Moving the
+	// floor to pos.Seg deletes the segments below the previous floor,
+	// which only the checkpoints SaveCheckpoint has pruned replay from.
 	j.SetRetainFloor(pos.Seg)
 	s.counters.checkpoints.Add(1)
 	s.cfg.Logf("server: checkpoint %d: %d session(s) at seg %d off %d",

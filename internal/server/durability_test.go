@@ -396,6 +396,13 @@ func TestDoubleCrashRecovery(t *testing.T) {
 	if cp, err := wal.LatestCheckpoint(dir); err != nil || cp == nil {
 		t.Fatalf("recovery left no post-recovery checkpoint (cp %v, err %v)", cp, err)
 	}
+	// The journal alone, with no checkpoint, must tell the same story:
+	// the tear was cut on disk, not merely skipped over. (Run C's
+	// post-recovery checkpoint deletes segment 1, so this is the last
+	// point at which the whole journal is on disk.)
+	if st, err := wal.Replay(dir, wal.Position{}, nil); err != nil || st.Truncated || st.Snapshots != 3 {
+		t.Errorf("checkpoint-free replay = %+v (err %v), want 3 snapshots and no tear", st, err)
+	}
 	for i := 4; i < 6; i++ {
 		w := postJSON(t, b.Handler(), "/v1/ingest", map[string]any{"snapshots": []any{
 			zeroSnapshot(vm, float64(i*5)),
@@ -420,27 +427,10 @@ func TestDoubleCrashRecovery(t *testing.T) {
 	if view := sessionView(t, c, vm); view.Total != 5 {
 		t.Errorf("recovered session saw %d snapshots, want 5 (3 pre-tear + 2 post-restart)", view.Total)
 	}
-
-	// The repaired journal alone (no checkpoints at all) must tell the
-	// same story: the tear was cut on disk, not merely skipped over.
-	ckpts, err := filepath.Glob(filepath.Join(dir, "checkpoint-*.ckpt"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, p := range ckpts {
-		if err := os.Remove(p); err != nil {
-			t.Fatal(err)
-		}
-	}
-	jd := crashJournal(t, dir)
-	t.Cleanup(func() { jd.Close() })
-	d := newTestServer(t, Config{Journal: jd})
-	rsd, err := d.Recover()
-	if err != nil {
-		t.Fatalf("recover D: %v", err)
-	}
-	if rsd.Snapshots != 5 {
-		t.Errorf("checkpoint-free replay delivered %d snapshots, want 5", rsd.Snapshots)
+	// C's post-recovery checkpoint moved the retention floor past B's:
+	// segment 1, which neither kept checkpoint replays from, is gone.
+	if _, err := os.Stat(segs[0]); !os.IsNotExist(err) {
+		t.Errorf("segment 1 after recovery C: stat err %v, want it deleted", err)
 	}
 }
 
@@ -497,8 +487,7 @@ func TestRecoverShortHeaderSegmentIsNotAGap(t *testing.T) {
 
 // TestRecoverStatsMatchDisk: after recovery cuts a torn tail and
 // removes a headerless segment, the journal's stats — which feed the
-// depth gauges and the -journal-max-bytes retention total — count the
-// segment files actually on disk.
+// depth gauges — count the segment files actually on disk.
 func TestRecoverStatsMatchDisk(t *testing.T) {
 	dir := t.TempDir()
 	seg1 := crashMidRotation(t, dir, "stats-vm", 4)
@@ -762,5 +751,66 @@ func TestFsyncFailedBatchAbsentAfterRecovery(t *testing.T) {
 				t.Errorf("recovered session saw %d snapshots, want the 2 acknowledged", view.Total)
 			}
 		})
+	}
+}
+
+// TestConcurrentCheckpointsKeepTheFallback: the checkpointer, a scrub
+// repair's hook and a promote can each checkpoint at any time. Taken at
+// once, the checkpoints must still each get their own sequence, so the
+// two kept are the two newest and the journal replays cleanly from
+// either after retention has trimmed it.
+func TestConcurrentCheckpointsKeepTheFallback(t *testing.T) {
+	dir := t.TempDir()
+	j, err := wal.Open(wal.Config{Dir: dir, Fsync: wal.FsyncNever, SegmentBytes: 4 << 10})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { j.Close() })
+	s := crashServer(t, j)
+	const rounds, workers = 10, 4
+	for r := 0; r < rounds; r++ {
+		// One 20-snapshot record outgrows a 4 KiB segment: a rotation per
+		// round.
+		var snaps []any
+		for i := 0; i < 20; i++ {
+			snaps = append(snaps, zeroSnapshot("cc-vm", float64(r*100+i)))
+		}
+		if w := postJSON(t, s.Handler(), "/v1/ingest", map[string]any{"snapshots": snaps}); w.Code != 200 {
+			t.Fatalf("ingest: %d", w.Code)
+		}
+		var wg sync.WaitGroup
+		for w := 0; w < workers; w++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				if err := s.Checkpoint(); err != nil {
+					t.Error(err)
+				}
+			}()
+		}
+		wg.Wait()
+	}
+	newest, err := wal.LatestCheckpoint(dir)
+	if err != nil || newest == nil {
+		t.Fatalf("no checkpoint on disk (err %v)", err)
+	}
+	if newest.Seq != rounds*workers {
+		t.Fatalf("newest checkpoint has sequence %d, want %d: one per checkpoint taken", newest.Seq, rounds*workers)
+	}
+	if err := os.WriteFile(filepath.Join(dir, fmt.Sprintf("checkpoint-%08d.ckpt", newest.Seq)), []byte("garbage"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	older, err := wal.LatestCheckpoint(dir)
+	if err != nil || older == nil {
+		t.Fatalf("no fallback checkpoint (err %v)", err)
+	}
+	if older.Seq != newest.Seq-1 {
+		t.Fatalf("fallback checkpoint has sequence %d, want %d", older.Seq, newest.Seq-1)
+	}
+	if st, err := wal.Replay(dir, older.Pos, nil); err != nil || st.Truncated || len(st.MissingSegments) != 0 {
+		t.Errorf("replay from the fallback checkpoint = %+v (err %v), want no tear and no missing segment", st, err)
+	}
+	if js := j.Stats(); js.TruncatedSegments == 0 {
+		t.Errorf("journal stats %+v: want retention to have deleted segments", js)
 	}
 }

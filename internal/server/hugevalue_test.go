@@ -3,6 +3,7 @@ package server
 import (
 	"context"
 	"fmt"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"testing"
@@ -46,18 +47,16 @@ func within(t *testing.T, what string, step func() error) {
 	}
 }
 
-// TestHugeFiniteSnapshotIsClassified sends a snapshot whose every value
-// is 1e20 — finite, so ingest validation lets it in — over JSON and
-// binary ingest into a journaled daemon. Its fused feature lies far
-// outside the kNN grid; the daemon must classify it (unknown, under the
-// open set), keep serving that VM, checkpoint, and recover the journal
-// that holds it, both from the checkpoint and by replaying it.
+// TestHugeFiniteSnapshotIsClassified sends snapshots whose every value
+// is huge but finite — 1e20, 1e160, ±math.MaxFloat64, so ingest
+// validation lets them in — over JSON and binary ingest into a
+// journaled daemon. Their fused features lie far outside the kNN grid,
+// and the deviations the drift accumulators square overflow; the daemon
+// must classify them (unknown, under the open set), keep serving that
+// VM, checkpoint, and recover the journal that holds them, both from
+// the checkpoint and by replaying it.
 func TestHugeFiniteSnapshotIsClassified(t *testing.T) {
 	schema := metrics.DefaultSchema()
-	huge := make([]float64, schema.Len())
-	for i := range huge {
-		huge[i] = 1e20
-	}
 	normal := make([]float64, schema.Len())
 	const vm = "huge-vm"
 
@@ -86,32 +85,43 @@ func TestHugeFiniteSnapshotIsClassified(t *testing.T) {
 	}
 	for name, sender := range senders {
 		t.Run(name, func(t *testing.T) {
-			dir := t.TempDir()
-			a := crashServer(t, crashJournal(t, dir))
-			send := sender(t, a)
-			within(t, "ingest 1e20 snapshot", func() error { return send(0, huge) })
-			within(t, "ingest normal snapshot after it", func() error { return send(5, normal) })
-			within(t, "checkpoint", a.Checkpoint)
-			within(t, "ingest 1e20 snapshot after the checkpoint", func() error { return send(10, huge) })
-			if n := a.counters.unknownSnapshots.Load(); n < 2 {
-				t.Errorf("%d unknown snapshots, want the two 1e20 ones", n)
-			}
-			// Crash a; a fresh server restores the checkpoint and replays
-			// the 1e20 batch journaled after it.
-			jb, err := wal.Open(wal.Config{Dir: dir, Fsync: wal.FsyncNever})
-			if err != nil {
-				t.Fatal(err)
-			}
-			t.Cleanup(func() { jb.Close() })
-			b := newTestServer(t, Config{Journal: jb})
-			var rs RecoveryStats
-			within(t, "recover", func() (err error) { rs, err = b.Recover(); return err })
-			if rs.Sessions != 1 || rs.Snapshots != 1 || rs.Errors != 0 {
-				t.Errorf("recovery: %d session(s), %d replayed snapshot(s), %d error(s); want 1, 1, 0",
-					rs.Sessions, rs.Snapshots, rs.Errors)
-			}
-			if view := sessionView(t, b, vm); view.Total != 3 {
-				t.Errorf("recovered session saw %d snapshots, want 3", view.Total)
+			for _, v := range []float64{1e20, 1e160, math.MaxFloat64, -math.MaxFloat64} {
+				t.Run(fmt.Sprintf("%g", v), func(t *testing.T) {
+					huge := make([]float64, schema.Len())
+					for i := range huge {
+						huge[i] = v
+					}
+					dir := t.TempDir()
+					a := crashServer(t, crashJournal(t, dir))
+					send := sender(t, a)
+					within(t, "ingest huge snapshot", func() error { return send(0, huge) })
+					within(t, "ingest normal snapshot after it", func() error { return send(5, normal) })
+					within(t, "checkpoint", a.Checkpoint)
+					within(t, "ingest huge snapshot after the checkpoint", func() error { return send(10, huge) })
+					if n := a.counters.unknownSnapshots.Load(); n < 2 {
+						t.Errorf("%d unknown snapshots, want the two huge ones", n)
+					}
+					want := sessionView(t, a, vm)
+					// Crash a; a fresh server restores the checkpoint and
+					// replays the huge batch journaled after it.
+					jb, err := wal.Open(wal.Config{Dir: dir, Fsync: wal.FsyncNever})
+					if err != nil {
+						t.Fatal(err)
+					}
+					t.Cleanup(func() { jb.Close() })
+					b := newTestServer(t, Config{Journal: jb})
+					var rs RecoveryStats
+					within(t, "recover", func() (err error) { rs, err = b.Recover(); return err })
+					if rs.CheckpointSeq == 0 || rs.Sessions != 1 || rs.Snapshots != 1 || rs.Errors != 0 {
+						t.Errorf("recovery: checkpoint %d, %d session(s), %d replayed snapshot(s), %d error(s); want a checkpoint, 1, 1, 0",
+							rs.CheckpointSeq, rs.Sessions, rs.Snapshots, rs.Errors)
+					}
+					got := sessionView(t, b, vm)
+					if got.Total != 3 || got.Unknown != want.Unknown || got.Class != want.Class || got.Drift != want.Drift {
+						t.Errorf("recovered session: %d snapshots, %d unknown, class %s, drift %g; want 3, %d, %s, %g",
+							got.Total, got.Unknown, got.Class, got.Drift, want.Unknown, want.Class, want.Drift)
+					}
+				})
 			}
 		})
 	}

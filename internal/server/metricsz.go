@@ -210,7 +210,7 @@ func (s *Server) collect(emit func(name, help, typ string, v float64, labels ...
 		gauge("appclassd_journal_bytes", "Total bytes of journal segments on disk.", float64(js.Bytes))
 		// TruncatedSegments only grows while the journal is open, so it
 		// is a counter (reset on restart like every other one).
-		counter("appclassd_journal_truncated_segments_total", "Closed journal segments deleted by the retention cap.", js.TruncatedSegments)
+		counter("appclassd_journal_truncated_segments_total", "Closed journal segments deleted once neither kept checkpoint replays from them.", js.TruncatedSegments)
 		fsyncAge := -1.0
 		if !js.LastSync.IsZero() {
 			fsyncAge = s.now().Sub(js.LastSync).Seconds()

@@ -12,6 +12,7 @@ package server
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"net"
 	"net/http"
@@ -98,10 +99,12 @@ type Config struct {
 	UnknownSlack float64
 	// RecoverForce lets Recover proceed past a model-hash mismatch
 	// between the on-disk checkpoint/journal and the configured model:
-	// mismatching checkpoints are discarded (their session states were
-	// serialized under a different model) and the journal tail is
-	// replayed from scratch under the current model. Off by default —
-	// a mismatch refuses recovery with a clear error.
+	// a mismatching checkpoint's sessions are discarded (their states
+	// were serialized under a different model), and the journal is
+	// still replayed from that checkpoint's position, mismatching
+	// segments included, under the current model — so sessions that
+	// were live at the checkpoint come back with only what followed it.
+	// Off by default — a mismatch refuses recovery with a clear error.
 	RecoverForce bool
 	// ModelDir, when set, confines POST /v1/models artifact paths: load
 	// requests are resolved relative to it and may not escape it. Empty
@@ -187,6 +190,12 @@ type Server struct {
 	// session states it serializes are one consistent cut — replay from a
 	// checkpoint neither double-applies nor loses a record.
 	ckptMu sync.RWMutex
+	// saveMu serializes whole checkpoints. The checkpointer, the
+	// scrubber's pre-repair hook and a promote can each take one; run
+	// concurrently, two saves could pick the same checkpoint sequence,
+	// one overwriting the other, and the retention floor would then
+	// trim segments the surviving older checkpoint replays from.
+	saveMu sync.Mutex
 	// ckptKick nudges the checkpointer loop to checkpoint now; exiting
 	// degraded durability kicks it.
 	ckptKick chan struct{}
@@ -541,68 +550,14 @@ func (s *Server) finalize(sess *session, journal bool, at int64) (rec *appdb.Rec
 		s.ckptMu.RLock()
 		defer s.ckptMu.RUnlock()
 	}
-	sess.mu.Lock()
-	if sess.finalized {
-		sess.mu.Unlock()
-		return nil, false
+	rec, ok = s.detach(sess, journal, at)
+	if rec == nil {
+		return nil, ok
 	}
-	if at == 0 {
-		at = s.stamp()
-	}
-	if journal {
-		if _, err := s.cfg.Journal.AppendFinalize(sess.vm, at); err != nil {
-			s.counters.journalErrors.Add(1)
-			if !s.cfg.DegradeOnWALError {
-				sess.mu.Unlock()
-				s.cfg.Logf("server: journal finalize %s: %v (session kept live)", sess.vm, err)
-				return nil, false
-			}
-			s.enterDegraded(err)
-		} else {
-			s.counters.journalRecords.Add(1)
-		}
-	}
-	sess.finalized = true
-	view := sess.online.Snapshot()
-	modelID := sess.model
-	trainMetrics, trainRows := sess.online.TrainSamples()
-	// Unmap while still holding sess.mu (shard locks are never held
-	// around session locks, so the order is safe): an ingest racing this
-	// finalization either sees the session gone and builds a fresh one,
-	// or waits on sess.mu and then retries against the registry.
-	s.reg.remove(sess.vm, sess)
-	sess.mu.Unlock()
-
-	if view.Total == 0 {
-		// A session that never classified anything (e.g. its first
-		// Observe failed) has no record worth keeping.
-		return nil, true
-	}
-	exec := view.LastAt - view.FirstAt
-	if exec < 0 {
-		exec = 0
-	}
-	rec = &appdb.Record{
-		App:             sess.vm,
-		Class:           view.Class,
-		Composition:     view.Composition,
-		ExecutionTime:   exec,
-		Samples:         view.Total,
-		Gaps:            view.Gaps,
-		GapTime:         view.GapTime,
-		Phases:          view.Phases,
-		UnknownFraction: view.UnknownFraction,
-		Verdict:         view.Verdict,
-		ModelID:         modelID,
-	}
-	if len(trainRows) > 0 {
-		rec.TrainMetrics = trainMetrics
-		rec.TrainSamples = trainRows
-	}
-	if view.Verdict == appclass.Unknown {
+	if rec.Verdict == appclass.Unknown {
 		s.counters.unknownSessions.Add(1)
 	}
-	if fp := phase.NewFingerprint(view.Phases); !fp.Empty() {
+	if fp := phase.NewFingerprint(rec.Phases); !fp.Empty() {
 		rec.Fingerprint = &fp
 		// Match against the dictionary as it stood before this run's own
 		// record lands, so a run can match an earlier run of itself under
@@ -615,9 +570,6 @@ func (s *Server) finalize(sess *session, journal bool, at int64) (rec *appdb.Rec
 			s.counters.fingerprintMisses.Add(1)
 		}
 	}
-	// Both database engines store the stamp, and Scan and retention
-	// order by it.
-	rec.FinalizedAt = at
 	putStart := s.now()
 	if err := s.cfg.DB.Put(*rec); err != nil {
 		s.counters.finalizeErrors.Add(1)
@@ -628,6 +580,68 @@ func (s *Server) finalize(sess *session, journal bool, at int64) (rec *appdb.Rec
 	s.counters.finalizeAppendLastNanos.Store(elapsed)
 	s.counters.finalizeAppendNanos.Add(elapsed)
 	s.counters.finalizeAppends.Add(1)
+	return rec, true
+}
+
+// detach is finalize's step under sess.mu, which it releases by defer
+// so a panic cannot leave the session locked: it journals the finalize
+// marker stamped at (a fresh stamp when 0) when journal is set, marks
+// the session finalized, unmaps it, and returns the record the finish
+// stores — nil when the session classified nothing. ok is false if
+// another finalizer won the race or the marker could not be journaled.
+func (s *Server) detach(sess *session, journal bool, at int64) (rec *appdb.Record, ok bool) {
+	sess.mu.Lock()
+	defer sess.mu.Unlock()
+	if sess.finalized {
+		return nil, false
+	}
+	if at == 0 {
+		at = s.stamp()
+	}
+	if journal {
+		if _, err := s.cfg.Journal.AppendFinalize(sess.vm, at); err != nil {
+			s.counters.journalErrors.Add(1)
+			if !s.cfg.DegradeOnWALError {
+				s.cfg.Logf("server: journal finalize %s: %v (session kept live)", sess.vm, err)
+				return nil, false
+			}
+			s.enterDegraded(err)
+		} else {
+			s.counters.journalRecords.Add(1)
+		}
+	}
+	sess.finalized = true
+	// Unmap while still holding sess.mu (shard locks are never held
+	// around session locks, so the order is safe): an ingest racing this
+	// finalization either sees the session gone and builds a fresh one,
+	// or waits on sess.mu and then retries against the registry.
+	s.reg.remove(sess.vm, sess)
+	view := sess.online.Snapshot()
+	if view.Total == 0 {
+		// A session that never classified anything (e.g. its first
+		// Observe failed) has no record worth keeping.
+		return nil, true
+	}
+	rec = &appdb.Record{
+		App:             sess.vm,
+		Class:           view.Class,
+		Composition:     view.Composition,
+		ExecutionTime:   max(view.LastAt-view.FirstAt, 0),
+		Samples:         view.Total,
+		Gaps:            view.Gaps,
+		GapTime:         view.GapTime,
+		Phases:          view.Phases,
+		UnknownFraction: view.UnknownFraction,
+		Verdict:         view.Verdict,
+		ModelID:         sess.model,
+		// Both database engines store the stamp, and Scan and retention
+		// order by it.
+		FinalizedAt: at,
+	}
+	if trainMetrics, trainRows := sess.online.TrainSamples(); len(trainRows) > 0 {
+		rec.TrainMetrics = trainMetrics
+		rec.TrainSamples = trainRows
+	}
 	return rec, true
 }
 
@@ -772,7 +786,6 @@ func (s *Server) observeBatch(vm string, snaps []metrics.Snapshot, classes []app
 			journal = false
 		}
 	}
-	var durable int64
 	for attempt := 0; attempt < 3; attempt++ {
 		sess, created, err := s.reg.getOrCreate(vm, func() (*session, error) {
 			am := s.active.Load()
@@ -789,74 +802,9 @@ func (s *Server) observeBatch(vm string, snaps []metrics.Snapshot, classes []app
 		if created {
 			s.cfg.Logf("server: new session for %s", vm)
 		}
-		if journal {
-			// The append + classify pair must be one atomic step from the
-			// checkpointer's point of view; see ckptMu.
-			s.ckptMu.RLock()
-		}
-		sess.mu.Lock()
-		if sess.finalized {
-			sess.mu.Unlock()
-			if journal {
-				s.ckptMu.RUnlock()
-			}
+		out, durable, newUnknown, err := s.observeLocked(sess, snaps, classes, journal, probing)
+		if err == errFinalized {
 			continue // lost a race with the janitor; re-resolve
-		}
-		// A session created in the narrow window around a hot swap can
-		// still hold the previous model (getOrCreate runs outside the
-		// promote quiesce); bind it forward before classifying so no
-		// batch is served by a retired model.
-		if am := s.active.Load(); sess.model != am.model.ID {
-			if rerr := sess.online.Rebind(am.model.Classifier, am.openset); rerr != nil {
-				s.counters.rebindErrors.Add(1)
-				s.cfg.Logf("server: rebind %s to model %s: %v (session continues on %s)", vm, am.model.ID, rerr, sess.model)
-			} else {
-				sess.model = am.model.ID
-			}
-		}
-		if journal {
-			// Write-ahead: a batch that cannot be journaled is not
-			// classified, so the journal is never behind the session state —
-			// unless DegradeOnWALError trades that guarantee for liveness,
-			// in which case the batch is classified memory-only and the
-			// daemon drops into explicit degraded mode. Under group commit
-			// only the write happens here; the fsync wait is deferred to
-			// the caller's waitJournalDurable so a multi-group request
-			// pays one durability wait, not one per VM group.
-			if _, token, err := s.cfg.Journal.AppendBatchDeferred(vm, snaps); err != nil {
-				s.counters.journalErrors.Add(1)
-				if !s.cfg.DegradeOnWALError {
-					sess.mu.Unlock()
-					s.ckptMu.RUnlock()
-					s.counters.ingestErrors.Add(1)
-					return nil, 0, fmt.Errorf("server: journal batch for %s: %w", vm, err)
-				}
-				s.enterDegraded(err)
-			} else {
-				durable = token
-				s.counters.journalRecords.Add(1)
-				if probing {
-					s.exitDegraded()
-				}
-			}
-		}
-		prevUnknown := sess.online.UnknownCount()
-		prevPhases := sess.online.PhaseCount()
-		out, err := sess.online.ObserveBatch(snaps, classes)
-		if err == nil {
-			sess.lastSeen = s.now()
-		}
-		newUnknown := sess.online.UnknownCount() - prevUnknown
-		newPhases := phaseBoundaries(sess.online.PhaseCount()) - phaseBoundaries(prevPhases)
-		sess.mu.Unlock()
-		if newUnknown > 0 {
-			s.counters.unknownSnapshots.Add(int64(newUnknown))
-		}
-		if newPhases > 0 {
-			s.counters.phaseBoundaries.Add(int64(newPhases))
-		}
-		if journal {
-			s.ckptMu.RUnlock()
 		}
 		if err != nil {
 			s.counters.ingestErrors.Add(1)
@@ -881,4 +829,77 @@ func (s *Server) observeBatch(vm string, snaps []metrics.Snapshot, classes []app
 		return out, durable, nil
 	}
 	return nil, 0, fmt.Errorf("server: session for %q kept being evicted mid-ingest", vm)
+}
+
+// errFinalized reports that a session was finalized before the caller
+// got its lock.
+var errFinalized = errors.New("server: session already finalized")
+
+// observeLocked is one attempt of observeBatch on sess: it journals the
+// batch (when journal) and classifies it with the checkpoint read lock
+// (when journal) and the session lock held, releasing both by defer so
+// a panic under them cannot leave the VM, and every checkpoint after
+// it, blocked for good. newUnknown counts the batch's snapshots outside
+// the open set. It returns errFinalized if sess was finalized first.
+func (s *Server) observeLocked(sess *session, snaps []metrics.Snapshot, classes []appclass.Class, journal, probing bool) (out []appclass.Class, durable int64, newUnknown int, err error) {
+	if journal {
+		// The append + classify pair must be one atomic step from the
+		// checkpointer's point of view; see ckptMu.
+		s.ckptMu.RLock()
+		defer s.ckptMu.RUnlock()
+	}
+	sess.mu.Lock()
+	defer sess.mu.Unlock()
+	if sess.finalized {
+		return nil, 0, 0, errFinalized
+	}
+	// A session created in the narrow window around a hot swap can
+	// still hold the previous model (getOrCreate runs outside the
+	// promote quiesce); bind it forward before classifying so no
+	// batch is served by a retired model.
+	if am := s.active.Load(); sess.model != am.model.ID {
+		if rerr := sess.online.Rebind(am.model.Classifier, am.openset); rerr != nil {
+			s.counters.rebindErrors.Add(1)
+			s.cfg.Logf("server: rebind %s to model %s: %v (session continues on %s)", sess.vm, am.model.ID, rerr, sess.model)
+		} else {
+			sess.model = am.model.ID
+		}
+	}
+	if journal {
+		// Write-ahead: a batch that cannot be journaled is not
+		// classified, so the journal is never behind the session state —
+		// unless DegradeOnWALError trades that guarantee for liveness,
+		// in which case the batch is classified memory-only and the
+		// daemon drops into explicit degraded mode. Under group commit
+		// only the write happens here; the fsync wait is deferred to
+		// the caller's waitJournalDurable so a multi-group request
+		// pays one durability wait, not one per VM group.
+		if _, token, err := s.cfg.Journal.AppendBatchDeferred(sess.vm, snaps); err != nil {
+			s.counters.journalErrors.Add(1)
+			if !s.cfg.DegradeOnWALError {
+				return nil, 0, 0, fmt.Errorf("server: journal batch for %s: %w", sess.vm, err)
+			}
+			s.enterDegraded(err)
+		} else {
+			durable = token
+			s.counters.journalRecords.Add(1)
+			if probing {
+				s.exitDegraded()
+			}
+		}
+	}
+	prevUnknown := sess.online.UnknownCount()
+	prevPhases := sess.online.PhaseCount()
+	out, err = sess.online.ObserveBatch(snaps, classes)
+	if err == nil {
+		sess.lastSeen = s.now()
+	}
+	newUnknown = sess.online.UnknownCount() - prevUnknown
+	if newUnknown > 0 {
+		s.counters.unknownSnapshots.Add(int64(newUnknown))
+	}
+	if n := phaseBoundaries(sess.online.PhaseCount()) - phaseBoundaries(prevPhases); n > 0 {
+		s.counters.phaseBoundaries.Add(int64(n))
+	}
+	return out, durable, newUnknown, err
 }

@@ -310,12 +310,19 @@ type Welford struct {
 	m2   float64
 }
 
-// Add incorporates one observation.
+// Add incorporates one observation. An observation that would
+// overflow the mean or the sum of squared deviations (a finite value
+// past ~1e154 can) is skipped, so the accumulator stays finite and its
+// state stays serializable.
 func (w *Welford) Add(x float64) {
-	w.n++
+	n := w.n + 1
 	d := x - w.mean
-	w.mean += d / float64(w.n)
-	w.m2 += d * (x - w.mean)
+	mean := w.mean + d/float64(n)
+	m2 := w.m2 + d*(x-mean)
+	if !(math.Abs(mean) <= math.MaxFloat64 && m2 <= math.MaxFloat64) {
+		return // an overflow, or a NaN, which no comparison holds for
+	}
+	w.n, w.mean, w.m2 = n, mean, m2
 }
 
 // Count returns the number of observations seen.

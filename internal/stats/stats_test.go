@@ -219,6 +219,34 @@ func TestWelfordMatchesBatch(t *testing.T) {
 	}
 }
 
+// TestWelfordStaysFinite: ordinary observations update exactly as the
+// textbook recurrence does, and one that would overflow the mean or M2
+// (or is not a number) is skipped, leaving a state WelfordFromState
+// accepts.
+func TestWelfordStaysFinite(t *testing.T) {
+	var w Welford
+	var want WelfordState
+	for _, x := range []float64{3, -1.5, 1e6, 0.25, 1e150} {
+		w.Add(x)
+		want.N++
+		d := x - want.Mean
+		want.Mean += d / float64(want.N)
+		want.M2 += d * (x - want.Mean)
+	}
+	if got := w.State(); got != want {
+		t.Fatalf("state = %+v, want %+v", got, want)
+	}
+	for _, x := range []float64{1e160, math.MaxFloat64, -math.MaxFloat64, math.Inf(1), math.NaN()} {
+		w.Add(x)
+		if got := w.State(); got != want {
+			t.Errorf("after Add(%g): state = %+v, want it unchanged at %+v", x, got, want)
+		}
+	}
+	if _, err := WelfordFromState(w.State()); err != nil {
+		t.Errorf("WelfordFromState: %v", err)
+	}
+}
+
 func TestWelfordZScoreGuard(t *testing.T) {
 	var w Welford
 	w.Add(4)

@@ -85,11 +85,6 @@ type Config struct {
 	// SegmentBytes rotates the active segment once it exceeds this many
 	// bytes. Zero means 8 MiB.
 	SegmentBytes int64
-	// MaxBytes caps the total size of closed segments; once exceeded,
-	// the oldest closed segments are deleted (observable via
-	// Stats.TruncatedSegments). Zero means unlimited. The active segment
-	// is never deleted.
-	MaxBytes int64
 	// Fsync selects the sync policy. The zero value is FsyncInterval.
 	Fsync Policy
 	// FsyncEvery is the FsyncInterval cadence. Zero means 1 second.
@@ -135,9 +130,8 @@ type Stats struct {
 	Syncs int64
 	// Rotations counts segment rotations since Open.
 	Rotations int64
-	// TruncatedSegments counts closed segments deleted by the MaxBytes
-	// retention cap since Open — nonzero means the journal no longer
-	// holds the full history since the last checkpoint.
+	// TruncatedSegments counts closed segments deleted since Open
+	// because no kept checkpoint replays from them (see SetRetainFloor).
 	TruncatedSegments int64
 	// LastSync is when the journal last fsynced (zero if never).
 	LastSync time.Time
@@ -165,10 +159,9 @@ type Journal struct {
 	// be cut back to its last good offset or no fresh segment could be
 	// opened, so further appends would land after garbage bytes.
 	failed error
-	// retainSeg is the retention floor: prune never deletes a segment
-	// with seq >= retainSeg, so every record at or after the newest
-	// checkpoint's position survives the MaxBytes cap. Unset (retainSet
-	// false) means no checkpoint has been seen and prune is unrestricted.
+	// retainSeg is the retention floor: the segment the newest
+	// checkpoint's position lies in (see SetRetainFloor). Unset
+	// (retainSet false) means no checkpoint has been seen.
 	retainSeg uint64
 	retainSet bool
 	// scrubNext is the scrub cursor: the next sealed segment sequence
@@ -199,7 +192,8 @@ type Journal struct {
 // Open creates or opens a journal directory and starts a fresh active
 // segment after any existing ones. Existing segments are never appended
 // to (their tails may be torn from a previous crash); they remain
-// readable for Replay until retention deletes them.
+// readable for Replay until retention deletes them. Temp files a crash
+// left behind mid-checkpoint or mid-repair are removed.
 func Open(cfg Config) (*Journal, error) {
 	if cfg.Dir == "" {
 		return nil, fmt.Errorf("wal: empty journal directory")
@@ -224,6 +218,9 @@ func Open(cfg Config) (*Journal, error) {
 	if err := os.MkdirAll(cfg.Dir, 0o755); err != nil {
 		return nil, fmt.Errorf("wal: create %s: %w", cfg.Dir, err)
 	}
+	if err := seglog.RemoveTemps(cfg.Dir); err != nil {
+		return nil, fmt.Errorf("wal: %w", err)
+	}
 	segs, err := segFormat.List(cfg.Dir)
 	if err != nil {
 		return nil, err
@@ -235,8 +232,8 @@ func Open(cfg Config) (*Journal, error) {
 	if n := len(segs); n > 0 {
 		next = segs[n-1].Seq + 1
 	}
-	// Seed the retention floor from the newest checkpoint so MaxBytes
-	// pruning never deletes segments the next recovery still needs.
+	// Seed the retention floor from the newest checkpoint, so the next
+	// checkpoint trims only what that one no longer needs.
 	if cp, err := LatestCheckpoint(cfg.Dir); err != nil {
 		return nil, err
 	} else if cp != nil {
@@ -580,8 +577,7 @@ func (j *Journal) syncLocked() error {
 	return nil
 }
 
-// Rotate closes the active segment and starts a new one, then enforces
-// retention in the background.
+// Rotate closes the active segment and starts a new one.
 func (j *Journal) Rotate() error {
 	j.mu.Lock()
 	defer j.mu.Unlock()
@@ -627,17 +623,33 @@ func (j *Journal) Revive() error {
 	return nil
 }
 
-// SetRetainFloor raises the retention floor: segments with seq >= seg
-// are never deleted by the MaxBytes cap. Callers advance it to the
-// newest checkpoint's Position.Seg after every successful checkpoint,
-// so retention can only discard segments whose records are already
-// folded into a checkpoint. The floor is monotonic; a lower value is
-// ignored.
+// SetRetainFloor moves the retention floor to seg, the segment the
+// checkpoint just saved points into, and trims the journal: when the
+// floor moves, every closed segment below the previous floor is
+// deleted, oldest first. SaveCheckpoint keeps two checkpoints, and the
+// previous floor is the segment the older of them points into, so
+// recovery from either one finds every segment it replays. Callers
+// advance the floor after every successful checkpoint. The floor is
+// monotonic; a value at or below it changes nothing. A segment that
+// cannot be removed is logged and kept, and the next move retries it.
 func (j *Journal) SetRetainFloor(seg uint64) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	if !j.retainSet || seg > j.retainSeg {
-		j.retainSeg, j.retainSet = seg, true
+	if j.retainSet && seg <= j.retainSeg {
+		return
+	}
+	prev, trim := j.retainSeg, j.retainSet
+	j.retainSeg, j.retainSet = seg, true
+	for trim && len(j.closed) > 0 && j.closed[0].Seq < prev {
+		victim := j.closed[0]
+		path := segFormat.Path(j.cfg.Dir, victim.Seq)
+		if err := os.Remove(path); err != nil && !os.IsNotExist(err) {
+			j.cfg.Logf("wal: retention: remove %s: %v", path, err)
+			return
+		}
+		j.cfg.Logf("wal: retention dropped segment %d (%d bytes)", victim.Seq, victim.Size)
+		j.closed = j.closed[1:]
+		j.stats.TruncatedSegments++
 	}
 }
 
@@ -661,47 +673,7 @@ func (j *Journal) rotateLocked() error {
 		j.cfg.Logf("%v", j.failed)
 		return j.failed
 	}
-	if j.cfg.MaxBytes > 0 {
-		// Prune off the append path; deletions only touch closed
-		// segments, which no appender writes to.
-		j.wg.Add(1)
-		go func() {
-			defer j.wg.Done()
-			j.prune()
-		}()
-	}
 	return nil
-}
-
-// prune deletes the oldest closed segments until their total size fits
-// under MaxBytes, but never a segment at or above the retention floor:
-// deleting a segment the newest checkpoint still points into would
-// leave a silent gap in the stream and lose acknowledged records at
-// the next recovery.
-func (j *Journal) prune() {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	var total int64
-	for _, s := range j.closed {
-		total += s.Size
-	}
-	for len(j.closed) > 0 && total > j.cfg.MaxBytes {
-		victim := j.closed[0]
-		if j.retainSet && victim.Seq >= j.retainSeg {
-			j.cfg.Logf("wal: retention over cap by %d bytes but segment %d is needed by the newest checkpoint; not pruning",
-				total-j.cfg.MaxBytes, victim.Seq)
-			return
-		}
-		path := segFormat.Path(j.cfg.Dir, victim.Seq)
-		if err := os.Remove(path); err != nil && !os.IsNotExist(err) {
-			j.cfg.Logf("wal: retention: remove %s: %v", path, err)
-			return
-		}
-		j.cfg.Logf("wal: retention dropped segment %d (%d bytes)", victim.Seq, victim.Size)
-		total -= victim.Size
-		j.closed = j.closed[1:]
-		j.stats.TruncatedSegments++
-	}
 }
 
 // syncLoop is the FsyncInterval background syncer.

@@ -4,8 +4,12 @@ import (
 	"bytes"
 	"encoding/binary"
 	"encoding/json"
+	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
+	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -165,129 +169,261 @@ func TestReplayFromPosition(t *testing.T) {
 	}
 }
 
-func TestSegmentRotationAndRetention(t *testing.T) {
-	dir := t.TempDir()
-	j := openTestJournal(t, Config{
-		Dir:          dir,
-		Fsync:        FsyncNever,
-		SegmentBytes: 2 << 10, // rotate every ~2 KiB
-		MaxBytes:     4 << 10, // keep ~4 KiB of closed segments
-	})
-	for i := 0; i < 100; i++ {
+// appendBatches appends n four-snapshot batches for one VM: about
+// seven fill a 2 KiB segment.
+func appendBatches(t *testing.T, j *Journal, n int) {
+	t.Helper()
+	for i := 0; i < n; i++ {
 		if _, err := j.AppendBatch("vm", testSnaps("vm", 4, 8, float64(i))); err != nil {
 			t.Fatal(err)
 		}
-	}
-	if err := j.Close(); err != nil {
-		t.Fatal(err)
-	}
-	st := j.Stats()
-	if st.Rotations == 0 {
-		t.Fatalf("stats = %+v, want rotations > 0", st)
-	}
-	if st.TruncatedSegments == 0 {
-		t.Fatalf("stats = %+v, want retention-truncated segments > 0", st)
-	}
-	segs, err := segFormat.List(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var onDisk int64
-	for _, s := range segs {
-		onDisk += s.Size
-	}
-	// Retention bounds closed segments; the final (active-at-close)
-	// segment rides on top.
-	if max := int64(4<<10) + (2<<10)*2; onDisk > max {
-		t.Errorf("journal holds %d bytes on disk, want <= %d", onDisk, max)
-	}
-	// The surviving tail must still replay cleanly from the earliest
-	// remaining segment.
-	stats, err := Replay(dir, Position{}, func(Position, Record) error { return nil })
-	if err != nil {
-		t.Fatal(err)
-	}
-	if stats.Truncated || stats.Records == 0 {
-		t.Errorf("post-retention replay = %+v, want clean nonzero records", stats)
 	}
 }
 
-// TestPruneRespectsRetainFloor caps the journal hard but pins the
-// retention floor at the first segment: nothing may be pruned, because
-// every segment is still needed by the (simulated) newest checkpoint.
-func TestPruneRespectsRetainFloor(t *testing.T) {
-	dir := t.TempDir()
-	j := openTestJournal(t, Config{
-		Dir:          dir,
-		Fsync:        FsyncNever,
-		SegmentBytes: 2 << 10,
-		MaxBytes:     1, // everything over cap; only the floor protects segments
-	})
-	j.SetRetainFloor(1)
-	for i := 0; i < 100; i++ {
-		if _, err := j.AppendBatch("vm", testSnaps("vm", 4, 8, float64(i))); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := j.Close(); err != nil {
+// checkpointNow saves a checkpoint covering everything appended so far
+// and moves the retention floor to it, as the server's Checkpoint does.
+func checkpointNow(t *testing.T, j *Journal) Position {
+	t.Helper()
+	pos := j.Pos()
+	if _, err := SaveCheckpoint(j.Dir(), pos, time.Unix(1700000000, 0), "", json.RawMessage(`{}`)); err != nil {
 		t.Fatal(err)
 	}
-	if st := j.Stats(); st.Rotations == 0 || st.TruncatedSegments != 0 {
-		t.Fatalf("stats = %+v, want rotations > 0 and no retention-truncated segments", st)
-	}
+	j.SetRetainFloor(pos.Seg)
+	return pos
+}
+
+// segSeqs lists the sequence numbers of the segments in dir.
+func segSeqs(t *testing.T, dir string) []uint64 {
+	t.Helper()
 	segs, err := segFormat.List(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(segs) == 0 || segs[0].Seq != 1 {
-		t.Fatalf("segments = %+v, want segment 1 retained", segs)
+	out := make([]uint64, len(segs))
+	for i, s := range segs {
+		out[i] = s.Seq
 	}
-	// Raising the floor releases the older segments on the next prune.
-	j2 := openTestJournal(t, Config{Dir: dir, Fsync: FsyncNever, SegmentBytes: 2 << 10, MaxBytes: 1})
-	j2.SetRetainFloor(j2.Pos().Seg)
-	if err := j2.Rotate(); err != nil {
+	return out
+}
+
+// seqRange returns lo, lo+1, ..., hi.
+func seqRange(lo, hi uint64) []uint64 {
+	var out []uint64
+	for s := lo; s <= hi; s++ {
+		out = append(out, s)
+	}
+	return out
+}
+
+// replayClean replays dir from `from` and fails unless the walk finds
+// no missing segment and no tear and delivers want records.
+func replayClean(t *testing.T, dir string, from Position, want int) {
+	t.Helper()
+	st, err := Replay(dir, from, func(Position, Record) error { return nil })
+	if err != nil {
 		t.Fatal(err)
 	}
-	if err := j2.Close(); err != nil {
+	if len(st.MissingSegments) != 0 || st.Truncated || st.Records != want {
+		t.Errorf("replay from %+v = %+v, want %d records, no missing segment and no tear", from, st, want)
+	}
+}
+
+// TestSegmentRotationAndRetention: checkpoints decide what the journal
+// keeps. After four checkpoints across rotations, and ingest after the
+// newest, exactly the segments from the older kept checkpoint's segment
+// on are left, every one before it is counted deleted, and the journal
+// replays cleanly from either kept checkpoint.
+func TestSegmentRotationAndRetention(t *testing.T) {
+	dir := t.TempDir()
+	j := openTestJournal(t, Config{Dir: dir, Fsync: FsyncNever, SegmentBytes: 2 << 10})
+	var cps []Position
+	for round := 0; round < 4; round++ {
+		appendBatches(t, j, 25)
+		cps = append(cps, checkpointNow(t, j))
+		if round > 0 && cps[round].Seg <= cps[round-1].Seg {
+			t.Fatalf("checkpoints at %+v: want each in a later segment", cps)
+		}
+	}
+	appendBatches(t, j, 10)
+	st := j.Stats()
+	if err := j.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if st := j2.Stats(); st.TruncatedSegments == 0 {
-		t.Errorf("stats = %+v, want old segments pruned once the floor moved past them", st)
+	older, newest := cps[2], cps[3]
+	if got, want := segSeqs(t, dir), seqRange(older.Seg, st.ActiveSeg); !slices.Equal(got, want) {
+		t.Errorf("segments on disk = %v, want %v", got, want)
+	}
+	if st.TruncatedSegments != int64(older.Seg-1) || st.Segments != int(st.ActiveSeg-older.Seg+1) {
+		t.Errorf("stats = %+v, want %d segment(s) deleted and %d left", st, older.Seg-1, st.ActiveSeg-older.Seg+1)
+	}
+	replayClean(t, dir, older, 25+10)
+	replayClean(t, dir, newest, 10)
+}
+
+// TestPruneRespectsRetainFloor: the floor trims only when it moves, and
+// then only below where it was. Without a checkpoint nothing goes,
+// however many segments rotate; the first floor, a repeated one and a
+// lower one delete nothing; a segment whose remove fails stops the
+// trim there, keeping the journal contiguous, and the next move
+// deletes it.
+func TestPruneRespectsRetainFloor(t *testing.T) {
+	dir := t.TempDir()
+	var mu sync.Mutex
+	var logs []string
+	j := openTestJournal(t, Config{Dir: dir, Fsync: FsyncNever, SegmentBytes: 2 << 10, Logf: func(format string, args ...any) {
+		mu.Lock()
+		defer mu.Unlock()
+		logs = append(logs, fmt.Sprintf(format, args...))
+	}})
+	appendBatches(t, j, 50)
+	all := segSeqs(t, dir)
+	if len(all) < 6 {
+		t.Fatalf("segments = %v, want at least 6", all)
+	}
+	j.SetRetainFloor(3)
+	j.SetRetainFloor(3)
+	j.SetRetainFloor(2)
+	if got := segSeqs(t, dir); !slices.Equal(got, all) || j.Stats().TruncatedSegments != 0 {
+		t.Fatalf("segments = %v, truncated %d; want %v untouched", got, j.Stats().TruncatedSegments, all)
+	}
+
+	// A non-empty directory under segment 1's name cannot be removed.
+	seg1 := segFormat.Path(dir, 1)
+	if err := os.Remove(seg1); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.MkdirAll(filepath.Join(seg1, "busy"), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	j.SetRetainFloor(4)
+	if got := segSeqs(t, dir); !slices.Equal(got, all) || j.Stats().TruncatedSegments != 0 {
+		t.Errorf("segments = %v, truncated %d after a failed remove; want %v kept", got, j.Stats().TruncatedSegments, all)
+	}
+	mu.Lock()
+	failed := slices.ContainsFunc(logs, func(l string) bool { return strings.Contains(l, "retention: remove") })
+	mu.Unlock()
+	if !failed {
+		t.Errorf("logs %q: want the failed remove logged", logs)
+	}
+
+	if err := os.RemoveAll(seg1); err != nil {
+		t.Fatal(err)
+	}
+	j.SetRetainFloor(5)
+	if got, want := segSeqs(t, dir), all[3:]; !slices.Equal(got, want) || j.Stats().TruncatedSegments != 3 {
+		t.Errorf("segments = %v, truncated %d; want %v, segments 1-3 deleted", got, j.Stats().TruncatedSegments, want)
 	}
 }
 
 // TestOpenSeedsRetainFloorFromCheckpoint: a journal reopened over a
-// directory holding a checkpoint must not prune the segments the
-// checkpoint still points into, even under a tight MaxBytes.
+// directory holding a checkpoint starts with its floor at that
+// checkpoint's segment, so its first checkpoint already trims what the
+// old one no longer needs, and keeps what it does.
 func TestOpenSeedsRetainFloorFromCheckpoint(t *testing.T) {
 	dir := t.TempDir()
-	j := openTestJournal(t, Config{Dir: dir, Fsync: FsyncNever})
-	pos, err := j.AppendBatch("vm", testSnaps("vm", 2, 3, 0))
-	if err != nil {
-		t.Fatal(err)
-	}
+	cfg := Config{Dir: dir, Fsync: FsyncNever, SegmentBytes: 2 << 10}
+	j := openTestJournal(t, cfg)
+	appendBatches(t, j, 25)
+	pos := checkpointNow(t, j)
+	appendBatches(t, j, 5)
 	if err := j.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := SaveCheckpoint(dir, pos, time.Unix(1700000000, 0), "", json.RawMessage(`{}`)); err != nil {
-		t.Fatal(err)
+	if pos.Seg < 2 {
+		t.Fatalf("checkpoint at %+v, want segments before it", pos)
 	}
-	j2 := openTestJournal(t, Config{Dir: dir, Fsync: FsyncNever, SegmentBytes: 2 << 10, MaxBytes: 1})
-	for i := 0; i < 100; i++ {
-		if _, err := j2.AppendBatch("vm", testSnaps("vm", 4, 8, float64(i))); err != nil {
-			t.Fatal(err)
-		}
-	}
+
+	j2 := openTestJournal(t, cfg)
+	appendBatches(t, j2, 25)
+	pos2 := checkpointNow(t, j2)
+	st := j2.Stats()
 	if err := j2.Close(); err != nil {
 		t.Fatal(err)
 	}
-	segs, err := segFormat.List(dir)
-	if err != nil {
+	if got, want := segSeqs(t, dir), seqRange(pos.Seg, st.ActiveSeg); !slices.Equal(got, want) {
+		t.Errorf("segments on disk = %v, want %v", got, want)
+	}
+	if st.TruncatedSegments != int64(pos.Seg-1) {
+		t.Errorf("truncated %d segment(s), want %d", st.TruncatedSegments, pos.Seg-1)
+	}
+	replayClean(t, dir, pos, 5+25)
+	replayClean(t, dir, pos2, 0)
+}
+
+// TestCheckpointFallbackKeepsItsSegments is the fallback promise: with
+// the newest checkpoint unreadable, recovery starts from the older kept
+// one, and retention has left every segment it replays from.
+func TestCheckpointFallbackKeepsItsSegments(t *testing.T) {
+	dir := t.TempDir()
+	j := openTestJournal(t, Config{Dir: dir, Fsync: FsyncNever, SegmentBytes: 2 << 10})
+	var cps []Position
+	for round := 0; round < 3; round++ {
+		appendBatches(t, j, 25)
+		cps = append(cps, checkpointNow(t, j))
+	}
+	appendBatches(t, j, 20)
+	st := j.Stats()
+	if err := j.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if len(segs) == 0 || segs[0].Seq != pos.Seg {
-		t.Fatalf("segments = %+v, want checkpointed segment %d retained", segs, pos.Seg)
+	older := cps[1]
+	if st.TruncatedSegments == 0 || older.Seg <= cps[0].Seg {
+		t.Fatalf("checkpoints at %+v, stats %+v: want segments deleted before the older kept checkpoint", cps, st)
 	}
+	if got, want := segSeqs(t, dir), seqRange(older.Seg, st.ActiveSeg); !slices.Equal(got, want) {
+		t.Errorf("segments on disk = %v, want %v", got, want)
+	}
+
+	ckpts, err := checkpointNames.List(dir)
+	if err != nil || len(ckpts) != 2 {
+		t.Fatalf("checkpoints %+v (err %v), want two kept", ckpts, err)
+	}
+	if err := os.WriteFile(checkpointNames.Path(dir, ckpts[1].Seq), []byte("garbage"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	cp, err := LatestCheckpoint(dir)
+	if err != nil || cp == nil || cp.Seq != ckpts[0].Seq || cp.Pos != older {
+		t.Fatalf("LatestCheckpoint = %+v (err %v), want checkpoint %d at %+v", cp, err, ckpts[0].Seq, older)
+	}
+	replayClean(t, dir, cp.Pos, 25+20)
+}
+
+// TestOpenRemovesCrashedTempFiles: a crash during a checkpoint write or
+// a scrub repair leaves the temp file of its atomic publish in the
+// journal directory; the next Open removes it and leaves the segments
+// and checkpoints alone.
+func TestOpenRemovesCrashedTempFiles(t *testing.T) {
+	dir := t.TempDir()
+	j := openTestJournal(t, Config{Dir: dir, Fsync: FsyncNever})
+	appendBatches(t, j, 3)
+	pos := checkpointNow(t, j)
+	if err := j.Close(); err != nil {
+		t.Fatal(err)
+	}
+	temps := []string{
+		filepath.Base(checkpointNames.Path(dir, 2)) + ".tmp1234567",
+		filepath.Base(segFormat.Path(dir, 1)) + ".tmp7654321",
+	}
+	for _, name := range temps {
+		if err := os.WriteFile(filepath.Join(dir, name), []byte("partial"), 0o600); err != nil {
+			t.Fatal(err)
+		}
+	}
+	segs := segSeqs(t, dir)
+
+	j2 := openTestJournal(t, Config{Dir: dir, Fsync: FsyncNever})
+	for _, name := range temps {
+		if _, err := os.Stat(filepath.Join(dir, name)); !os.IsNotExist(err) {
+			t.Errorf("%s after Open: stat err %v, want it removed", name, err)
+		}
+	}
+	if got, want := segSeqs(t, dir), append(segs, j2.Pos().Seg); !slices.Equal(got, want) {
+		t.Errorf("segments after Open = %v, want %v", got, want)
+	}
+	if cp, err := LatestCheckpoint(dir); err != nil || cp == nil || cp.Pos != pos {
+		t.Errorf("LatestCheckpoint after Open = %+v (err %v), want the one at %+v", cp, err, pos)
+	}
+	replayClean(t, dir, Position{}, 3)
 }
 
 // TestAppendFailureAbandonsSegment simulates an I/O failure mid-append

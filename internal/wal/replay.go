@@ -24,8 +24,8 @@ type ReplayStats struct {
 	TruncatedAt Position
 	// MissingSegments lists sequence numbers that should exist between
 	// the replay start and the newest segment but are not on disk —
-	// records in them are gone (retention pruned past a checkpoint, or
-	// files were deleted out of band). Replay still delivers what
+	// records in them are gone (files were deleted out of band, or by
+	// an older build's size cap). Replay still delivers what
 	// remains; callers must surface the gap loudly, because the stream
 	// is no longer contiguous.
 	MissingSegments []uint64
