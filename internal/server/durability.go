@@ -27,8 +27,17 @@ type sessionCheckpoint struct {
 // Checkpoint serializes every live session together with the current
 // journal position into an atomically written checkpoint file. Recovery
 // is then "restore these sessions, replay the journal from this
-// position". No-op without a journal.
+// position". It writes nothing when no session state has changed, and
+// the model is the same, since the last checkpoint this process wrote
+// (see stateGen). No-op without a journal.
 func (s *Server) Checkpoint() error {
+	return s.checkpoint(false)
+}
+
+// checkpoint is Checkpoint; force writes one even when nothing has
+// changed, to move the newest checkpoint to the journal's current
+// position.
+func (s *Server) checkpoint(force bool) error {
 	j := s.cfg.Journal
 	if j == nil {
 		return nil
@@ -37,10 +46,17 @@ func (s *Server) Checkpoint() error {
 	defer s.saveMu.Unlock()
 	// Quiesce ingest: with the write side of ckptMu held, no journal
 	// append can interleave with its session-state application, so the
-	// position and the states below are one consistent cut.
+	// position and the states below are one consistent cut. A change
+	// that bumps stateGen after this read is not missed: the next
+	// checkpoint sees the new generation.
 	s.ckptMu.Lock()
-	pos := j.Pos()
+	gen := s.stateGen.Load()
 	modelHash := s.activeModelHash()
+	if !force && s.ckptSaved && gen == s.ckptGen && modelHash == s.ckptHash {
+		s.ckptMu.Unlock()
+		return nil
+	}
+	pos := j.Pos()
 	var payload checkpointPayload
 	for _, sess := range s.reg.all() {
 		sess.mu.Lock()
@@ -66,6 +82,7 @@ func (s *Server) Checkpoint() error {
 	// floor to pos.Seg deletes the segments below the previous floor,
 	// which only the checkpoints SaveCheckpoint has pruned replay from.
 	j.SetRetainFloor(pos.Seg)
+	s.ckptSaved, s.ckptGen, s.ckptHash = true, gen, modelHash
 	s.counters.checkpoints.Add(1)
 	s.cfg.Logf("server: checkpoint %d: %d session(s) at seg %d off %d",
 		seq, len(payload.Sessions), pos.Seg, pos.Off)
@@ -261,6 +278,7 @@ func (s *Server) Recover() (RecoveryStats, error) {
 			if rec.At != 0 && s.cfg.DB.HasRun(rec.VM, rec.At) {
 				sess.mu.Lock()
 				sess.finalized = true
+				s.stateGen.Add(1)
 				s.reg.remove(sess.vm, sess)
 				sess.mu.Unlock()
 				rs.AlreadyStored++

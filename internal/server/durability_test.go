@@ -758,7 +758,9 @@ func TestFsyncFailedBatchAbsentAfterRecovery(t *testing.T) {
 // repair's hook and a promote can each checkpoint at any time. Taken at
 // once, the checkpoints must still each get their own sequence, so the
 // two kept are the two newest and the journal replays cleanly from
-// either after retention has trimmed it.
+// either after retention has trimmed it. The workers force their
+// checkpoints, as the scrub hook does: unforced, all but the first of
+// a round would find nothing changed and write nothing.
 func TestConcurrentCheckpointsKeepTheFallback(t *testing.T) {
 	dir := t.TempDir()
 	j, err := wal.Open(wal.Config{Dir: dir, Fsync: wal.FsyncNever, SegmentBytes: 4 << 10})
@@ -783,7 +785,7 @@ func TestConcurrentCheckpointsKeepTheFallback(t *testing.T) {
 			wg.Add(1)
 			go func() {
 				defer wg.Done()
-				if err := s.Checkpoint(); err != nil {
+				if err := s.checkpoint(true); err != nil {
 					t.Error(err)
 				}
 			}()
@@ -812,5 +814,165 @@ func TestConcurrentCheckpointsKeepTheFallback(t *testing.T) {
 	}
 	if js := j.Stats(); js.TruncatedSegments == 0 {
 		t.Errorf("journal stats %+v: want retention to have deleted segments", js)
+	}
+}
+
+// checkpointFiles lists the checkpoint files in a journal directory.
+func checkpointFiles(t *testing.T, dir string) []string {
+	t.Helper()
+	names, err := filepath.Glob(filepath.Join(dir, "checkpoint-*.ckpt"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return names
+}
+
+// checkpointsTotal reads appclassd_checkpoints_total from /metricsz.
+func checkpointsTotal(t *testing.T, s *Server) string {
+	t.Helper()
+	w := httptest.NewRecorder()
+	s.Handler().ServeHTTP(w, httptest.NewRequest(http.MethodGet, "/metricsz", nil))
+	for _, line := range strings.Split(w.Body.String(), "\n") {
+		if v, ok := strings.CutPrefix(line, "appclassd_checkpoints_total "); ok {
+			return v
+		}
+	}
+	t.Fatal("no appclassd_checkpoints_total on /metricsz")
+	return ""
+}
+
+// TestCheckpointSkippedWhenIdle: a checkpoint tick on a daemon whose
+// sessions have not changed since its last checkpoint writes no file
+// and counts nothing; the next change is checkpointed again.
+func TestCheckpointSkippedWhenIdle(t *testing.T) {
+	dir := t.TempDir()
+	s := crashServer(t, crashJournal(t, dir))
+	ingest := func(at float64) {
+		t.Helper()
+		if w := postJSON(t, s.Handler(), "/v1/ingest", map[string]any{"snapshots": []any{zeroSnapshot("idle-vm", at)}}); w.Code != 200 {
+			t.Fatalf("ingest: %d %s", w.Code, w.Body)
+		}
+	}
+	ingest(0)
+	if err := s.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	files, total := checkpointFiles(t, dir), checkpointsTotal(t, s)
+	if len(files) != 1 || total != "1" {
+		t.Fatalf("after the first checkpoint: files %v, appclassd_checkpoints_total %s", files, total)
+	}
+	for tick := 0; tick < 3; tick++ {
+		if err := s.Checkpoint(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := checkpointFiles(t, dir); fmt.Sprint(got) != fmt.Sprint(files) {
+		t.Errorf("idle ticks changed the checkpoint files from %v to %v", files, got)
+	}
+	if got := checkpointsTotal(t, s); got != total {
+		t.Errorf("idle ticks moved appclassd_checkpoints_total from %s to %s", total, got)
+	}
+	ingest(5)
+	if err := s.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	if cp, err := wal.LatestCheckpoint(dir); err != nil || cp == nil || cp.Seq != 2 {
+		t.Errorf("checkpoint after new ingest = %+v (err %v), want sequence 2", cp, err)
+	}
+	if got := checkpointsTotal(t, s); got != "2" {
+		t.Errorf("appclassd_checkpoints_total = %s after new ingest, want 2", got)
+	}
+}
+
+// TestCheckpointAfterDegradedIngest: degraded ingest classifies without
+// journaling, so the journal position stands still, but the session
+// changed and the next tick must checkpoint it.
+func TestCheckpointAfterDegradedIngest(t *testing.T) {
+	dir := t.TempDir()
+	fs := faultinject.NewFS()
+	j, err := wal.Open(wal.Config{Dir: dir, Fsync: wal.FsyncNever, OpenSegmentFile: fs.OpenSegmentFile})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Not shut down: the journal stays failed to the end.
+	s, err := New(Config{Classifier: classifier(t), Journal: j, DegradeOnWALError: true, DegradedProbeEvery: time.Hour})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ingest := func(at float64) {
+		t.Helper()
+		if w := postJSON(t, s.Handler(), "/v1/ingest", map[string]any{"snapshots": []any{zeroSnapshot("deg-vm", at)}}); w.Code != 200 {
+			t.Fatalf("ingest: %d %s", w.Code, w.Body)
+		}
+	}
+	ingest(0)
+	if err := s.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	fs.FailWrites(syscall.ENOSPC)
+	ingest(5) // enters degraded mode, classified memory-only
+	ingest(10)
+	if !s.DurabilityDegraded() {
+		t.Fatal("journal fault did not enter degraded mode")
+	}
+	if err := s.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	cp, err := wal.LatestCheckpoint(dir)
+	if err != nil || cp == nil || cp.Seq != 2 {
+		t.Fatalf("checkpoint after degraded ingest = %+v (err %v), want sequence 2", cp, err)
+	}
+	var payload checkpointPayload
+	if err := json.Unmarshal(cp.Payload, &payload); err != nil {
+		t.Fatal(err)
+	}
+	if len(payload.Sessions) != 1 || payload.Sessions[0].State.Total != 3 {
+		t.Errorf("checkpoint after degraded ingest holds %+v, want deg-vm with 3 snapshots", payload.Sessions)
+	}
+	if got := checkpointsTotal(t, s); got != "2" {
+		t.Errorf("appclassd_checkpoints_total = %s, want 2", got)
+	}
+}
+
+// TestRecoverCheckpointWrittenWhenNothingChanged: recovery's closing
+// checkpoint is this process's first, so it is written even when the
+// journal had nothing to replay; a tick after it is then skipped.
+func TestRecoverCheckpointWrittenWhenNothingChanged(t *testing.T) {
+	dir := t.TempDir()
+	ja := crashJournal(t, dir)
+	a := crashServer(t, ja)
+	if w := postJSON(t, a.Handler(), "/v1/ingest", map[string]any{"snapshots": []any{zeroSnapshot("rc-vm", 0)}}); w.Code != 200 {
+		t.Fatalf("ingest: %d", w.Code)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+	if err := a.Shutdown(ctx); err != nil {
+		t.Fatal(err)
+	}
+	if err := ja.Close(); err != nil {
+		t.Fatal(err)
+	}
+	before, err := wal.LatestCheckpoint(dir)
+	if err != nil || before == nil {
+		t.Fatalf("no shutdown checkpoint (err %v)", err)
+	}
+
+	b := crashServer(t, crashJournal(t, dir))
+	rs, err := b.Recover()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rs.Sessions != 0 || rs.Records != 0 {
+		t.Fatalf("clean restart recovered %+v, want nothing", rs)
+	}
+	after, err := wal.LatestCheckpoint(dir)
+	if err != nil || after == nil || after.Seq != before.Seq+1 {
+		t.Fatalf("recovery's checkpoint = %+v (err %v), want sequence %d", after, err, before.Seq+1)
+	}
+	if err := b.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	if cp, err := wal.LatestCheckpoint(dir); err != nil || cp == nil || cp.Seq != after.Seq {
+		t.Errorf("idle tick after recovery wrote checkpoint %+v (err %v), want none past %d", cp, err, after.Seq)
 	}
 }

@@ -12,9 +12,7 @@ import (
 
 	"repro/internal/appclass"
 	"repro/internal/classify"
-	"repro/internal/metrics"
 	"repro/internal/phase"
-	"repro/internal/wire"
 )
 
 // routes builds the daemon's API surface. Method-qualified patterns
@@ -91,142 +89,6 @@ func writeJSON(w http.ResponseWriter, code int, v any) {
 
 func writeError(w http.ResponseWriter, code int, format string, args ...any) {
 	writeJSON(w, code, map[string]string{"error": fmt.Sprintf(format, args...)})
-}
-
-// ingestSnapshot is one pushed sample. Values carries the full metric
-// vector in schema order; Metrics names each value instead, for
-// clients that do not know the canonical order. Exactly one must be
-// set.
-type ingestSnapshot struct {
-	VM          string             `json:"vm"`
-	TimeSeconds float64            `json:"time_s"`
-	Values      []float64          `json:"values,omitempty"`
-	Metrics     map[string]float64 `json:"metrics,omitempty"`
-}
-
-type ingestRequest struct {
-	Snapshots []ingestSnapshot `json:"snapshots"`
-}
-
-type ingestResult struct {
-	VM    string `json:"vm"`
-	Class string `json:"class"`
-}
-
-type ingestResponse struct {
-	Accepted int            `json:"accepted"`
-	Results  []ingestResult `json:"results"`
-}
-
-// handleIngest is POST /v1/ingest: it decodes a JSON batch into the
-// shared ingest core and answers with each snapshot's class in input
-// order, however the core grouped them.
-func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
-	sc, e := s.admitIngest(w, r)
-	if e == nil {
-		defer s.doneIngest(sc)
-		if e = s.decodeJSON(sc, r); e == nil {
-			e = s.ingest(r.Context(), sc)
-		}
-	}
-	if e != nil {
-		s.countRejected(e)
-		writeError(w, e.code, "%s", e.msg)
-		return
-	}
-	sc.results = sc.results[:0]
-	for _, k := range sc.at {
-		sc.results = append(sc.results, ingestResult{VM: sc.snaps[k].Node, Class: string(sc.classes[k])})
-	}
-	writeJSON(w, http.StatusOK, ingestResponse{Accepted: len(sc.results), Results: sc.results})
-}
-
-// decodeJSON validates a whole JSON batch against the schema before
-// anything is applied, so a 400 never leaves a half-ingested batch
-// behind, and groups it by VM in first-appearance order (single-VM
-// batches, the common case, stay one group); sc.at maps each input
-// snapshot to its place in sc.snaps. By-name snapshots decode into the
-// scratch's row buffers.
-func (s *Server) decodeJSON(sc *ingestScratch, r *http.Request) *ingestError {
-	if e := sc.readBody(r); e != nil {
-		return e
-	}
-	var req ingestRequest
-	if err := json.Unmarshal(sc.body.Bytes(), &req); err != nil {
-		return ingestErrorf(http.StatusBadRequest, "malformed ingest body: %v", err)
-	}
-	if len(req.Snapshots) == 0 {
-		return ingestErrorf(http.StatusBadRequest, "ingest batch has no snapshots")
-	}
-	schema := s.cfg.Schema
-	if sc.groupOf == nil {
-		sc.groupOf = make(map[string]int)
-	}
-	clear(sc.groupOf)
-	sc.groups, sc.at = sc.groups[:0], sc.at[:0]
-	for i := range req.Snapshots {
-		snap := &req.Snapshots[i]
-		if snap.VM == "" {
-			return ingestErrorf(http.StatusBadRequest, "snapshot %d has no vm", i)
-		}
-		if len(snap.VM) > wire.MaxVMName {
-			return ingestErrorf(http.StatusBadRequest, "snapshot %d vm name is %d bytes, over the %d-byte limit", i, len(snap.VM), wire.MaxVMName)
-		}
-		if !validSnapshotTime(snap.TimeSeconds) {
-			return ingestErrorf(http.StatusBadRequest, "snapshot %d (%s) time_s %g is outside ±%.4g, the span of int64 nanoseconds",
-				i, snap.VM, snap.TimeSeconds, maxSnapshotSeconds)
-		}
-		switch {
-		case len(snap.Values) > 0 && len(snap.Metrics) > 0:
-			return ingestErrorf(http.StatusBadRequest, "snapshot %d (%s) sets both values and metrics", i, snap.VM)
-		case len(snap.Values) > 0:
-			if len(snap.Values) != schema.Len() {
-				return ingestErrorf(http.StatusBadRequest, "snapshot %d (%s) has %d values, schema has %d metrics",
-					i, snap.VM, len(snap.Values), schema.Len())
-			}
-		case len(snap.Metrics) > 0:
-			for name := range snap.Metrics {
-				if !schema.Contains(name) {
-					return ingestErrorf(http.StatusBadRequest, "snapshot %d (%s) has unknown metric %q", i, snap.VM, name)
-				}
-			}
-			vals := sc.row(i, schema.Len())
-			for j, name := range schema.Names() {
-				v, ok := snap.Metrics[name]
-				if !ok {
-					return ingestErrorf(http.StatusBadRequest, "snapshot %d (%s) is missing metric %q", i, snap.VM, name)
-				}
-				vals[j] = v
-			}
-			snap.Values = vals
-		default:
-			return ingestErrorf(http.StatusBadRequest, "snapshot %d (%s) has neither values nor metrics", i, snap.VM)
-		}
-		g, ok := sc.groupOf[snap.VM]
-		if !ok {
-			g = len(sc.groups)
-			sc.groupOf[snap.VM] = g
-			sc.groups = append(sc.groups, ingestGroup{vm: snap.VM})
-		}
-		sc.groups[g].end++ // a count until the offsets below
-		sc.at = append(sc.at, g)
-	}
-	n := 0
-	for gi := range sc.groups {
-		g := &sc.groups[gi]
-		g.start, g.end, n = n, n, n+g.end
-	}
-	if cap(sc.snaps) < n {
-		sc.snaps = make([]metrics.Snapshot, n)
-	}
-	sc.snaps = sc.snaps[:n]
-	for i, snap := range req.Snapshots {
-		g := &sc.groups[sc.at[i]]
-		sc.at[i] = g.end
-		sc.snaps[g.end] = metrics.Snapshot{Node: g.vm, Time: time.Duration(snap.TimeSeconds * float64(time.Second)), Values: snap.Values}
-		g.end++
-	}
-	return nil
 }
 
 // vmSummary is one row of GET /v1/vms.

@@ -29,8 +29,10 @@ type ingestGroup struct {
 // ingestScratch is the pooled per-request workspace of both ingest
 // protocols. A decoder fills groups and snaps (schema-ordered rows,
 // contiguous per group), the core fills classes (parallel to snaps) and
-// tokens, and an encoder answers from classes. Every slice keeps its
-// capacity across requests, so a warm binary request does not allocate.
+// tokens, and an encoder answers from classes. Every slice and map
+// keeps its capacity across requests, so a warm binary request does not
+// allocate, and a warm canonical JSON request allocates only its VM
+// names.
 type ingestScratch struct {
 	reserve  int64     // admission reservation, released by doneIngest
 	deadline time.Time // zero without an IngestTimeout
@@ -48,12 +50,13 @@ type ingestScratch struct {
 	// so the scratch owns them outright.
 	rows [][]float64
 
-	// The JSON decoder's VM-to-group index, each input snapshot's
-	// position in snaps, and its reply.
+	// The JSON scanner's snapshots and VM names, the JSON decoder's
+	// VM-to-group index, and each input snapshot's position in snaps.
+	in      []ingestSnapshot
+	vms     map[string]string
 	groupOf map[string]int
 	at      []int
-	results []ingestResult
-	// The binary encoder's class IDs and framed reply.
+	// The binary encoder's class IDs, and either protocol's reply.
 	ids  []byte
 	resp []byte
 }

@@ -272,6 +272,7 @@ func (s *Server) promote(id string, rollback bool) (time.Duration, error) {
 				s.cfg.Logf("server: promote %s: rebind %s: %v (session continues on the old model)", id, sess.vm, err)
 			} else {
 				sess.model = m.ID
+				s.stateGen.Add(1)
 			}
 		}
 		sess.mu.Unlock()

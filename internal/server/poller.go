@@ -190,6 +190,7 @@ func (p *poller) recordGaps(wall time.Duration) {
 		sess.mu.Lock()
 		if !sess.finalized {
 			sess.online.RecordGap(wall)
+			s.stateGen.Add(1)
 		}
 		sess.mu.Unlock()
 		s.counters.sampleGaps.Add(1)
@@ -252,6 +253,7 @@ func (p *poller) pollOnce(ctx context.Context) error {
 		sess.mu.Lock()
 		if !sess.finalized {
 			sess.online.RecordGap(p.pc.Interval)
+			s.stateGen.Add(1)
 		}
 		sess.mu.Unlock()
 		s.counters.sampleGaps.Add(1)

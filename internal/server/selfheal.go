@@ -61,14 +61,16 @@ func (s *Server) StartScrubber() {
 
 // checkpointBeforeRepair is the journal scrubber's PreRepair hook.
 // Repair rewrites byte offsets, which is only safe once no checkpoint
-// still points into the damaged segment. The hook runs outside the
-// journal lock, so checkpointing here cannot deadlock.
+// still points into the damaged segment. The checkpoint is forced, as
+// an idle daemon would otherwise skip it and leave the newest
+// checkpoint where it was. The hook runs outside the journal lock, so
+// checkpointing here cannot deadlock.
 func (s *Server) checkpointBeforeRepair(seq uint64, uncheckpointed bool) error {
 	if !uncheckpointed {
 		return nil
 	}
 	s.cfg.Logf("server: scrub: journal segment %d damage overlaps un-checkpointed state; checkpointing before repair", seq)
-	return s.Checkpoint()
+	return s.checkpoint(true)
 }
 
 // scrubTick runs one scrub pass over both stores. Split out for tests.

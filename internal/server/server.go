@@ -199,6 +199,17 @@ type Server struct {
 	// ckptKick nudges the checkpointer loop to checkpoint now; exiting
 	// degraded durability kicks it.
 	ckptKick chan struct{}
+	// stateGen counts changes to session state: every observe, journaled
+	// or not, every finalize (finish, eviction, flush), gap and promote
+	// rebind. Checkpoint skips a write when it and the model hash equal
+	// those of the last checkpoint this process wrote, ckptGen and
+	// ckptHash (under saveMu; ckptSaved says there is one). The journal
+	// position cannot tell: degraded ingest classifies without
+	// journaling.
+	stateGen  atomic.Uint64
+	ckptGen   uint64
+	ckptHash  string
+	ckptSaved bool
 	// lastStamp is the newest finalize stamp issued (see stamp).
 	lastStamp atomic.Int64
 
@@ -611,6 +622,7 @@ func (s *Server) detach(sess *session, journal bool, at int64) (rec *appdb.Recor
 		}
 	}
 	sess.finalized = true
+	s.stateGen.Add(1)
 	// Unmap while still holding sess.mu (shard locks are never held
 	// around session locks, so the order is safe): an ingest racing this
 	// finalization either sees the session gone and builds a fresh one,
@@ -853,6 +865,7 @@ func (s *Server) observeLocked(sess *session, snaps []metrics.Snapshot, classes 
 	if sess.finalized {
 		return nil, 0, 0, errFinalized
 	}
+	s.stateGen.Add(1)
 	// A session created in the narrow window around a hot swap can
 	// still hold the previous model (getOrCreate runs outside the
 	// promote quiesce); bind it forward before classifying so no

@@ -1,9 +1,11 @@
 package wal
 
 import (
+	"encoding/json"
 	"errors"
 	"fmt"
 	"io/fs"
+	"os"
 	"path/filepath"
 	"slices"
 
@@ -21,10 +23,13 @@ import (
 // application store uses.
 //
 // Repair rewrites byte offsets after the first dropped frame, so it is
-// only safe once no checkpoint still points into the damaged region;
-// the live journal enforces that through ScrubConfig.PreRepair (the
-// server checkpoints first), the offline ScrubDir by consulting the
-// newest checkpoint on disk.
+// only safe once no checkpoint still points into the damaged region.
+// The live journal asks ScrubConfig.PreRepair to checkpoint first when
+// the segment holds un-checkpointed records, and both the live journal
+// and the offline ScrubDir then skip a repair while either kept
+// checkpoint replays from past the first bad frame: recovery falls back
+// to the older checkpoint when the newest is unreadable, and a shifted
+// offset would make it skip records without a tear.
 
 // checkFrame rejects a CRC-valid frame whose payload does not decode;
 // the encoder wrote every frame, so only damage produces one.
@@ -45,8 +50,9 @@ type ScrubConfig struct {
 	// repair rewrites the segment. uncheckpointed reports that the
 	// segment holds records not yet covered by a checkpoint — the
 	// caller must take one before the repair shifts offsets (the server
-	// does exactly that). Returning an error skips the repair; the
-	// damage is re-detected on a later pass.
+	// does exactly that). Returning an error skips the repair, as does
+	// a kept checkpoint still replaying from past the first bad frame
+	// once the hook has run; the damage is re-detected on a later pass.
 	PreRepair func(seq uint64, uncheckpointed bool) error
 }
 
@@ -62,12 +68,41 @@ func (j *Journal) Scrub(cfg ScrubConfig) ([]seglog.Report, error) {
 		uncheckpointed := !j.retainSet || rep.Seq >= j.retainSeg
 		j.mu.Unlock()
 		if cfg.PreRepair != nil {
-			return cfg.PreRepair(rep.Seq, uncheckpointed)
+			if err := cfg.PreRepair(rep.Seq, uncheckpointed); err != nil {
+				return err
+			}
 		} else if uncheckpointed {
 			return errors.New("segment holds un-checkpointed records and no PreRepair hook is set")
 		}
-		return nil
+		return checkpointReplaysPast(j.cfg.Dir, rep.Seq, rep.Bad[0])
 	})
+}
+
+// checkpointReplaysPast refuses a repair of segment seq whose first bad
+// frame starts at bad when a kept checkpoint in dir replays from an
+// offset past it, which the repair would shift. An unreadable
+// checkpoint is no recovery's starting point and does not count.
+func checkpointReplaysPast(dir string, seq uint64, bad int64) error {
+	cps, err := listCheckpoints(dir)
+	if err != nil {
+		return err
+	}
+	for _, c := range cps {
+		b, err := os.ReadFile(checkpointNames.Path(dir, c.Seq))
+		if err != nil {
+			continue
+		}
+		var cp struct {
+			Pos Position `json:"pos"`
+		}
+		if json.Unmarshal(b, &cp) != nil {
+			continue
+		}
+		if cp.Pos.Seg == seq && bad < cp.Pos.Off {
+			return fmt.Errorf("checkpoint %d replays from offset %d, past the first bad frame at %d", c.Seq, cp.Pos.Off, bad)
+		}
+	}
+	return nil
 }
 
 // scrub runs scrubSegment over the next n sealed segments from the
@@ -147,7 +182,7 @@ func (j *Journal) scrubSegment(seq uint64, check func(int64, []byte) error, preR
 // daemon must not have it open) through the live journal's per-segment
 // decision, decoding every payload as well. With repair set, damaged
 // segments are rewritten without their bad frames and the originals
-// quarantined as .corrupt — except where the newest checkpoint still
+// quarantined as .corrupt — except where a kept checkpoint still
 // points into the region a repair would shift, which is reported and
 // skipped. Without repair it is a pure report.
 func ScrubDir(dir string, repair bool) ([]seglog.Report, error) {
@@ -155,20 +190,13 @@ func ScrubDir(dir string, repair bool) ([]seglog.Report, error) {
 	if err != nil {
 		return nil, err
 	}
-	cp, err := LatestCheckpoint(dir)
-	if err != nil {
-		return nil, err
-	}
 	// A journal with no active segment: the sealed list is all the
 	// decision reads.
 	j := &Journal{cfg: Config{Dir: dir, Logf: func(string, ...any) {}}, closed: segs}
 	return j.scrub(len(segs), checkFrame, func(rep seglog.Report) error {
-		switch {
-		case !repair:
+		if !repair {
 			return errors.New("repair not requested")
-		case cp != nil && rep.Seq == cp.Pos.Seg && rep.Bad[0] < cp.Pos.Off:
-			return fmt.Errorf("newest checkpoint replays from offset %d, past the first bad frame at %d", cp.Pos.Off, rep.Bad[0])
 		}
-		return nil
+		return checkpointReplaysPast(dir, rep.Seq, rep.Bad[0])
 	})
 }

@@ -251,3 +251,110 @@ func TestJournalScrubCursorCycles(t *testing.T) {
 		t.Errorf("scans = %d, want 7", st.ScrubScans)
 	}
 }
+
+// TestScrubKeepsFallbackCheckpointOffsets: a repair must not shift an
+// offset either kept checkpoint replays from. Checkpoint A points into
+// segment 1 after 3 records, and checkpoint B, the newest, into segment
+// 2; segment 1's first record is damaged. Repairing segment 1 would
+// move A's offset, and a recovery falling back to A would then skip a
+// record without a tear, so both scrubs skip the repair until a newer
+// checkpoint has replaced A.
+func TestScrubKeepsFallbackCheckpointOffsets(t *testing.T) {
+	dir := t.TempDir()
+	j, err := Open(Config{Dir: dir, Fsync: FsyncNever})
+	if err != nil {
+		t.Fatal(err)
+	}
+	appendN := func(j *Journal, n int) {
+		t.Helper()
+		for i := 0; i < n; i++ {
+			if _, err := j.AppendBatch("vm", testSnaps("vm", 2, 3, float64(i))); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	checkpoint := func(j *Journal) Position {
+		t.Helper()
+		pos := j.Pos()
+		if _, err := SaveCheckpoint(dir, pos, time.Now(), "", json.RawMessage(`{}`)); err != nil {
+			t.Fatal(err)
+		}
+		j.SetRetainFloor(pos.Seg)
+		return pos
+	}
+	appendN(j, 3)
+	a := checkpoint(j)
+	appendN(j, 3)
+	if err := j.Rotate(); err != nil {
+		t.Fatal(err)
+	}
+	appendN(j, 2)
+	b := checkpoint(j)
+	if a.Seg != 1 || b.Seg != 2 {
+		t.Fatalf("checkpoints at %+v and %+v, want segments 1 and 2", a, b)
+	}
+	if err := j.Close(); err != nil {
+		t.Fatal(err)
+	}
+	seg1 := segFormat.Path(dir, 1)
+	flipPayloadByte(t, seg1, nil, 0)
+
+	replayFromA := func() {
+		t.Helper()
+		got := 0
+		st, err := Replay(dir, a, func(Position, Record) error { got++; return nil })
+		if err != nil || st.Truncated || got != 5 {
+			t.Fatalf("replay from checkpoint A delivered %d records (stats %+v, err %v), want 5", got, st, err)
+		}
+	}
+	skipped := func(reps []seglog.Report, err error) {
+		t.Helper()
+		if err != nil {
+			t.Fatal(err)
+		}
+		dmg := damaged(reps)
+		if len(dmg) != 1 || dmg[0].Seq != 1 || dmg[0].Repaired || !strings.Contains(dmg[0].SkipReason, "checkpoint 1 replays") {
+			t.Fatalf("damage in segment 1 = %+v, want its repair skipped for checkpoint 1", dmg)
+		}
+	}
+
+	skipped(ScrubDir(dir, true))
+	replayFromA()
+
+	j, err = Open(Config{Dir: dir, Fsync: FsyncNever})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer j.Close()
+	var hooked []bool
+	scrub := func() ([]seglog.Report, error) {
+		return j.Scrub(ScrubConfig{MaxSegments: 10, PreRepair: func(_ uint64, unchk bool) error {
+			hooked = append(hooked, unchk)
+			return nil
+		}})
+	}
+	skipped(scrub())
+	if len(hooked) != 1 || hooked[0] {
+		t.Errorf("PreRepair saw un-checkpointed %v, want one call with false: segment 1 is below B's", hooked)
+	}
+	replayFromA()
+	if _, err := os.Stat(seg1 + ".corrupt"); !os.IsNotExist(err) {
+		t.Errorf("skipped repair left a quarantine file (stat err %v)", err)
+	}
+
+	// A newer checkpoint replaces A, and retention then trims segment 1,
+	// which no kept checkpoint replays from: the damage goes with it,
+	// and B still replays what followed it.
+	appendN(j, 1)
+	checkpoint(j)
+	if _, err := os.Stat(seg1); !os.IsNotExist(err) {
+		t.Errorf("segment 1 outlived the checkpoint that replayed from it (stat err %v)", err)
+	}
+	if reps, err := scrub(); err != nil || len(damaged(reps)) != 0 {
+		t.Errorf("scrub after segment 1 was trimmed = %+v (err %v), want no damage", reps, err)
+	}
+	got := 0
+	if st, err := Replay(dir, b, func(Position, Record) error { got++; return nil }); err != nil || st.Truncated || got != 1 {
+		t.Errorf("replay from checkpoint B delivered %d records (stats %+v, err %v), want 1", got, st, err)
+	}
+}
