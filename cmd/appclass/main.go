@@ -16,7 +16,6 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"strconv"
 	"strings"
 	"time"
 
@@ -150,18 +149,5 @@ func run(app, tracePath string, seed int64, dbPath, ratesSpec string, k, comps i
 	return nil
 }
 
-func parseRates(spec string) (costmodel.Rates, error) {
-	parts := strings.Split(spec, ",")
-	if len(parts) != 5 {
-		return costmodel.Rates{}, fmt.Errorf("rates must be 5 comma-separated numbers, got %q", spec)
-	}
-	vals := make([]float64, 5)
-	for i, p := range parts {
-		v, err := strconv.ParseFloat(strings.TrimSpace(p), 64)
-		if err != nil {
-			return costmodel.Rates{}, fmt.Errorf("rate %d: %w", i, err)
-		}
-		vals[i] = v
-	}
-	return costmodel.Rates{CPU: vals[0], Mem: vals[1], IO: vals[2], Net: vals[3], Idle: vals[4]}, nil
-}
+// parseRates reads the -rates flag.
+var parseRates = costmodel.ParseRates

@@ -27,7 +27,6 @@ import (
 	"os"
 	"sort"
 	"strconv"
-	"strings"
 	"time"
 
 	"repro/internal/appclass"
@@ -115,7 +114,7 @@ func run(cmd string, args []string, stdout io.Writer) error {
 			if *app == "" || *rates == "" {
 				return fmt.Errorf("quote: -app and -rates are required")
 			}
-			r, err := parseRates(*rates)
+			r, err := costmodel.ParseRates(*rates)
 			if err != nil {
 				return err
 			}
@@ -398,20 +397,4 @@ func parseTime(v string) (int64, error) {
 		return t.UnixNano(), nil
 	}
 	return 0, fmt.Errorf("want RFC3339 or unix seconds, got %q", v)
-}
-
-func parseRates(spec string) (costmodel.Rates, error) {
-	parts := strings.Split(spec, ",")
-	if len(parts) != 5 {
-		return costmodel.Rates{}, fmt.Errorf("rates must be 5 comma-separated numbers, got %q", spec)
-	}
-	vals := make([]float64, 5)
-	for i, p := range parts {
-		v, err := strconv.ParseFloat(strings.TrimSpace(p), 64)
-		if err != nil {
-			return costmodel.Rates{}, fmt.Errorf("rate %d: %w", i, err)
-		}
-		vals[i] = v
-	}
-	return costmodel.Rates{CPU: vals[0], Mem: vals[1], IO: vals[2], Net: vals[3], Idle: vals[4]}, nil
 }

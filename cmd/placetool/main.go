@@ -20,7 +20,6 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"strconv"
 	"strings"
 
 	"repro/internal/appclass"
@@ -72,13 +71,13 @@ func run(args []string, stdout io.Writer) error {
 		return err
 	}
 
-	hosts, err := parseHosts(*hostsSpec)
+	hosts, err := placement.ParseHosts(*hostsSpec)
 	if err != nil {
 		return err
 	}
 	var rates costmodel.Rates
 	if *ratesSpec != "" {
-		if rates, err = parseRates(*ratesSpec); err != nil {
+		if rates, err = costmodel.ParseRates(*ratesSpec); err != nil {
 			return err
 		}
 	}
@@ -144,45 +143,4 @@ func run(args []string, stdout io.Writer) error {
 		fmt.Fprintf(stdout, "%-12s %d/%d slots  load %s\n", h.Name, h.Used, h.Slots, strings.Join(mix, " "))
 	}
 	return nil
-}
-
-// parseHosts parses a "name:slots,name:slots" inventory spec.
-func parseHosts(spec string) ([]placement.HostSpec, error) {
-	var out []placement.HostSpec
-	for _, part := range strings.Split(spec, ",") {
-		part = strings.TrimSpace(part)
-		if part == "" {
-			continue
-		}
-		name, slotsStr, ok := strings.Cut(part, ":")
-		if !ok {
-			return nil, fmt.Errorf("host %q: want name:slots", part)
-		}
-		slots, err := strconv.Atoi(strings.TrimSpace(slotsStr))
-		if err != nil {
-			return nil, fmt.Errorf("host %q: %w", part, err)
-		}
-		out = append(out, placement.HostSpec{Name: strings.TrimSpace(name), Slots: slots})
-	}
-	if len(out) == 0 {
-		return nil, fmt.Errorf("empty host inventory %q", spec)
-	}
-	return out, nil
-}
-
-// parseRates parses "cpu,mem,io,net,idle" unit prices.
-func parseRates(spec string) (costmodel.Rates, error) {
-	parts := strings.Split(spec, ",")
-	if len(parts) != 5 {
-		return costmodel.Rates{}, fmt.Errorf("rates must be 5 comma-separated numbers, got %q", spec)
-	}
-	vals := make([]float64, 5)
-	for i, p := range parts {
-		v, err := strconv.ParseFloat(strings.TrimSpace(p), 64)
-		if err != nil {
-			return costmodel.Rates{}, fmt.Errorf("rate %d: %w", i, err)
-		}
-		vals[i] = v
-	}
-	return costmodel.Rates{CPU: vals[0], Mem: vals[1], IO: vals[2], Net: vals[3], Idle: vals[4]}, nil
 }

@@ -5,6 +5,7 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"strings"
 	"text/tabwriter"
 	"time"
 
@@ -60,6 +61,9 @@ func journalDump(w io.Writer, dir string) error {
 		return err
 	}
 	fmt.Fprintf(w, "records: %d (snapshots: %d)\n", st.Records, st.Snapshots)
+	if st.CorruptFrames > 0 {
+		fmt.Fprintf(w, "CORRUPT: stepped over %d bad frame(s) (run: tracetool scrub -repair %s)\n", st.CorruptFrames, dir)
+	}
 	if st.Truncated {
 		fmt.Fprintf(w, "TORN tail at seg %d off %d (run: tracetool journal truncate %s)\n",
 			st.TruncatedAt.Seg, st.TruncatedAt.Off, dir)
@@ -87,35 +91,46 @@ func journalDump(w io.Writer, dir string) error {
 }
 
 // journalVerify scans every segment and reports its health; it fails
-// (exit 1) when any segment is torn, so scripts can gate on it.
+// (exit 1) when any segment is damaged, so scripts can gate on it.
 func journalVerify(w io.Writer, dir string) error {
 	reps, err := wal.VerifyDir(dir)
 	if err != nil {
 		return err
 	}
 	tw := tabwriter.NewWriter(w, 0, 4, 2, ' ', 0)
-	fmt.Fprintln(tw, "segment\trecords\tbytes\tvalid\tstatus")
-	torn := 0
+	fmt.Fprintln(tw, "segment\trecords\tbytes\tintact\tstatus")
+	damaged, bad := 0, 0
 	for _, rep := range reps {
-		status := "ok"
-		if rep.Torn {
-			status = "TORN: " + rep.Reason
-			torn++
+		var status []string
+		if len(rep.Bad) > 0 {
+			status = append(status, fmt.Sprintf("BAD: %d frame(s), the first at offset %d", len(rep.Bad), rep.Bad[0]))
+			bad++
 		}
-		fmt.Fprintf(tw, "%d\t%d\t%d\t%d\t%s\n", rep.Seq, rep.Frames, rep.Size, rep.End, status)
+		if rep.Torn {
+			status = append(status, "TORN: "+rep.Reason)
+		}
+		if len(status) == 0 {
+			status = append(status, "ok")
+		} else {
+			damaged++
+		}
+		fmt.Fprintf(tw, "%d\t%d\t%d\t%d\t%s\n", rep.Seq, rep.Frames, rep.Size, rep.Intact, strings.Join(status, "; "))
 	}
 	if err := tw.Flush(); err != nil {
 		return err
 	}
-	if torn > 0 {
-		return fmt.Errorf("journal: %d torn segment(s) in %s (repair: tracetool journal truncate %s)", torn, dir, dir)
+	if bad > 0 {
+		return fmt.Errorf("journal: %d damaged segment(s) in %s, %d with bad frames (repair: tracetool scrub -repair %s)", damaged, dir, bad, dir)
+	}
+	if damaged > 0 {
+		return fmt.Errorf("journal: %d torn segment(s) in %s (repair: tracetool journal truncate %s)", damaged, dir, dir)
 	}
 	fmt.Fprintf(w, "%d segment(s) clean\n", len(reps))
 	return nil
 }
 
-// journalTruncate repairs torn segments in place, cutting each at its
-// last valid record.
+// journalTruncate cuts each segment that does not end on an intact
+// frame after its last one, quarantining one whose header is unusable.
 func journalTruncate(w io.Writer, dir string) error {
 	fixed, err := wal.TruncateAtCorruption(dir)
 	if err != nil {
@@ -126,8 +141,11 @@ func journalTruncate(w io.Writer, dir string) error {
 		return nil
 	}
 	for _, rep := range fixed {
-		fmt.Fprintf(w, "segment %d truncated to %d bytes (%d record(s) kept): %s\n",
-			rep.Seq, rep.End, rep.Frames, rep.Reason)
+		if rep.Quarantined != "" {
+			fmt.Fprintf(w, "segment %d quarantined as %s: %s\n", rep.Seq, rep.Quarantined, rep.Reason)
+			continue
+		}
+		fmt.Fprintf(w, "segment %d truncated to %d bytes (%d record(s) kept)\n", rep.Seq, rep.Intact, rep.Frames)
 	}
 	return nil
 }

@@ -3,6 +3,7 @@ package main
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
@@ -115,5 +116,49 @@ func TestJournalUsageErrors(t *testing.T) {
 	}
 	if err := run("journal", []string{"bogus", t.TempDir()}, &bytes.Buffer{}); err == nil {
 		t.Error("unknown subcommand: want error")
+	}
+}
+
+// A bad frame in the middle of a segment is no tear: verify reports it
+// and points to scrub's repair, dump steps over it, and truncate, which
+// only cuts after the last intact frame, leaves it alone.
+func TestJournalVerifyReportsBadFrame(t *testing.T) {
+	dir := writeTestJournal(t)
+	var ends []wal.Position
+	if _, err := wal.Replay(dir, wal.Position{}, func(pos wal.Position, _ wal.Record) error {
+		ends = append(ends, pos)
+		return nil
+	}); err != nil || len(ends) != 3 {
+		t.Fatalf("journal replays %d records (err %v), want 3", len(ends), err)
+	}
+	path := filepath.Join(dir, fmt.Sprintf("journal-%08d.wal", ends[1].Seg))
+	b, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b[ends[0].Off+9] ^= 0x40 // a payload byte of the second record
+	if err := os.WriteFile(path, b, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	var out bytes.Buffer
+	err = run("journal", []string{"verify", dir}, &out)
+	if err == nil || !strings.Contains(err.Error(), "tracetool scrub -repair") {
+		t.Fatalf("verify = %v, want an error pointing to tracetool scrub -repair\n%s", err, out.String())
+	}
+	if !strings.Contains(out.String(), fmt.Sprintf("BAD: 1 frame(s), the first at offset %d", ends[0].Off)) {
+		t.Errorf("verify output does not report the bad frame:\n%s", out.String())
+	}
+	out.Reset()
+	if err := run("journal", []string{"dump", dir}, &out); err != nil {
+		t.Fatalf("dump: %v", err)
+	}
+	for _, want := range []string{"finalize", "records: 2 (snapshots: 2)", "CORRUPT: stepped over 1 bad frame(s)"} {
+		if !strings.Contains(out.String(), want) {
+			t.Errorf("dump output missing %q:\n%s", want, out.String())
+		}
+	}
+	out.Reset()
+	if err := run("journal", []string{"truncate", dir}, &out); err != nil || !strings.Contains(out.String(), "nothing to repair") {
+		t.Errorf("truncate = %v, want nothing to repair:\n%s", err, out.String())
 	}
 }

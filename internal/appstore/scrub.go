@@ -56,7 +56,7 @@ func (s *Store) Scrub(maxSegments int) ([]seglog.Report, error) {
 // victim, with the victim quarantined rather than deleted. Lost counts
 // the live records in bad frames.
 func (s *Store) scrubSegment(no uint64) (seglog.Report, error) {
-	sc, err := segFormat.Walk(segFormat.Path(s.dir, no), 0, true, nil)
+	sc, err := segFormat.Walk(segFormat.Path(s.dir, no), 0, nil)
 	if errors.Is(err, fs.ErrNotExist) {
 		return seglog.Report{Seq: no}, nil // compacted away between snapshot and read
 	}

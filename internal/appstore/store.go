@@ -340,7 +340,7 @@ const sizeSample = 64
 func (s *Store) loadSegment(no uint64, seen map[uint64]bool, z *entrySizer) error {
 	path := segFormat.Path(s.dir, no)
 	info := &segInfo{}
-	sc, err := segFormat.Walk(path, 0, true, func(off int64, p []byte) error {
+	sc, err := segFormat.Walk(path, 0, func(off int64, p []byte) error {
 		m, _, err := decodeMeta(p, s.interns)
 		if err != nil {
 			return seglog.Corrupt(err)
@@ -366,40 +366,35 @@ func (s *Store) loadSegment(no uint64, seen map[uint64]bool, z *entrySizer) erro
 		return fmt.Errorf("appstore: read segment %d: %w", no, err)
 	}
 	z.walked += sc.Size
-	if sc.Header.Size == 0 {
-		// Nothing in this segment is readable. Quarantine it aside so it
-		// can be inspected; either way it is left out of s.segs, so it
-		// neither counts against the byte cap nor is ever appended to,
-		// compacted or deleted.
-		s.stats.CorruptFrames++
-		quarantine, err := seglog.Quarantine(path, false)
-		if err != nil {
-			s.opt.Logf("appstore: segment %d has a bad header and could not be quarantined (%v); ignoring its contents", no, err)
-			return nil
-		}
-		s.opt.Logf("appstore: segment %d has a bad header; quarantined to %s", no, quarantine)
-		return nil
-	}
-	info.size = sc.Size
-	info.v1 = sc.Header.Version == segVersionV1
-	s.segs[no] = info
-	if len(sc.Bad) > 0 {
-		s.stats.CorruptFrames += int64(len(sc.Bad))
-		s.opt.Logf("appstore: CORRUPTION in segment %d: stepped over %d bad frame(s), the first at offset %d",
-			no, len(sc.Bad), sc.Bad[0])
-	}
+	s.stats.CorruptFrames += int64(len(sc.Bad))
 	if sc.Torn {
 		s.stats.CorruptFrames++
 	}
-	if sc.Intact < sc.Size {
-		// A torn tail, or bad frames with no intact one after them: cut
-		// them off so the segment ends on a whole frame.
-		if err := os.Truncate(path, sc.Intact); err != nil {
-			return fmt.Errorf("appstore: cut segment %d after its last intact frame: %w", no, err)
+	if len(sc.Bad) > 0 {
+		s.opt.Logf("appstore: CORRUPTION in segment %d: stepped over %d bad frame(s), the first at offset %d",
+			no, len(sc.Bad), sc.Bad[0])
+	}
+	quarantine, err := segFormat.Cut(path, sc)
+	if sc.Header.Size == 0 {
+		// Nothing in this segment is readable, and Cut set it aside for
+		// inspection; either way it is left out of s.segs, so it neither
+		// counts against the byte cap nor is ever appended to, compacted
+		// or deleted.
+		if err != nil {
+			s.opt.Logf("appstore: segment %d has a bad header and could not be quarantined (%v); ignoring its contents", no, err)
+		} else {
+			s.opt.Logf("appstore: segment %d has a bad header; quarantined to %s", no, quarantine)
 		}
-		info.size = sc.Intact
+		return nil
+	}
+	if err != nil {
+		return fmt.Errorf("appstore: %w", err)
+	}
+	if sc.NeedsCut() {
 		s.opt.Logf("appstore: cut %d byte(s) after the last intact frame of segment %d", sc.Size-sc.Intact, no)
 	}
+	info.size, info.v1 = sc.Intact, sc.Header.Version == segVersionV1
+	s.segs[no] = info
 	return nil
 }
 

@@ -11,6 +11,9 @@ package costmodel
 
 import (
 	"fmt"
+	"math"
+	"strconv"
+	"strings"
 	"time"
 
 	"repro/internal/appclass"
@@ -26,7 +29,8 @@ type Rates struct {
 	Idle float64 // ε: held-but-idle capacity price
 }
 
-// Validate rejects negative prices.
+// Validate rejects negative and non-finite prices: one NaN or infinite
+// rate makes every cost and placement score priced with it NaN.
 func (r Rates) Validate() error {
 	for _, p := range []struct {
 		name string
@@ -34,11 +38,32 @@ func (r Rates) Validate() error {
 	}{
 		{"cpu", r.CPU}, {"mem", r.Mem}, {"io", r.IO}, {"net", r.Net}, {"idle", r.Idle},
 	} {
-		if p.v < 0 {
-			return fmt.Errorf("costmodel: negative %s rate %v", p.name, p.v)
+		if p.v < 0 || math.IsNaN(p.v) || math.IsInf(p.v, 0) {
+			return fmt.Errorf("costmodel: %s rate %v is not a finite non-negative price", p.name, p.v)
 		}
 	}
 	return nil
+}
+
+// ParseRates parses and validates the "cpu,mem,io,net,idle" unit prices
+// (α..ε) that the tools' -rates flags take.
+func ParseRates(spec string) (Rates, error) {
+	parts := strings.Split(spec, ",")
+	if len(parts) != 5 {
+		return Rates{}, fmt.Errorf("rates must be 5 comma-separated numbers, got %q", spec)
+	}
+	var v [5]float64
+	for i, p := range parts {
+		var err error
+		if v[i], err = strconv.ParseFloat(strings.TrimSpace(p), 64); err != nil {
+			return Rates{}, fmt.Errorf("rate %d: %w", i, err)
+		}
+	}
+	r := Rates{CPU: v[0], Mem: v[1], IO: v[2], Net: v[3], Idle: v[4]}
+	if err := r.Validate(); err != nil {
+		return Rates{}, err
+	}
+	return r, nil
 }
 
 // Rate returns the price for a class (zero for unknown classes).

@@ -2,6 +2,7 @@ package costmodel
 
 import (
 	"math"
+	"strings"
 	"testing"
 	"time"
 
@@ -93,5 +94,51 @@ func TestQuoteRun(t *testing.T) {
 	}
 	if _, err := QuoteRun("x", map[appclass.Class]float64{"bad": 1}, time.Hour, testRates); err == nil {
 		t.Error("invalid composition: want error")
+	}
+}
+
+func TestParseRates(t *testing.T) {
+	cases := []struct {
+		spec string
+		want Rates
+		err  string // a substring of the error; "" for success
+	}{
+		{spec: "10,8,6,4,1", want: testRates},
+		{spec: " 10, 8 ,6,\t4 , 1 ", want: testRates},
+		{spec: "0,0,0,0,0"},
+		{spec: "", err: "5 comma-separated numbers"},
+		{spec: "1,2,3", err: "5 comma-separated numbers"},
+		{spec: "1,2,3,4,5,6", err: "5 comma-separated numbers"},
+		{spec: "1,2,3,4,x", err: "rate 4"},
+		{spec: "1,,3,4,5", err: "rate 1"},
+		{spec: "NaN,1,1,1,1", err: "cpu rate NaN"},
+		{spec: "1,1,1,1,Inf", err: "idle rate +Inf"},
+		{spec: "1,1,-Inf,1,1", err: "io rate -Inf"},
+		{spec: "1,-0.5,1,1,1", err: "mem rate -0.5"},
+	}
+	for _, c := range cases {
+		got, err := ParseRates(c.spec)
+		switch {
+		case c.err == "" && (err != nil || got != c.want):
+			t.Errorf("ParseRates(%q) = %+v, %v; want %+v", c.spec, got, err, c.want)
+		case c.err != "" && (err == nil || !strings.Contains(err.Error(), c.err)):
+			t.Errorf("ParseRates(%q) error = %v, want one containing %q", c.spec, err, c.err)
+		}
+	}
+}
+
+func TestNonFiniteRatesRefused(t *testing.T) {
+	comp := map[appclass.Class]float64{appclass.CPU: 1}
+	for _, r := range []Rates{
+		{CPU: math.NaN()},
+		{Idle: math.Inf(1)},
+		{Net: math.Inf(-1)},
+	} {
+		if err := r.Validate(); err == nil {
+			t.Errorf("Validate(%+v): want error", r)
+		}
+		if cost, err := UnitCost(comp, r); err == nil {
+			t.Errorf("UnitCost under %+v = %v, want an error", r, cost)
+		}
 	}
 }

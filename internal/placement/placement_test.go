@@ -2,6 +2,7 @@ package placement
 
 import (
 	"fmt"
+	"math"
 	"strings"
 	"testing"
 	"time"
@@ -376,5 +377,35 @@ func TestPlacementErrorsMentionPackage(t *testing.T) {
 	_, err := New(Config{})
 	if err == nil || !strings.Contains(err.Error(), "placement:") {
 		t.Errorf("error %v should carry the placement: prefix", err)
+	}
+}
+
+func TestParseHosts(t *testing.T) {
+	cases := []struct {
+		spec string
+		want []HostSpec
+	}{
+		{"a:2", []HostSpec{{Name: "a", Slots: 2}}},
+		{" hostA:4 , hostB: 2 ,", []HostSpec{{Name: "hostA", Slots: 4}, {Name: "hostB", Slots: 2}}},
+		{"", nil},
+		{" , ,", nil},
+		{"noslots", nil},
+		{"h:x", nil},
+		{"h:", nil},
+		{"a:1,b", nil},
+	}
+	for _, c := range cases {
+		got, err := ParseHosts(c.spec)
+		if (err == nil) != (c.want != nil) || fmt.Sprint(got) != fmt.Sprint(c.want) {
+			t.Errorf("ParseHosts(%q) = %+v, %v; want %+v", c.spec, got, err, c.want)
+		}
+	}
+}
+
+func TestNewRefusesNonFiniteRates(t *testing.T) {
+	for _, r := range []costmodel.Rates{{CPU: math.NaN()}, {Idle: math.Inf(1)}} {
+		if _, err := New(Config{Hosts: []HostSpec{{Name: "a", Slots: 1}}, Rates: r}); err == nil {
+			t.Errorf("New with rates %+v: want error", r)
+		}
 	}
 }

@@ -4,6 +4,8 @@ import (
 	"errors"
 	"fmt"
 	"sort"
+	"strconv"
+	"strings"
 	"sync"
 	"time"
 
@@ -23,6 +25,31 @@ type HostSpec struct {
 	Name string `json:"name"`
 	// Slots is how many applications the host can run at once.
 	Slots int `json:"slots"`
+}
+
+// ParseHosts parses a "name:slots,name:slots" inventory spec, the
+// tools' -hosts flag; blanks around names, slots and commas are ignored.
+func ParseHosts(spec string) ([]HostSpec, error) {
+	var out []HostSpec
+	for _, part := range strings.Split(spec, ",") {
+		part = strings.TrimSpace(part)
+		if part == "" {
+			continue
+		}
+		name, slotsStr, ok := strings.Cut(part, ":")
+		if !ok {
+			return nil, fmt.Errorf("host %q: want name:slots", part)
+		}
+		slots, err := strconv.Atoi(strings.TrimSpace(slotsStr))
+		if err != nil {
+			return nil, fmt.Errorf("host %q: %w", part, err)
+		}
+		out = append(out, HostSpec{Name: strings.TrimSpace(name), Slots: slots})
+	}
+	if len(out) == 0 {
+		return nil, fmt.Errorf("empty host inventory %q", spec)
+	}
+	return out, nil
 }
 
 // LiveFunc looks up the live class composition of an application that

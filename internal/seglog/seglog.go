@@ -10,11 +10,12 @@
 //
 // all little-endian. The CRC covers the payload only: a torn frame
 // header reads as a garbage length/CRC pair and a torn payload fails the
-// CRC, so a scan stops cleanly at the last whole frame. The package owns
-// the frame codec, segment naming and listing, header validation, the
-// active-segment writer, one streaming frame walker, copy-forward repair
-// with .corrupt quarantine, and the atomic temp+fsync+rename writer.
-// Payload formats, indexes and retention stay with the callers.
+// CRC, so a walk steps over a bad frame and ends cleanly at the last
+// walkable one. The package owns the frame codec, segment naming and
+// listing, header validation, the active-segment writer, one streaming
+// frame walker, the one open-time cut, copy-forward repair with .corrupt
+// quarantine, and the atomic temp+fsync+rename writer. Payload formats,
+// indexes and retention stay with the callers.
 package seglog
 
 import (
@@ -225,10 +226,8 @@ type Scan struct {
 	Size int64
 	// Frames counts intact frames delivered.
 	Frames int
-	// End is where the walk stopped: just past the last intact frame
-	// when it stops at the first bad one (the offset a torn tail is cut
-	// back to), the torn offset or end of file when it steps over bad
-	// frames. Zero for an unusable header.
+	// End is where the walk ended: the end of the file, or the offset of
+	// the frame a torn tail starts with. Zero for an unusable header.
 	End int64
 	// Intact is just past the last intact frame (the walk's start when
 	// there is none): cutting the segment there drops only bad frames
@@ -242,14 +241,19 @@ type Scan struct {
 	Reason string
 }
 
+// NeedsCut reports that the segment does not end on an intact frame:
+// its header is unusable, or a torn tail or bad frames follow its last
+// intact one.
+func (sc Scan) NeedsCut() bool { return sc.Header.Size == 0 || sc.Intact < sc.Size }
+
 // Report is one segment's pass — verify, cut, or scrub — in either log:
 // the walk, and what was done about any damage it found.
 type Report struct {
 	Seq uint64
 	Scan
 	// Repaired reports that the damage is gone from disk: the bad frames
-	// copied around, the torn tail cut off, or a segment whose header is
-	// unusable removed.
+	// copied around, the segment cut after its last intact frame, or,
+	// when its header is unusable, quarantined.
 	Repaired bool
 	// SkipReason says why damage was left in place.
 	SkipReason string
@@ -296,14 +300,12 @@ func ScrubEach(seqs []uint64, scrub func(seq uint64) (Report, error)) ([]Report,
 // means the first frame), and calls fn, when non-nil, with every intact
 // frame's offset and payload; the payload is only valid during the
 // call. A frame whose CRC mismatches or whose payload fn rejects with
-// Corrupt is bad: with skipBad unset the walk stops there as a torn
-// tail — replay, store open, and torn-tail repair — and with skipBad set
-// it is stepped over, so one flipped bit does not hide the frames behind
-// it — scrub. A length that is implausible or runs past the end of the
-// file always ends the walk: nothing after it can be located. Torn or
-// corrupt data is reported in the Scan, never as an error; errors are
-// I/O failures or errors fn returns.
-func (f *Format) Walk(path string, from int64, skipBad bool, fn func(off int64, payload []byte) error) (Scan, error) {
+// Corrupt is bad and stepped over, so one flipped bit costs only its
+// own frame. A length that is implausible or runs past the end of the
+// file ends the walk as a torn tail: nothing after it can be located.
+// Torn or corrupt data is reported in the Scan, never as an error;
+// errors are I/O failures or errors fn returns.
+func (f *Format) Walk(path string, from int64, fn func(off int64, payload []byte) error) (Scan, error) {
 	var sc Scan
 	file, err := os.Open(path)
 	if err != nil {
@@ -361,28 +363,40 @@ func (f *Format) Walk(path string, from int64, skipBad bool, fn func(off int64, 
 		if err != nil {
 			return sc, fmt.Errorf("seglog: read segment %s at offset %d: %w", path, off, err)
 		}
-		bad := ""
-		if got, want := crc32.Checksum(p, castagnoli), binary.LittleEndian.Uint32(fh[4:]); got != want {
-			bad = fmt.Sprintf("CRC mismatch at offset %d (want %08x, got %08x)", off, want, got)
-		} else if fn != nil {
+		bad := crc32.Checksum(p, castagnoli) != binary.LittleEndian.Uint32(fh[4:])
+		if !bad && fn != nil {
 			var ce corruptError
 			if err := fn(off, p); errors.As(err, &ce) {
-				bad = fmt.Sprintf("undecodable frame at offset %d: %v", off, ce.err)
+				bad = true
 			} else if err != nil {
 				return sc, err
 			}
 		}
-		if bad != "" && !skipBad {
-			return stop("%s", bad)
-		}
 		sc.End = off + FrameSize + int64(n)
-		if bad != "" {
+		if bad {
 			sc.Bad = append(sc.Bad, off)
 		} else {
 			sc.Frames++
 			sc.Intact = sc.End
 		}
 	}
+}
+
+// Cut, the one cut both logs make at open and recovery, makes the
+// segment at path, as the walk sc found it, end on its last intact
+// frame: it is truncated after sc.Intact, so no intact frame moves, or
+// quarantined whole when its header is unusable, which returns the
+// quarantine's name. A segment that needs no cut is left alone.
+func (f *Format) Cut(path string, sc Scan) (string, error) {
+	if sc.Header.Size == 0 {
+		return Quarantine(path, false)
+	}
+	if sc.Intact < sc.Size {
+		if err := os.Truncate(path, sc.Intact); err != nil {
+			return "", fmt.Errorf("seglog: cut %s after its last intact frame: %w", path, err)
+		}
+	}
+	return "", nil
 }
 
 // Repair rewrites the segment at path without its bad frames: the
@@ -418,7 +432,7 @@ func (f *Format) Repair(path string, check func(off int64, payload []byte) error
 			return err
 		}
 		var err error
-		sc, err = f.Walk(quarantine, 0, true, func(off int64, p []byte) error {
+		sc, err = f.Walk(quarantine, 0, func(off int64, p []byte) error {
 			if check != nil {
 				if err := check(off, p); err != nil {
 					return err

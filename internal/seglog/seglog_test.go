@@ -9,6 +9,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"testing"
 )
 
@@ -53,22 +54,7 @@ func TestWalkStopsAtOrStepsOverBadFrames(t *testing.T) {
 		t.Fatal(err)
 	}
 	var got []string
-	sc, err := testFormat.Walk(path, 0, false, func(_ int64, p []byte) error {
-		got = append(got, string(p))
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !sc.Torn || sc.End != second || sc.Intact != second || sc.Frames != 1 || !reflect.DeepEqual(got, []string{"one"}) {
-		t.Fatalf("stop walk = %+v over %v, want torn at %d after one frame", sc, got, second)
-	}
-	if string(sc.Header.Extra) != "xtra" || sc.Header.Version != 2 {
-		t.Errorf("header = %+v", sc.Header)
-	}
-
-	got = nil
-	sc, err = testFormat.Walk(path, 0, true, func(_ int64, p []byte) error {
+	sc, err := testFormat.Walk(path, 0, func(_ int64, p []byte) error {
 		got = append(got, string(p))
 		return nil
 	})
@@ -76,15 +62,18 @@ func TestWalkStopsAtOrStepsOverBadFrames(t *testing.T) {
 		t.Fatal(err)
 	}
 	if sc.Torn || sc.Frames != 2 || !reflect.DeepEqual(sc.Bad, []int64{second}) || sc.End != int64(len(data)) || sc.Intact != sc.End {
-		t.Fatalf("skip walk = %+v, want two frames and one bad at %d", sc, second)
+		t.Fatalf("walk = %+v, want two frames and one bad at %d", sc, second)
 	}
 	if !reflect.DeepEqual(got, []string{"one", "three"}) {
-		t.Errorf("skip walk delivered %v", got)
+		t.Errorf("walk delivered %v", got)
+	}
+	if string(sc.Header.Extra) != "xtra" || sc.Header.Version != 2 {
+		t.Errorf("header = %+v", sc.Header)
 	}
 
 	// A callback's Corrupt verdict counts like a CRC failure; any other
 	// error aborts the walk.
-	sc, err = testFormat.Walk(path, 0, true, func(_ int64, p []byte) error {
+	sc, err = testFormat.Walk(path, 0, func(_ int64, p []byte) error {
 		if string(p) == "one" {
 			return Corrupt(errors.New("undecodable"))
 		}
@@ -95,7 +84,7 @@ func TestWalkStopsAtOrStepsOverBadFrames(t *testing.T) {
 	}
 	// Intact stops short of bad frames at the end: a cut there keeps
 	// every intact frame.
-	sc, err = testFormat.Walk(path, 0, true, func(_ int64, p []byte) error {
+	sc, err = testFormat.Walk(path, 0, func(_ int64, p []byte) error {
 		if string(p) == "three" {
 			return Corrupt(errors.New("undecodable"))
 		}
@@ -105,7 +94,7 @@ func TestWalkStopsAtOrStepsOverBadFrames(t *testing.T) {
 		t.Errorf("walk with a bad last frame = %+v, %v; want it intact to %d only", sc, err, second)
 	}
 	boom := errors.New("boom")
-	if _, err := testFormat.Walk(path, 0, false, func(int64, []byte) error { return boom }); !errors.Is(err, boom) {
+	if _, err := testFormat.Walk(path, 0, func(int64, []byte) error { return boom }); !errors.Is(err, boom) {
 		t.Errorf("callback error = %v, want boom", err)
 	}
 }
@@ -139,7 +128,7 @@ func TestWriterAbandonCutsBackAndStartsFresh(t *testing.T) {
 		t.Errorf("active segment after abandon = %d, want 2", w.Seq())
 	}
 	var got []string
-	sc, err := testFormat.Walk(testFormat.Path(w.Dir, 1), 0, false, func(_ int64, p []byte) error {
+	sc, err := testFormat.Walk(testFormat.Path(w.Dir, 1), 0, func(_ int64, p []byte) error {
 		got = append(got, string(p))
 		return nil
 	})
@@ -167,7 +156,7 @@ func TestRepairQuarantinesAndKeepsIntactFrames(t *testing.T) {
 	if q, err := os.ReadFile(path + ".corrupt"); err != nil || !bytes.Equal(q, data) {
 		t.Errorf("quarantined original differs or is missing (%v)", err)
 	}
-	fixed, err := testFormat.Walk(path, 0, false, nil)
+	fixed, err := testFormat.Walk(path, 0, nil)
 	if err != nil || fixed.Torn || fixed.Frames != 2 || fixed.Size != size || string(fixed.Header.Extra) != "xtra" {
 		t.Errorf("repaired segment = %+v (%v), size %d", fixed, err, size)
 	}
@@ -215,8 +204,9 @@ func TestPickCyclesAndWraps(t *testing.T) {
 }
 
 // FuzzSeglogScan walks arbitrary segment bytes: nothing panics, every
-// frame delivered matches its CRC, and the stop-at-first-bad walk ends
-// where a re-walk of its own valid prefix ends.
+// frame delivered matches its CRC, and after Cut the segment re-walks
+// to the same frames and ends on its last intact one, or, when its
+// header is unusable, is quarantined whole.
 func FuzzSeglogScan(f *testing.F) {
 	_, good := buildSegment(f, "alpha", "beta", "gamma")
 	f.Add(good)
@@ -242,23 +232,28 @@ func FuzzSeglogScan(f *testing.F) {
 			}
 			return nil
 		}
-		sc, err := testFormat.Walk(path, 0, false, check)
+		sc, err := testFormat.Walk(path, 0, check)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := testFormat.Walk(path, 0, true, check); err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(path, data[:sc.End], 0o644); err != nil {
-			t.Fatal(err)
-		}
-		again, err := testFormat.Walk(path, 0, false, nil)
+		q, err := testFormat.Cut(path, sc)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if again.End != sc.End || again.Frames != sc.Frames || again.Torn != (sc.Header.Size == 0) {
-			t.Fatalf("walk ended at %d with %d frames; its valid prefix re-walks to %d with %d (torn %v)",
-				sc.End, sc.Frames, again.End, again.Frames, again.Torn)
+		if sc.Header.Size == 0 {
+			if _, err := os.Stat(path); q != path+".corrupt" || !os.IsNotExist(err) {
+				t.Fatalf("unusable header: quarantined as %q, original stat %v", q, err)
+			}
+			return
+		}
+		again, err := testFormat.Walk(path, 0, check)
+		if err != nil {
+			t.Fatal(err)
+		}
+		kept := slices.DeleteFunc(slices.Clone(sc.Bad), func(off int64) bool { return off >= sc.Intact })
+		if again.NeedsCut() || again.Torn || again.Intact != sc.Intact || again.Frames != sc.Frames || !slices.Equal(again.Bad, kept) {
+			t.Fatalf("walk found %d frames intact to %d, bad %v; after the cut it finds %d intact to %d, bad %v (torn %v)",
+				sc.Frames, sc.Intact, sc.Bad, again.Frames, again.Intact, again.Bad, again.Torn)
 		}
 	})
 }

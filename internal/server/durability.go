@@ -136,9 +136,14 @@ type RecoveryStats struct {
 	AlreadyStored int
 	// Errors counts records that could not be applied (logged, skipped).
 	Errors int
-	// Truncated reports a torn journal segment, the normal crash shape:
-	// recovery's one walk cut it at its last whole record (removed it if
-	// its header never reached the disk, which is no gap) and went on.
+	// CorruptFrames counts bad journal frames the walk stepped over (bit
+	// rot, or a record kind this build cannot decode): each cost its own
+	// record, and every intact record behind it was replayed.
+	CorruptFrames int
+	// Truncated reports a journal segment that did not end on an intact
+	// frame — a torn tail, the normal crash shape: recovery's one walk
+	// cut it after its last intact frame (quarantined it if its header
+	// never reached the disk, which is no gap) and went on.
 	Truncated bool
 	// GapSegments lists journal segment sequence numbers that were
 	// missing from the replay range: records in them are unrecoverable
@@ -250,9 +255,9 @@ func (s *Server) Recover() (RecoveryStats, error) {
 		}
 	}
 
-	// A torn segment is cut, not merely skipped: after this restart it is
-	// no longer the journal's last, and a tear left in place would stop
-	// the next recovery there, before every record appended since.
+	// The walk steps over bad frames and cuts every segment after its
+	// last intact frame, so a tear this crash left is gone before any
+	// record of this run follows it.
 	replay, err := j.Recover(from, func(pos wal.Position, rec wal.Record) error {
 		switch rec.Type {
 		case wal.RecordBatch:
@@ -296,6 +301,8 @@ func (s *Server) Recover() (RecoveryStats, error) {
 		return rs, fmt.Errorf("server: recover: %w", err)
 	}
 	rs.Truncated = replay.Truncated // the journal logs each cut
+	rs.CorruptFrames = replay.CorruptFrames
+	s.counters.journalCorrupt.Add(int64(replay.CorruptFrames))
 	if len(replay.MissingSegments) > 0 {
 		rs.GapSegments = replay.MissingSegments
 		s.counters.journalGapSegments.Add(int64(len(replay.MissingSegments)))
@@ -303,8 +310,8 @@ func (s *Server) Recover() (RecoveryStats, error) {
 			replay.MissingSegments, j.Dir())
 	}
 	if rs.Sessions > 0 || rs.Records > 0 {
-		s.cfg.Logf("server: recovered %d session(s) from checkpoint %d, replayed %d record(s) (%d snapshot(s), %d finalize(s), %d already stored, %d error(s))",
-			rs.Sessions, rs.CheckpointSeq, rs.Records, rs.Snapshots, rs.Finalized, rs.AlreadyStored, rs.Errors)
+		s.cfg.Logf("server: recovered %d session(s) from checkpoint %d, replayed %d record(s) (%d snapshot(s), %d finalize(s), %d already stored, %d error(s), %d corrupt frame(s) stepped over)",
+			rs.Sessions, rs.CheckpointSeq, rs.Records, rs.Snapshots, rs.Finalized, rs.AlreadyStored, rs.Errors, rs.CorruptFrames)
 	}
 	// Checkpoint immediately: the recovered state now covers everything
 	// on disk, so pinning it (and the retention floor) to the journal's

@@ -976,3 +976,73 @@ func TestRecoverCheckpointWrittenWhenNothingChanged(t *testing.T) {
 		t.Errorf("idle tick after recovery wrote checkpoint %+v (err %v), want none past %d", cp, err, after.Seq)
 	}
 }
+
+// TestRecoverStepsOverFlippedFrames flips one payload byte in each
+// journal frame in turn, across a sealed segment and the one after it.
+// Recovery through the server replays every other snapshot and moves
+// appclassd_journal_corrupt_frames_total by exactly 1.
+func TestRecoverStepsOverFlippedFrames(t *testing.T) {
+	const n, vm = 6, "flip-vm"
+	src := t.TempDir()
+	ja := crashJournal(t, src)
+	a := crashServer(t, ja)
+	for i := 0; i < n; i++ {
+		if i == n/2 {
+			if err := ja.Rotate(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if w := postJSON(t, a.Handler(), "/v1/ingest", map[string]any{"snapshots": []any{zeroSnapshot(vm, float64(i*5))}}); w.Code != 200 {
+			t.Fatalf("ingest: %d", w.Code)
+		}
+	}
+	var ends []wal.Position
+	if _, err := wal.Replay(src, wal.Position{}, func(pos wal.Position, _ wal.Record) error {
+		ends = append(ends, pos)
+		return nil
+	}); err != nil || len(ends) != n {
+		t.Fatalf("pristine journal replays %d records (err %v), want %d", len(ends), err, n)
+	}
+	frameLen := ends[1].Off - ends[0].Off // every record is one zero snapshot
+	files, err := os.ReadDir(src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for k, end := range ends {
+		dir := t.TempDir()
+		for _, f := range files {
+			b, err := os.ReadFile(filepath.Join(src, f.Name()))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if f.Name() == fmt.Sprintf("journal-%08d.wal", end.Seg) {
+				b[end.Off-frameLen+9] ^= 0x40 // a payload byte of frame k
+			}
+			if err := os.WriteFile(filepath.Join(dir, f.Name()), b, 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}
+		jb, err := wal.Open(wal.Config{Dir: dir, Fsync: wal.FsyncNever})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { jb.Close() })
+		b := newTestServer(t, Config{Journal: jb})
+		rs, err := b.Recover()
+		if err != nil {
+			t.Fatalf("frame %d: recover: %v", k, err)
+		}
+		if rs.CorruptFrames != 1 || rs.Snapshots != n-1 {
+			t.Errorf("frame %d: recovery stats %+v, want one corrupt frame and %d snapshots", k, rs, n-1)
+		}
+		if view := sessionView(t, b, vm); view.Total != n-1 {
+			t.Errorf("frame %d: recovered session saw %d snapshots, want %d", k, view.Total, n-1)
+		}
+		req := httptest.NewRequest(http.MethodGet, "/metricsz", nil)
+		rec := httptest.NewRecorder()
+		b.Handler().ServeHTTP(rec, req)
+		if !strings.Contains(rec.Body.String(), "\nappclassd_journal_corrupt_frames_total 1\n") {
+			t.Errorf("frame %d: /metricsz does not count one corrupt journal frame", k)
+		}
+	}
+}

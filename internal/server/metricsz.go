@@ -50,6 +50,7 @@ type counters struct {
 	replayedSnapshots  atomic.Int64 // snapshots re-applied from the journal at startup
 	recoveredSessions  atomic.Int64 // sessions restored from a checkpoint at startup
 	journalGapSegments atomic.Int64 // journal segments found missing (unrecoverable) during recovery
+	journalCorrupt     atomic.Int64 // bad journal frames recovery stepped over
 
 	unknownSnapshots   atomic.Int64 // snapshots outside their voted class's open-set threshold
 	unknownSessions    atomic.Int64 // sessions finalized with an UNKNOWN open-set verdict
@@ -211,6 +212,7 @@ func (s *Server) collect(emit func(name, help, typ string, v float64, labels ...
 		// TruncatedSegments only grows while the journal is open, so it
 		// is a counter (reset on restart like every other one).
 		counter("appclassd_journal_truncated_segments_total", "Closed journal segments deleted once neither kept checkpoint replays from them.", js.TruncatedSegments)
+		counter("appclassd_journal_corrupt_frames_total", "Corrupt journal frames stepped over at recovery; each cost its own record.", c.journalCorrupt.Load())
 		fsyncAge := -1.0
 		if !js.LastSync.IsZero() {
 			fsyncAge = s.now().Sub(js.LastSync).Seconds()

@@ -4,7 +4,7 @@
 // checkpoints, so that recovery after a crash is "load the latest
 // checkpoint, replay the journal tail". Records are length-prefixed and
 // CRC32C-protected; a torn write at the tail (the normal crash shape)
-// is detected and replay stops cleanly at the last valid record.
+// is detected and cut, and a bad frame costs replay only its own record.
 package wal
 
 import (
@@ -626,12 +626,14 @@ func (j *Journal) Revive() error {
 // SetRetainFloor moves the retention floor to seg, the segment the
 // checkpoint just saved points into, and trims the journal: when the
 // floor moves, every closed segment below the previous floor is
-// deleted, oldest first. SaveCheckpoint keeps two checkpoints, and the
-// previous floor is the segment the older of them points into, so
-// recovery from either one finds every segment it replays. Callers
-// advance the floor after every successful checkpoint. The floor is
-// monotonic; a value at or below it changes nothing. A segment that
-// cannot be removed is logged and kept, and the next move retries it.
+// deleted, oldest first, and so is every quarantine file a repair or a
+// cut left of a segment below it. SaveCheckpoint keeps two
+// checkpoints, and the previous floor is the segment the older of them
+// points into, so recovery from either one finds every segment it
+// replays. Callers advance the floor after every successful checkpoint.
+// The floor is monotonic; a value at or below it changes nothing. A
+// file that cannot be removed is logged and kept, and the next move
+// retries it.
 func (j *Journal) SetRetainFloor(seg uint64) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
@@ -640,16 +642,32 @@ func (j *Journal) SetRetainFloor(seg uint64) {
 	}
 	prev, trim := j.retainSeg, j.retainSet
 	j.retainSeg, j.retainSet = seg, true
-	for trim && len(j.closed) > 0 && j.closed[0].Seq < prev {
+	if !trim {
+		return
+	}
+	for len(j.closed) > 0 && j.closed[0].Seq < prev {
 		victim := j.closed[0]
 		path := segFormat.Path(j.cfg.Dir, victim.Seq)
 		if err := os.Remove(path); err != nil && !os.IsNotExist(err) {
 			j.cfg.Logf("wal: retention: remove %s: %v", path, err)
-			return
+			break
 		}
 		j.cfg.Logf("wal: retention dropped segment %d (%d bytes)", victim.Seq, victim.Size)
 		j.closed = j.closed[1:]
 		j.stats.TruncatedSegments++
+	}
+	quarantined, err := quarantineNames.List(j.cfg.Dir)
+	if err != nil {
+		j.cfg.Logf("wal: retention: %v", err)
+	}
+	for _, q := range quarantined {
+		if q.Seq >= prev {
+			break
+		}
+		path := quarantineNames.Path(j.cfg.Dir, q.Seq)
+		if err := os.Remove(path); err != nil && !os.IsNotExist(err) {
+			j.cfg.Logf("wal: retention: remove %s: %v", path, err)
+		}
 	}
 }
 

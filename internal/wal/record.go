@@ -81,6 +81,9 @@ var segFormat = seglog.Format{
 	MaxPayload: maxPayload,
 }
 
+// quarantineNames are the damaged originals kept beside their segments.
+var quarantineNames = seglog.Names{Prefix: "journal-", Suffix: ".wal.corrupt"}
+
 // appendBatchPayload encodes a batch record payload onto buf.
 func appendBatchPayload(buf []byte, vm string, snaps []metrics.Snapshot) ([]byte, error) {
 	if len(vm) == 0 || len(vm) > maxVMName {

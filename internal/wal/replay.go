@@ -4,6 +4,7 @@ import (
 	"encoding/hex"
 	"fmt"
 	"os"
+	"path/filepath"
 	"slices"
 
 	"repro/internal/seglog"
@@ -15,12 +16,15 @@ type ReplayStats struct {
 	Records int
 	// Snapshots is the total snapshot count across delivered batches.
 	Snapshots int
-	// Truncated reports that a segment ended in a torn or corrupt
-	// record, or had an unusable header: Replay stopped cleanly at the
-	// last valid record, Journal.Recover cut the segment there and went
-	// on.
+	// CorruptFrames counts the bad frames stepped over: a CRC mismatch,
+	// or a CRC-valid payload this build cannot decode. Each costs its own
+	// record only.
+	CorruptFrames int
+	// Truncated reports that a segment does not end on an intact frame —
+	// a torn tail, bad frames with no intact one behind them, or an
+	// unusable header — so Journal.Recover cut it there.
 	Truncated bool
-	// TruncatedAt is where the first torn segment's valid records end.
+	// TruncatedAt is where the first such segment's intact frames end.
 	TruncatedAt Position
 	// MissingSegments lists sequence numbers that should exist between
 	// the replay start and the newest segment but are not on disk —
@@ -34,44 +38,41 @@ type ReplayStats struct {
 // Replay scans the journal directory from position `from`, decoding
 // every valid record in order and passing it to fn along with the
 // position just past it (the value to store in a checkpoint covering
-// the record). Scanning a segment stops cleanly at the first torn or
-// corrupt record: the partial record is dropped, no error is returned,
-// and ReplayStats.Truncated is set. A torn record in a non-final
-// segment also stops the whole replay — later records cannot be
-// trusted to belong to the stream — which Replay reports the same way.
-// fn returning an error aborts the replay with that error. Replay
-// changes nothing on disk.
+// the record). It delivers exactly what Journal.Recover does: a bad
+// frame is stepped over and counted, and a torn tail ends only its own
+// segment. fn returning an error aborts the replay with that error.
+// Replay changes nothing on disk.
 func Replay(dir string, from Position, fn func(pos Position, rec Record) error) (ReplayStats, error) {
-	stats, _, err := walk(dir, from, fn, nil)
+	stats, _, err := walk(dir, from, fn, false)
 	return stats, err
 }
 
 // Recover is recovery's one walk over the journal: Replay from `from`,
-// except that a torn segment does not end it. The segment is cut back
-// to its last whole record, or removed when its header is unusable, and
-// the walk goes on with the next one. Each cut is applied to the
-// journal's segment list as it is made, so Stats and retention always
-// count what is on disk. A removed segment was on disk when the walk
-// reached it, so it is no gap. Recover must not race appends.
+// cutting every segment that does not end on an intact frame as the
+// walk passes it (seglog.Format.Cut), so the journal it leaves ends
+// each segment cleanly. The cuts are applied to the journal's segment
+// list, so Stats and retention count what is on disk. A quarantined
+// segment was on disk when the walk reached it, so it is no gap.
+// Recover must not race appends.
 func (j *Journal) Recover(from Position, fn func(pos Position, rec Record) error) (ReplayStats, error) {
-	stats, _, err := walk(j.cfg.Dir, from, fn, func(rep *seglog.Report) error {
-		j.mu.Lock()
-		defer j.mu.Unlock()
+	stats, reps, err := walk(j.cfg.Dir, from, fn, true)
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	for _, rep := range reps {
+		if len(rep.Bad) > 0 {
+			j.cfg.Logf("wal: recovery stepped over %d corrupt frame(s) in segment %d, the first at offset %d", len(rep.Bad), rep.Seq, rep.Bad[0])
+		}
 		i := slices.IndexFunc(j.closed, func(s seglog.Seg) bool { return s.Seq == rep.Seq })
-		if i < 0 {
-			return fmt.Errorf("wal: torn segment %d is not a sealed segment of this journal", rep.Seq)
-		}
-		if err := cutSegment(j.cfg.Dir, rep); err != nil {
-			return err
-		}
-		if rep.End == 0 {
+		switch {
+		case !rep.Repaired || i < 0:
+		case rep.Quarantined != "":
 			j.closed = slices.Delete(j.closed, i, i+1)
-		} else {
-			j.closed[i].Size = rep.End
+			j.cfg.Logf("wal: recovery quarantined segment %d as %s: %s", rep.Seq, filepath.Base(rep.Quarantined), rep.Reason)
+		default:
+			j.closed[i].Size = rep.Intact
+			j.cfg.Logf("wal: recovery cut segment %d from %d to %d byte(s), after its last intact frame", rep.Seq, rep.Size, rep.Intact)
 		}
-		j.cfg.Logf("wal: recovery cut torn segment %d to %d byte(s): %s", rep.Seq, rep.End, rep.Reason)
-		return nil
-	})
+	}
 	return stats, err
 }
 
@@ -79,11 +80,11 @@ func (j *Journal) Recover(from Position, fn func(pos Position, rec Record) error
 // VerifyDir and TruncateAtCorruption. Each segment at or after from.Seg
 // is walked once, segment from.Seg from offset from.Off, decoding every
 // record and passing it to fn, when non-nil, with the position just
-// past it; an undecodable payload is torn like a CRC mismatch. A torn
-// segment ends the walk when cut is nil; otherwise cut gets its report
-// and the walk goes on with the next segment. It returns the report of
-// every segment walked.
-func walk(dir string, from Position, fn func(Position, Record) error, cut func(*seglog.Report) error) (stats ReplayStats, reps []seglog.Report, err error) {
+// past it; an undecodable payload is a bad frame like a CRC mismatch.
+// With cut set, each segment that does not end on an intact frame is
+// cut as the walk passes it. It returns the report of every segment
+// walked.
+func walk(dir string, from Position, fn func(Position, Record) error, cut bool) (stats ReplayStats, reps []seglog.Report, err error) {
 	segs, err := segFormat.List(dir)
 	if err != nil {
 		return stats, nil, err
@@ -109,7 +110,8 @@ func walk(dir string, from Position, fn func(Position, Record) error, cut func(*
 		if seg.Seq == from.Seg {
 			off = from.Off
 		}
-		sc, err := segFormat.Walk(segFormat.Path(dir, seg.Seq), off, false, func(o int64, p []byte) error {
+		path := segFormat.Path(dir, seg.Seq)
+		sc, err := segFormat.Walk(path, off, func(o int64, p []byte) error {
 			rec, err := decodePayload(p)
 			if err != nil {
 				return seglog.Corrupt(err)
@@ -124,50 +126,36 @@ func walk(dir string, from Position, fn func(Position, Record) error, cut func(*
 		if err != nil {
 			return stats, reps, fmt.Errorf("wal: %w", err)
 		}
-		reps = append(reps, seglog.Report{Seq: seg.Seq, Scan: sc})
-		if !sc.Torn {
-			continue
+		rep := seglog.Report{Seq: seg.Seq, Scan: sc}
+		stats.CorruptFrames += len(sc.Bad)
+		if sc.NeedsCut() && !stats.Truncated {
+			stats.Truncated, stats.TruncatedAt = true, Position{Seg: seg.Seq, Off: sc.Intact}
 		}
-		if !stats.Truncated {
-			stats.Truncated, stats.TruncatedAt = true, Position{Seg: seg.Seq, Off: sc.End}
+		if cut && sc.NeedsCut() {
+			if rep.Quarantined, err = segFormat.Cut(path, sc); err != nil {
+				return stats, reps, fmt.Errorf("wal: %w", err)
+			}
+			rep.Repaired = true
 		}
-		if cut == nil {
-			break
-		}
-		if err := cut(&reps[len(reps)-1]); err != nil {
-			return stats, reps, err
-		}
+		reps = append(reps, rep)
 	}
 	return stats, reps, nil
-}
-
-// cutSegment cuts the torn segment rep describes back to its last whole
-// record, or removes it when its header is unusable (End 0).
-func cutSegment(dir string, rep *seglog.Report) error {
-	path := segFormat.Path(dir, rep.Seq)
-	if rep.End == 0 {
-		if err := os.Remove(path); err != nil {
-			return fmt.Errorf("wal: remove headerless segment %s: %w", path, err)
-		}
-	} else if err := os.Truncate(path, rep.End); err != nil {
-		return fmt.Errorf("wal: truncate %s at %d: %w", path, rep.End, err)
-	}
-	rep.Repaired = true
-	return nil
 }
 
 // VerifyDir walks every segment in dir, decoding every record, and
 // returns their reports, oldest first. It changes nothing on disk.
 func VerifyDir(dir string) ([]seglog.Report, error) {
-	_, reps, err := walk(dir, Position{}, nil, func(*seglog.Report) error { return nil })
+	_, reps, err := walk(dir, Position{}, nil, false)
 	return reps, err
 }
 
-// TruncateAtCorruption cuts every torn segment in dir back to its last
-// valid record, removing one whose header is unusable, so later scans
-// are clean. It returns the reports of the segments it cut.
+// TruncateAtCorruption cuts every segment in dir that does not end on
+// an intact frame after its last one, quarantining one whose header is
+// unusable, so later scans end cleanly. Bad frames with intact ones
+// behind them stay: copying around them is scrub's job. It returns the
+// reports of the segments it cut.
 func TruncateAtCorruption(dir string) ([]seglog.Report, error) {
-	_, reps, err := walk(dir, Position{}, nil, func(rep *seglog.Report) error { return cutSegment(dir, rep) })
+	_, reps, err := walk(dir, Position{}, nil, true)
 	return slices.DeleteFunc(reps, func(r seglog.Report) bool { return !r.Repaired }), err
 }
 

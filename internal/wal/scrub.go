@@ -131,12 +131,13 @@ func (j *Journal) scrub(n int, check func(int64, []byte) error, preRepair func(s
 // bad frames; check, when non-nil, vets each CRC-good frame too. The
 // CRC-only walk streams through one bounded buffer, cheap enough to run
 // next to hot ingest, and a repair re-checks that every surviving
-// payload decodes. A torn tail is only reported: replay stops cleanly
-// at one, and TruncateAtCorruption cuts it. Bad frames are copied
-// around unless preRepair, the caller's checkpoint policy, refuses.
+// payload decodes. A torn tail is only reported: a walk ends its
+// segment cleanly there, and recovery or TruncateAtCorruption cuts it.
+// Bad frames are copied around unless preRepair, the caller's
+// checkpoint policy, refuses.
 func (j *Journal) scrubSegment(seq uint64, check func(int64, []byte) error, preRepair func(seglog.Report) error) (seglog.Report, error) {
 	path := segFormat.Path(j.cfg.Dir, seq)
-	sc, err := segFormat.Walk(path, 0, true, check)
+	sc, err := segFormat.Walk(path, 0, check)
 	if errors.Is(err, fs.ErrNotExist) {
 		return seglog.Report{Seq: seq}, nil // pruned since the snapshot; not damage
 	}

@@ -84,7 +84,8 @@ func TestTornWriteReplayStopsCleanly(t *testing.T) {
 }
 
 // TestCorruptPayloadDetected flips one payload byte mid-segment; the
-// CRC must catch it and replay must stop before the damaged record.
+// CRC must catch it, and replay must step over the damaged record only,
+// with nothing to cut: intact frames follow it.
 func TestCorruptPayloadDetected(t *testing.T) {
 	_, segPath, ends := buildJournal(t, 5)
 	data, err := os.ReadFile(segPath)
@@ -96,19 +97,21 @@ func TestCorruptPayloadDetected(t *testing.T) {
 	if err := os.WriteFile(segPath, data, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	got := 0
-	stats, err := Replay(filepath.Dir(segPath), Position{}, func(Position, Record) error {
-		got++
+	var got []Position
+	stats, err := Replay(filepath.Dir(segPath), Position{}, func(pos Position, _ Record) error {
+		got = append(got, pos)
 		return nil
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got != 2 || !stats.Truncated {
-		t.Errorf("replayed %d records (stats %+v), want 2 and truncated", got, stats)
+	if len(got) != 4 || stats.CorruptFrames != 1 || stats.Truncated {
+		t.Errorf("replayed %d records (stats %+v), want 4, one corrupt frame and no cut", len(got), stats)
 	}
-	if stats.TruncatedAt.Off != ends[1] {
-		t.Errorf("truncated at %+v, want offset %d", stats.TruncatedAt, ends[1])
+	for i, pos := range got {
+		if want := ends[i+i/2]; pos.Off != want {
+			t.Errorf("record %d at %+v, want offset %d", i, pos, want)
+		}
 	}
 }
 
