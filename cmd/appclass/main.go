@@ -3,13 +3,14 @@
 // (Section 4.2.3) and classifies either a named registry application
 // (profiled on the simulated testbed) or a previously recorded trace
 // CSV, printing the application class and class composition and
-// optionally recording the run in an application-database file.
+// optionally appending the run to an application database: the store
+// appclassd -db keeps, which placetool and appdbtool read.
 //
 // Usage:
 //
 //	appclass -app PostMark
 //	appclass -trace run.csv
-//	appclass -app SPECseis96_B -db appdb.json -rates 10,8,6,4,1
+//	appclass -app SPECseis96_B -db appdb -rates 10,8,6,4,1
 package main
 
 import (
@@ -20,10 +21,13 @@ import (
 	"time"
 
 	"repro/internal/appclass"
+	"repro/internal/appdb"
+	"repro/internal/appstore"
 	"repro/internal/classify"
 	"repro/internal/core"
 	"repro/internal/costmodel"
 	"repro/internal/metrics"
+	"repro/internal/modelreg"
 	"repro/internal/workload"
 )
 
@@ -32,7 +36,7 @@ func main() {
 		app    = flag.String("app", "", "registry application to profile and classify")
 		trace  = flag.String("trace", "", "classify a trace CSV instead of running an application")
 		seed   = flag.Int64("seed", 1, "simulation seed")
-		dbPath = flag.String("db", "", "application database JSON file to append the record to")
+		dbPath = flag.String("db", "", "application database to append the record to (a store directory; a legacy JSON file there is converted)")
 		rates  = flag.String("rates", "", "cost rates alpha,beta,gamma,delta,epsilon (cpu,mem,io,net,idle) to price the run")
 		k      = flag.Int("k", 0, "k-NN neighbour count (default: the paper's 3)")
 		comps  = flag.Int("q", 0, "principal components (default: the paper's 2)")
@@ -55,36 +59,21 @@ func run(app, tracePath string, seed int64, dbPath, ratesSpec string, k, comps i
 	opts.Classifier.Components = comps
 	var svc *core.Service
 	if modelPath != "" {
-		f, err := os.Open(modelPath)
+		cl, err := classify.LoadFile(modelPath)
 		if err != nil {
 			return err
 		}
-		cl, err := classify.Load(f)
-		f.Close()
-		if err != nil {
-			return err
-		}
-		svc, err = core.NewServiceWithClassifier(cl, opts)
-		if err != nil {
+		if svc, err = core.NewServiceWithClassifier(cl, opts); err != nil {
 			return err
 		}
 	} else {
 		var err error
-		svc, err = core.NewService(opts)
-		if err != nil {
+		if svc, err = core.NewService(opts); err != nil {
 			return err
 		}
 	}
 	if savePath != "" {
-		f, err := os.Create(savePath)
-		if err != nil {
-			return err
-		}
-		if err := svc.Classifier().Save(f); err != nil {
-			f.Close()
-			return err
-		}
-		if err := f.Close(); err != nil {
+		if err := modelreg.SaveFile(savePath, svc.Classifier()); err != nil {
 			return err
 		}
 		fmt.Printf("model saved to %s\n", savePath)
@@ -141,12 +130,32 @@ func run(app, tracePath string, seed int64, dbPath, ratesSpec string, k, comps i
 		fmt.Printf("unit cost:   %.3f/hour; run cost: %.3f\n", quote.UnitCost, quote.RunCost)
 	}
 	if dbPath != "" {
-		if err := svc.DB().SaveFile(dbPath); err != nil {
+		if err := record(svc, report.App, dbPath); err != nil {
 			return err
 		}
 		fmt.Printf("recorded in %s\n", dbPath)
 	}
 	return nil
+}
+
+// record appends the run svc stored for app to the application
+// database at dbPath, stamped with its finalize time as a daemon
+// finish is.
+func record(svc *core.Service, app, dbPath string) error {
+	rec, err := svc.DB().Latest(app)
+	if err != nil {
+		return err
+	}
+	rec.FinalizedAt = time.Now().UnixNano()
+	db, err := appdb.Open(dbPath, appstore.Options{})
+	if err != nil {
+		return err
+	}
+	if err := db.Put(rec); err != nil {
+		db.Close()
+		return err
+	}
+	return db.Close()
 }
 
 // parseRates reads the -rates flag.

@@ -3,9 +3,11 @@ package main
 import (
 	"os"
 	"path/filepath"
+	"reflect"
 	"testing"
 
 	"repro/internal/appdb"
+	"repro/internal/appstore"
 	"repro/internal/testbed"
 	"repro/internal/workload"
 )
@@ -40,10 +42,7 @@ func TestRunClassifiesApp(t *testing.T) {
 	if err := run("XSpim", "", 1, dbPath, "10,8,6,4,1", 0, 0, "", ""); err != nil {
 		t.Fatalf("run: %v", err)
 	}
-	db, err := appdb.LoadFile(dbPath)
-	if err != nil {
-		t.Fatalf("db not written: %v", err)
-	}
+	db := openStore(t, dbPath)
 	if db.Len() != 1 {
 		t.Errorf("db has %d records", db.Len())
 	}
@@ -53,6 +52,74 @@ func TestRunClassifiesApp(t *testing.T) {
 	}
 	if rec.Class != "io" {
 		t.Errorf("XSpim stored class = %s, want io", rec.Class)
+	}
+	if rec.FinalizedAt == 0 {
+		t.Error("stored record has no finalize stamp")
+	}
+}
+
+// openStore opens the store at path for the rest of the test.
+func openStore(t *testing.T, path string) *appdb.DB {
+	t.Helper()
+	db, err := appdb.Open(path, appstore.Options{})
+	if err != nil {
+		t.Fatalf("open %s: %v", path, err)
+	}
+	t.Cleanup(func() { db.Close() })
+	return db
+}
+
+// TestRunRecordsAccumulate records two runs into one store: each run
+// appends, so both records are there, newest last.
+func TestRunRecordsAccumulate(t *testing.T) {
+	dbPath := filepath.Join(t.TempDir(), "appdb")
+	for _, app := range []string{"XSpim", "PostMark"} {
+		if err := run(app, "", 1, dbPath, "", 0, 0, "", ""); err != nil {
+			t.Fatalf("run %s: %v", app, err)
+		}
+	}
+	db := openStore(t, dbPath)
+	if db.Len() != 2 {
+		t.Fatalf("store holds %d records after two runs, want 2", db.Len())
+	}
+	if apps := db.Apps(); !reflect.DeepEqual(apps, []string{"PostMark", "XSpim"}) {
+		t.Errorf("apps = %v", apps)
+	}
+	rows, _, err := db.Scan(appdb.Filter{}, 0, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(rows) != 2 || rows[0].App != "PostMark" || rows[0].FinalizedAt < rows[1].FinalizedAt {
+		t.Errorf("newest-first rows = %+v, want PostMark stamped after XSpim", rows)
+	}
+}
+
+// TestRunConvertsLegacyDB points -db at a legacy whole-file JSON
+// database: the run converts it to a store holding its runs plus the
+// new one, and keeps the file at <path>.legacy.
+func TestRunConvertsLegacyDB(t *testing.T) {
+	dbPath := filepath.Join(t.TempDir(), "db.json")
+	legacy := `{"records": [
+		{"app": "Stream", "class": "mem", "composition": {"mem": 1}, "execution_time_ns": 60000000000, "samples": 12},
+		{"app": "NetPIPE", "class": "net", "composition": {"net": 1}, "execution_time_ns": 30000000000, "samples": 6}
+	]}`
+	if err := os.WriteFile(dbPath, []byte(legacy), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := run("XSpim", "", 1, dbPath, "", 0, 0, "", ""); err != nil {
+		t.Fatalf("run: %v", err)
+	}
+	db := openStore(t, dbPath)
+	if db.Len() != 3 {
+		t.Errorf("store holds %d records, want the 2 legacy runs plus 1", db.Len())
+	}
+	for _, app := range []string{"Stream", "NetPIPE", "XSpim"} {
+		if _, err := db.Latest(app); err != nil {
+			t.Errorf("%s: %v", app, err)
+		}
+	}
+	if got, err := os.ReadFile(dbPath + ".legacy"); err != nil || string(got) != legacy {
+		t.Errorf("legacy file not kept as it was: %v", err)
 	}
 }
 

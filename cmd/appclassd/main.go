@@ -200,13 +200,8 @@ var (
 func run(ctx context.Context, cfg config, ready chan<- string) error {
 	var cl *classify.Classifier
 	if cfg.model != "" {
-		f, err := os.Open(cfg.model)
-		if err != nil {
-			return err
-		}
-		cl, err = classify.Load(f)
-		f.Close()
-		if err != nil {
+		var err error
+		if cl, err = classify.LoadFile(cfg.model); err != nil {
 			return err
 		}
 		log.Printf("appclassd: loaded classifier from %s", cfg.model)

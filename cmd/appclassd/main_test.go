@@ -191,17 +191,17 @@ func TestRunStartupShutdown(t *testing.T) {
 // records queryable.
 func TestRunLegacyDBMigration(t *testing.T) {
 	dbPath := filepath.Join(t.TempDir(), "appdb.json")
-	legacy := appdb.New()
-	if err := legacy.Put(appdb.Record{
+	legacy, err := json.Marshal(map[string][]appdb.Record{"records": {{
 		App:           "historic",
 		Class:         appclass.CPU,
 		Composition:   map[appclass.Class]float64{appclass.CPU: 1},
 		ExecutionTime: time.Minute,
 		Samples:       12,
-	}); err != nil {
+	}}})
+	if err != nil {
 		t.Fatal(err)
 	}
-	if err := legacy.SaveFile(dbPath); err != nil {
+	if err := os.WriteFile(dbPath, legacy, 0o644); err != nil {
 		t.Fatal(err)
 	}
 

@@ -9,6 +9,7 @@ import (
 
 	"repro/internal/appclass"
 	"repro/internal/appdb"
+	"repro/internal/appstore"
 	"repro/internal/phase"
 )
 
@@ -17,7 +18,12 @@ import (
 // verdict.
 func writeFingerprintDB(t *testing.T) string {
 	t.Helper()
-	db := appdb.New()
+	path := filepath.Join(t.TempDir(), "appdb")
+	db, err := appdb.Open(path, appstore.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
 	cpuPhases := []phase.Phase{{
 		Class: appclass.CPU, Start: 0, End: 600 * time.Second, Snapshots: 120,
 		Composition: map[appclass.Class]float64{appclass.CPU: 1},
@@ -41,10 +47,6 @@ func writeFingerprintDB(t *testing.T) string {
 		MatchedApp: "seis", MatchScore: 0.75,
 		Verdict: appclass.Unknown, UnknownFraction: 0.8,
 	}); err != nil {
-		t.Fatal(err)
-	}
-	path := filepath.Join(t.TempDir(), "db.json")
-	if err := db.SaveFile(path); err != nil {
 		t.Fatal(err)
 	}
 	return path

@@ -3,8 +3,9 @@
 // application's learned behaviour, price it with provider rates,
 // predict its next run time, query and prune records, and migrate
 // legacy JSON files into the log-structured segmented store. Every
-// command accepts either engine: a store directory or a legacy
-// whole-file JSON database.
+// command opens the store at its path; a legacy whole-file JSON
+// database there is converted in place first, kept at <path>.legacy.
+// Never point a command at a store a running daemon holds.
 //
 // Usage:
 //
@@ -50,7 +51,8 @@ func main() {
 
 func usage(w io.Writer) {
 	fmt.Fprintln(w, `usage: appdbtool <command> [flags] <appdb>
-(the database argument is a store directory or a legacy JSON file)
+(the database argument is a store directory; a legacy JSON file
+there is converted in place first)
 commands:
   list     list applications with their modal class and run counts
   ls       list run records newest first
@@ -70,7 +72,7 @@ commands:
 func run(cmd string, args []string, stdout io.Writer) error {
 	switch cmd {
 	case "list":
-		return withDB(args, nil, func(db *appdb.DB, _ *flag.FlagSet) error {
+		return withDB(args, nil, func(db *appdb.DB) error {
 			for _, c := range appclass.All() {
 				for _, app := range db.ByClass(c) {
 					s, err := db.Summarize(app)
@@ -88,7 +90,7 @@ func run(cmd string, args []string, stdout io.Writer) error {
 	case "summary":
 		fs := flag.NewFlagSet("summary", flag.ContinueOnError)
 		app := fs.String("app", "", "application name")
-		return withDB(args, fs, func(db *appdb.DB, _ *flag.FlagSet) error {
+		return withDB(args, fs, func(db *appdb.DB) error {
 			if *app == "" {
 				return fmt.Errorf("summary: -app is required")
 			}
@@ -110,7 +112,7 @@ func run(cmd string, args []string, stdout io.Writer) error {
 		fs := flag.NewFlagSet("quote", flag.ContinueOnError)
 		app := fs.String("app", "", "application name")
 		rates := fs.String("rates", "", "cpu,mem,io,net,idle unit prices")
-		return withDB(args, fs, func(db *appdb.DB, _ *flag.FlagSet) error {
+		return withDB(args, fs, func(db *appdb.DB) error {
 			if *app == "" || *rates == "" {
 				return fmt.Errorf("quote: -app and -rates are required")
 			}
@@ -134,7 +136,7 @@ func run(cmd string, args []string, stdout io.Writer) error {
 		fs := flag.NewFlagSet("predict", flag.ContinueOnError)
 		app := fs.String("app", "", "application name")
 		k := fs.Int("k", 3, "neighbours")
-		return withDB(args, fs, func(db *appdb.DB, _ *flag.FlagSet) error {
+		return withDB(args, fs, func(db *appdb.DB) error {
 			if *app == "" {
 				return fmt.Errorf("predict: -app is required")
 			}
@@ -151,7 +153,7 @@ func run(cmd string, args []string, stdout io.Writer) error {
 			return nil
 		})
 	case "fingerprints":
-		return withDB(args, nil, func(db *appdb.DB, _ *flag.FlagSet) error {
+		return withDB(args, nil, func(db *appdb.DB) error {
 			dict := db.Dictionary()
 			if len(dict) == 0 {
 				fmt.Fprintln(stdout, "no fingerprinted runs")
@@ -178,7 +180,7 @@ func run(cmd string, args []string, stdout io.Writer) error {
 		until := fs.String("until", "", "only runs finalized at or before this time (RFC3339 or unix seconds)")
 		limit := fs.Int("limit", 0, "page size (default 50, max 1000)")
 		cursor := fs.Uint64("cursor", 0, "resume a previous page (0 starts at the newest run)")
-		return withDB(args, fs, func(db *appdb.DB, _ *flag.FlagSet) error {
+		return withDB(args, fs, func(db *appdb.DB) error {
 			f := appdb.Filter{
 				App:     *app,
 				Class:   appclass.Class(*class),
@@ -224,15 +226,10 @@ func run(cmd string, args []string, stdout io.Writer) error {
 	case "prune":
 		fs := flag.NewFlagSet("prune", flag.ContinueOnError)
 		keep := fs.Int("keep", 10, "records to keep per application")
-		return withDBPath(args, fs, func(db *appdb.DB, path string) error {
+		return withDB(args, fs, func(db *appdb.DB) error {
+			// The store persists the prune itself: tombstones, then
+			// compaction.
 			dropped := db.Prune(*keep)
-			// The segmented store persisted the prune itself (tombstones
-			// plus compaction); a legacy JSON database needs a rewrite.
-			if db.Store() == nil {
-				if err := db.SaveFile(path); err != nil {
-					return err
-				}
-			}
 			fmt.Fprintf(stdout, "dropped %d records, kept %d\n", dropped, db.Len())
 			return nil
 		})
@@ -257,15 +254,11 @@ func run(cmd string, args []string, stdout io.Writer) error {
 			return nil
 		})
 	case "scrub":
-		return withDB(args, nil, func(db *appdb.DB, _ *flag.FlagSet) error {
-			st := db.Store()
-			if st == nil {
-				return fmt.Errorf("scrub: %v is a legacy JSON database; only the segmented store can be scrubbed", args)
-			}
+		return withDB(args, nil, func(db *appdb.DB) error {
 			// Cover every closed segment in one pass: the store's Scrub
 			// cursor is per-open, so one big budget beats looping.
-			stats, _ := db.StoreStats()
-			reps, err := st.Scrub(stats.Segments + 1)
+			st := db.Store()
+			reps, err := st.Scrub(st.Stats().Segments + 1)
 			if err != nil {
 				return err
 			}
@@ -295,7 +288,7 @@ func run(cmd string, args []string, stdout io.Writer) error {
 		components := fs.Int("components", 0, "PCA components (default: classify's default)")
 		minRows := fs.Int("min-rows", 0, "minimum retained sample rows per class (default 8)")
 		maxRows := fs.Int("max-rows", 0, "cap training rows per class, newest first (default 4096, negative unlimited)")
-		return withDB(args, fs, func(db *appdb.DB, _ *flag.FlagSet) error {
+		return withDB(args, fs, func(db *appdb.DB) error {
 			if *out == "" {
 				return fmt.Errorf("retrain: -out is required")
 			}
@@ -341,11 +334,7 @@ func run(cmd string, args []string, stdout io.Writer) error {
 
 // withDB parses flags (when fs is non-nil), opens the database from the
 // single positional argument, and invokes fn.
-func withDB(args []string, fs *flag.FlagSet, fn func(*appdb.DB, *flag.FlagSet) error) error {
-	return withDBPath(args, fs, func(db *appdb.DB, _ string) error { return fn(db, fs) })
-}
-
-func withDBPath(args []string, fs *flag.FlagSet, fn func(*appdb.DB, string) error) error {
+func withDB(args []string, fs *flag.FlagSet, fn func(*appdb.DB) error) error {
 	if fs != nil {
 		if err := fs.Parse(args); err != nil {
 			return err
@@ -360,21 +349,16 @@ func withDBPath(args []string, fs *flag.FlagSet, fn func(*appdb.DB, string) erro
 		return err
 	}
 	defer db.Close()
-	return fn(db, args[0])
+	return fn(db)
 }
 
-// openDB opens either engine without converting anything: a directory
-// is a segmented store, a regular file a legacy JSON database (use the
-// migrate command to convert one).
+// openDB opens the store at path, converting a legacy JSON file there.
+// A missing path is an error: inspecting never starts an empty store.
 func openDB(path string) (*appdb.DB, error) {
-	fi, err := os.Stat(path)
-	if err != nil {
+	if _, err := os.Stat(path); err != nil {
 		return nil, err
 	}
-	if fi.IsDir() {
-		return appdb.Open(path, appstore.Options{})
-	}
-	return appdb.LoadFile(path)
+	return appdb.Open(path, appstore.Options{})
 }
 
 // withArgPath runs fn on the single positional argument.

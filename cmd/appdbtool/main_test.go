@@ -2,6 +2,8 @@ package main
 
 import (
 	"bytes"
+	"encoding/json"
+	"os"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -12,28 +14,55 @@ import (
 	"repro/internal/appstore"
 )
 
+// writeTestDB writes a store of two applications, two runs each, and
+// returns its path.
 func writeTestDB(t *testing.T) string {
 	t.Helper()
-	db := appdb.New()
-	put := func(app string, c appclass.Class, exec time.Duration) {
-		err := db.Put(appdb.Record{
-			App: app, Class: c,
-			Composition:   map[appclass.Class]float64{c: 1},
-			ExecutionTime: exec, Samples: int(exec / (5 * time.Second)),
-		})
-		if err != nil {
+	path := filepath.Join(t.TempDir(), "appdb")
+	db, err := appdb.Open(path, appstore.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	for _, r := range testRecords() {
+		if err := db.Put(r); err != nil {
 			t.Fatal(err)
 		}
 	}
-	put("seis", appclass.CPU, 600*time.Second)
-	put("seis", appclass.CPU, 620*time.Second)
-	put("postmark", appclass.IO, 260*time.Second)
-	put("postmark", appclass.IO, 250*time.Second)
-	path := filepath.Join(t.TempDir(), "db.json")
-	if err := db.SaveFile(path); err != nil {
+	return path
+}
+
+// testRecords are writeTestDB's runs, stamped so time filters bite.
+func testRecords() []appdb.Record {
+	rec := func(app string, c appclass.Class, exec time.Duration, atSecs int64) appdb.Record {
+		return appdb.Record{
+			App: app, Class: c,
+			Composition:   map[appclass.Class]float64{c: 1},
+			ExecutionTime: exec, Samples: int(exec / (5 * time.Second)),
+			FinalizedAt: atSecs * int64(time.Second),
+		}
+	}
+	return []appdb.Record{
+		rec("seis", appclass.CPU, 600*time.Second, 1000),
+		rec("seis", appclass.CPU, 620*time.Second, 2000),
+		rec("postmark", appclass.IO, 260*time.Second, 3000),
+		rec("postmark", appclass.IO, 250*time.Second, 4000),
+	}
+}
+
+// writeLegacyDB writes testRecords as a legacy whole-file JSON database
+// and returns its path and bytes.
+func writeLegacyDB(t *testing.T) (string, []byte) {
+	t.Helper()
+	b, err := json.Marshal(map[string][]appdb.Record{"records": testRecords()})
+	if err != nil {
 		t.Fatal(err)
 	}
-	return path
+	path := filepath.Join(t.TempDir(), "db.json")
+	if err := os.WriteFile(path, b, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	return path, b
 }
 
 func TestList(t *testing.T) {
@@ -103,45 +132,18 @@ func TestPrune(t *testing.T) {
 	if !strings.Contains(out.String(), "dropped 2 records, kept 2") {
 		t.Errorf("prune output:\n%s", out.String())
 	}
-	db, err := appdb.LoadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if db.Len() != 2 {
-		t.Errorf("db after prune = %d records", db.Len())
-	}
-}
-
-// writeTestStore builds the same database as writeTestDB but in the
-// segmented store engine, with finalize stamps so time filters bite.
-func writeTestStore(t *testing.T) string {
-	t.Helper()
-	path := filepath.Join(t.TempDir(), "appdb")
 	db, err := appdb.Open(path, appstore.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer db.Close()
-	put := func(app string, c appclass.Class, exec time.Duration, atSecs int64) {
-		err := db.Put(appdb.Record{
-			App: app, Class: c,
-			Composition:   map[appclass.Class]float64{c: 1},
-			ExecutionTime: exec, Samples: int(exec / (5 * time.Second)),
-			FinalizedAt: atSecs * int64(time.Second),
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
+	if db.Len() != 2 {
+		t.Errorf("db after prune = %d records", db.Len())
 	}
-	put("seis", appclass.CPU, 600*time.Second, 1000)
-	put("seis", appclass.CPU, 620*time.Second, 2000)
-	put("postmark", appclass.IO, 260*time.Second, 3000)
-	put("postmark", appclass.IO, 250*time.Second, 4000)
-	return path
 }
 
 func TestCommandsOnStoreDirectory(t *testing.T) {
-	path := writeTestStore(t)
+	path := writeTestDB(t)
 	var out bytes.Buffer
 	if err := run("list", []string{path}, &out); err != nil {
 		t.Fatalf("list on store: %v", err)
@@ -175,7 +177,7 @@ func TestCommandsOnStoreDirectory(t *testing.T) {
 }
 
 func TestLs(t *testing.T) {
-	path := writeTestStore(t)
+	path := writeTestDB(t)
 	var out bytes.Buffer
 	if err := run("ls", []string{path}, &out); err != nil {
 		t.Fatalf("ls: %v", err)
@@ -236,7 +238,7 @@ func TestLs(t *testing.T) {
 }
 
 func TestMigrate(t *testing.T) {
-	path := writeTestDB(t)
+	path, legacy := writeLegacyDB(t)
 	var out bytes.Buffer
 	if err := run("migrate", []string{path}, &out); err != nil {
 		t.Fatalf("migrate: %v", err)
@@ -253,7 +255,7 @@ func TestMigrate(t *testing.T) {
 	if !strings.Contains(out.String(), "total: 4 records") {
 		t.Errorf("list after migrate:\n%s", out.String())
 	}
-	if _, err := appdb.LoadFile(path + ".legacy"); err != nil {
+	if got, err := os.ReadFile(path + ".legacy"); err != nil || !bytes.Equal(got, legacy) {
 		t.Errorf("legacy file not preserved: %v", err)
 	}
 	// Migrating twice is a no-op, not an error.
@@ -263,6 +265,33 @@ func TestMigrate(t *testing.T) {
 	}
 	if !strings.Contains(out.String(), "already a segmented store") {
 		t.Errorf("second migrate output:\n%s", out.String())
+	}
+}
+
+// TestLegacyFileConvertedOnOpen passes a legacy JSON file to a read
+// command: the open converts it to a store holding every run and keeps
+// the file at <path>.legacy.
+func TestLegacyFileConvertedOnOpen(t *testing.T) {
+	path, legacy := writeLegacyDB(t)
+	var out bytes.Buffer
+	if err := run("list", []string{path}, &out); err != nil {
+		t.Fatalf("list on a legacy file: %v", err)
+	}
+	if !strings.Contains(out.String(), "total: 4 records") {
+		t.Errorf("list output:\n%s", out.String())
+	}
+	if fi, err := os.Stat(path); err != nil || !fi.IsDir() {
+		t.Errorf("%s is not a store directory after the open: %v", path, err)
+	}
+	if got, err := os.ReadFile(path + ".legacy"); err != nil || !bytes.Equal(got, legacy) {
+		t.Errorf("legacy file not kept as it was: %v", err)
+	}
+	out.Reset()
+	if err := run("ls", []string{"-since", "3500", path}, &out); err != nil {
+		t.Fatalf("ls on the converted store: %v", err)
+	}
+	if !strings.Contains(out.String(), "1 record(s)") {
+		t.Errorf("ls -since 3500 output:\n%s", out.String())
 	}
 }
 

@@ -1,17 +1,18 @@
-// Command placetool scores what-if placements offline: it loads a saved
-// application database, predicts each requested application's class
-// composition from its historical runs (falling back to the uniform
-// prior when unseen), and places them one by one onto a simulated host
-// inventory with the same class-aware scoring the appclassd placement
-// service uses live. The output shows each decision with its ranked
-// alternatives and the final per-host class mix — a dry run of the
-// paper's class-aware scheduler against real history.
+// Command placetool scores what-if placements offline: it opens the
+// application database (the store appclassd -db and appclass -db write;
+// a legacy JSON file is converted in place), predicts each requested
+// application's class composition from its historical runs (falling
+// back to the uniform prior when unseen), and places them one by one
+// onto a simulated host inventory with the same class-aware scoring the
+// appclassd placement service uses live. The output shows each decision
+// with its ranked alternatives and the final per-host class mix — a dry
+// run of the paper's class-aware scheduler against real history.
 //
 // Usage:
 //
-//	placetool -hosts hostA:3,hostB:3,hostC:3 appdb.json
-//	placetool -hosts h1:4,h2:4 -apps PostMark,Stream,NetPIPE -rates 10,8,6,4,1 appdb.json
-//	placetool -hosts h1:2,h2:2 -json appdb.json
+//	placetool -hosts hostA:3,hostB:3,hostC:3 appdb
+//	placetool -hosts h1:4,h2:4 -apps PostMark,Stream,NetPIPE -rates 10,8,6,4,1 appdb
+//	placetool -hosts h1:2,h2:2 -json appdb
 package main
 
 import (
@@ -24,6 +25,7 @@ import (
 
 	"repro/internal/appclass"
 	"repro/internal/appdb"
+	"repro/internal/appstore"
 	"repro/internal/costmodel"
 	"repro/internal/placement"
 )
@@ -64,12 +66,17 @@ func run(args []string, stdout io.Writer) error {
 		return fmt.Errorf("-hosts is required")
 	}
 	if fs.NArg() != 1 {
-		return fmt.Errorf("expected exactly one database file, got %v", fs.Args())
+		return fmt.Errorf("expected exactly one database path, got %v", fs.Args())
 	}
-	db, err := appdb.LoadFile(fs.Arg(0))
+	// Placing reads history; it never starts an empty database.
+	if _, err := os.Stat(fs.Arg(0)); err != nil {
+		return err
+	}
+	db, err := appdb.Open(fs.Arg(0), appstore.Options{})
 	if err != nil {
 		return err
 	}
+	defer db.Close()
 
 	hosts, err := placement.ParseHosts(*hostsSpec)
 	if err != nil {

@@ -10,13 +10,21 @@ import (
 
 	"repro/internal/appclass"
 	"repro/internal/appdb"
+	"repro/internal/appstore"
+	"repro/internal/core"
+	"repro/internal/workload"
 )
 
-// sampleDB writes a database with one strongly-classed application per
+// sampleDB writes a store with one strongly-classed application per
 // paper class and returns its path.
 func sampleDB(t *testing.T) string {
 	t.Helper()
-	db := appdb.New()
+	path := filepath.Join(t.TempDir(), "appdb")
+	db, err := appdb.Open(path, appstore.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
 	for _, r := range []appdb.Record{
 		{App: "SPECseis96_C", Class: appclass.CPU,
 			Composition:   map[appclass.Class]float64{appclass.CPU: 0.9, appclass.Idle: 0.1},
@@ -31,10 +39,6 @@ func sampleDB(t *testing.T) string {
 		if err := db.Put(r); err != nil {
 			t.Fatal(err)
 		}
-	}
-	path := filepath.Join(t.TempDir(), "appdb.json")
-	if err := db.SaveFile(path); err != nil {
-		t.Fatal(err)
 	}
 	return path
 }
@@ -70,6 +74,61 @@ func TestRunPlacesHistory(t *testing.T) {
 	for _, want := range []string{"SPECseis96_C", "PostMark", "NetPIPE", "history", "h1", "h2", "h3"} {
 		if !strings.Contains(text, want) {
 			t.Errorf("output missing %q:\n%s", want, text)
+		}
+	}
+}
+
+// TestRunPlacesClassifiedRuns classifies profiled runs and records each
+// in a store as appclass -db does (the record core stored, stamped
+// with its finalize time), then places every application in it from
+// history, with the class the store holds.
+func TestRunPlacesClassifiedRuns(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "appdb")
+	svc, err := core.NewService(core.Options{Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	db, err := appdb.Open(path, appstore.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := map[string]appclass.Class{}
+	for _, app := range []string{"XSpim", "Stream", "NetPIPE"} {
+		entry, err := workload.Find(app)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := svc.ProfileAndClassify(entry, 1); err != nil {
+			t.Fatal(err)
+		}
+		rec, err := svc.DB().Latest(app)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rec.FinalizedAt = time.Now().UnixNano()
+		if err := db.Put(rec); err != nil {
+			t.Fatal(err)
+		}
+		want[app] = rec.Class
+	}
+	if err := db.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	var out bytes.Buffer
+	if err := run([]string{"-hosts", "h1:2,h2:2", "-json", path}, &out); err != nil {
+		t.Fatal(err)
+	}
+	var rep report
+	if err := json.Unmarshal(out.Bytes(), &rep); err != nil {
+		t.Fatalf("not JSON: %v\n%s", err, out.String())
+	}
+	if len(rep.Decisions) != len(want) {
+		t.Fatalf("placed %d applications, want %d", len(rep.Decisions), len(want))
+	}
+	for _, d := range rep.Decisions {
+		if d.Source != "history" || d.Class != want[d.App] {
+			t.Errorf("%s placed from %s as %s, want history as %s", d.App, d.Source, d.Class, want[d.App])
 		}
 	}
 }

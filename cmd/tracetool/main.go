@@ -200,14 +200,9 @@ func phasesCmd(w io.Writer, tr *metrics.Trace, model string, seed int64, cfg pha
 	}
 	var cl *classify.Classifier
 	if model != "" {
-		f, err := os.Open(model)
-		if err != nil {
-			return err
-		}
-		cl, err = classify.Load(f)
-		f.Close()
-		if err != nil {
-			return fmt.Errorf("phases: load %s: %w", model, err)
+		var err error
+		if cl, err = classify.LoadFile(model); err != nil {
+			return fmt.Errorf("phases: %w", err)
 		}
 	} else {
 		svc, err := core.NewService(core.Options{Seed: seed})

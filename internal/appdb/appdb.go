@@ -3,28 +3,24 @@
 // of historical runs — class, class composition, and execution time —
 // which schedulers query to make class-aware placement decisions.
 //
-// The package keeps the public API; the storage engine is pluggable.
-// New() gives the original in-memory map with whole-file JSON
-// persistence (Save/Load/SaveFile/LoadFile), still the right tool for
-// tests and offline tooling. Open() backs the same API with
-// internal/appstore, the log-structured segmented store: O(1) appends
-// on the finalize hot path, secondary indexes, paginated Scan,
-// compaction and retention — the fleet-scale engine. Record, Summary,
-// and Filter are aliases of the appstore types, so the two engines
-// share one record format and every existing caller compiles unchanged.
+// The package keeps the public API over two engines. Open() backs it
+// with internal/appstore, the log-structured segmented store: O(1)
+// appends on the finalize hot path, secondary indexes, paginated Scan,
+// compaction and retention. It is the one on-disk format, which the
+// daemon and every tool open. New() gives an in-memory map that nothing
+// persists: a daemon without -db, a classification service's scratch
+// database, and the reference the equivalence tests hold the store to.
+// Record, Summary, and Filter are aliases of the appstore types, so the
+// two engines share one record format.
 package appdb
 
 import (
-	"encoding/json"
 	"fmt"
-	"io"
-	"os"
 	"sort"
 	"sync"
 
 	"repro/internal/appstore"
 	"repro/internal/phase"
-	"repro/internal/seglog"
 )
 
 // Record is one historical run of an application (see appstore.Record
@@ -76,7 +72,9 @@ func New() *DB {
 // callers must Close it to flush the active segment. Engine read errors
 // surfacing through API methods without an error return (Runs,
 // Fingerprints, Prune) are reported through opt.Logf, so a damaged
-// store degrades loudly instead of masquerading as an empty one.
+// store degrades loudly instead of masquerading as an empty one. Open
+// takes no lock, and it cuts torn tails and resumes the active segment:
+// never open a store that another process (a running daemon) holds.
 func Open(path string, opt appstore.Options) (*DB, error) {
 	st, err := appstore.Open(path, opt)
 	if err != nil {
@@ -356,25 +354,6 @@ func (db *DB) Summarize(app string) (Summary, error) {
 	return summarize(app, rs), nil
 }
 
-// persistedDB is the JSON wire format.
-type persistedDB struct {
-	Records []Record `json:"records"`
-}
-
-// Save writes the database as JSON.
-func (db *DB) Save(w io.Writer) error {
-	doc := persistedDB{}
-	for _, app := range db.Apps() {
-		doc.Records = append(doc.Records, db.Runs(app)...)
-	}
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	if err := enc.Encode(doc); err != nil {
-		return fmt.Errorf("appdb: encode: %w", err)
-	}
-	return nil
-}
-
 func (db *DB) appsLocked() []string {
 	out := make([]string, 0, len(db.records))
 	for a := range db.records {
@@ -382,39 +361,4 @@ func (db *DB) appsLocked() []string {
 	}
 	sort.Strings(out)
 	return out
-}
-
-// Load reads a database written by Save into the in-memory engine. The
-// records are stored exactly as read — in particular, finalize stamps
-// are preserved (or stay zero on pre-stamping files), so a legacy file
-// round-trips bit-identically through Load+Save.
-func Load(r io.Reader) (*DB, error) {
-	var doc persistedDB
-	if err := json.NewDecoder(r).Decode(&doc); err != nil {
-		return nil, fmt.Errorf("appdb: decode: %w", err)
-	}
-	db := New()
-	for i, rec := range doc.Records {
-		if err := db.Put(rec); err != nil {
-			return nil, fmt.Errorf("appdb: record %d: %w", i, err)
-		}
-	}
-	return db, nil
-}
-
-// SaveFile persists the database to a file path atomically with
-// seglog.WriteFile (temp file, fsync, rename, directory fsync), so a
-// crash or failed write mid-save never corrupts an existing database.
-func (db *DB) SaveFile(path string) error {
-	return seglog.WriteFile(path, db.Save)
-}
-
-// LoadFile reads a database from a file path.
-func LoadFile(path string) (*DB, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, fmt.Errorf("appdb: open %s: %w", path, err)
-	}
-	defer f.Close()
-	return Load(f)
 }

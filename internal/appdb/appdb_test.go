@@ -1,16 +1,15 @@
 package appdb
 
 import (
-	"bytes"
 	"math"
 	"os"
 	"path/filepath"
-	"strings"
 	"sync"
 	"testing"
 	"time"
 
 	"repro/internal/appclass"
+	"repro/internal/appstore"
 )
 
 func rec(app string, class appclass.Class, exec time.Duration) Record {
@@ -107,52 +106,22 @@ func TestSummarize(t *testing.T) {
 	}
 }
 
-func TestSaveLoadRoundTrip(t *testing.T) {
-	db := New()
-	_ = db.Put(rec("A", appclass.CPU, 100*time.Second))
-	_ = db.Put(rec("B", appclass.Net, 50*time.Second))
-	var buf bytes.Buffer
-	if err := db.Save(&buf); err != nil {
-		t.Fatalf("Save: %v", err)
-	}
-	loaded, err := Load(&buf)
-	if err != nil {
-		t.Fatalf("Load: %v", err)
-	}
-	if loaded.Len() != 2 {
-		t.Errorf("loaded Len = %d", loaded.Len())
-	}
-	got, err := loaded.Latest("B")
-	if err != nil || got.Class != appclass.Net || got.ExecutionTime != 50*time.Second {
-		t.Errorf("loaded B = (%+v, %v)", got, err)
-	}
-}
-
+// TestLoadRejectsGarbage opens a file that is no legacy database, and
+// one whose record fails validation: Open must fail and leave the file
+// as it was.
 func TestLoadRejectsGarbage(t *testing.T) {
-	if _, err := Load(strings.NewReader("not json")); err == nil {
-		t.Error("garbage: want error")
-	}
-	if _, err := Load(strings.NewReader(`{"records":[{"app":"","class":"io"}]}`)); err == nil {
-		t.Error("invalid record: want error")
-	}
-}
-
-func TestSaveLoadFile(t *testing.T) {
-	db := New()
-	_ = db.Put(rec("A", appclass.Mem, 10*time.Second))
-	path := filepath.Join(t.TempDir(), "db.json")
-	if err := db.SaveFile(path); err != nil {
-		t.Fatalf("SaveFile: %v", err)
-	}
-	loaded, err := LoadFile(path)
-	if err != nil {
-		t.Fatalf("LoadFile: %v", err)
-	}
-	if loaded.Len() != 1 {
-		t.Errorf("loaded Len = %d", loaded.Len())
-	}
-	if _, err := LoadFile(filepath.Join(t.TempDir(), "missing.json")); err == nil {
-		t.Error("missing file: want error")
+	for _, body := range []string{"not json", `{"records":[{"app":"","class":"io"}]}`} {
+		path := filepath.Join(t.TempDir(), "db.json")
+		if err := os.WriteFile(path, []byte(body), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if db, err := Open(path, appstore.Options{}); err == nil {
+			db.Close()
+			t.Errorf("Open(%q): want error", body)
+		}
+		if got, err := os.ReadFile(path); err != nil || string(got) != body {
+			t.Errorf("Open(%q) left the file as %q (%v)", body, got, err)
+		}
 	}
 }
 
@@ -184,73 +153,6 @@ func TestRunsReturnsCopy(t *testing.T) {
 	runs[0].App = "mutated"
 	if got, _ := db.Latest("A"); got.App != "A" {
 		t.Error("Runs exposes internal storage")
-	}
-}
-
-// TestSaveFileAtomic verifies the crash-safety contract of SaveFile: a
-// save that fails mid-write must leave an existing database file
-// untouched, and a successful save must leave no temp files behind.
-func TestSaveFileAtomic(t *testing.T) {
-	dir := t.TempDir()
-	path := filepath.Join(dir, "db.json")
-
-	good := New()
-	if err := good.Put(rec("keeper", appclass.CPU, time.Minute)); err != nil {
-		t.Fatal(err)
-	}
-	if err := good.SaveFile(path); err != nil {
-		t.Fatal(err)
-	}
-	before, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	// A composition with NaN passes through no validation here (the map
-	// is poked in directly) and fails JSON encoding partway through the
-	// write — exactly the failed-write scenario.
-	bad := New()
-	bad.records["broken"] = []stored{{seq: 1, rec: Record{
-		App:         "broken",
-		Class:       appclass.IO,
-		Composition: map[appclass.Class]float64{appclass.IO: math.NaN()},
-	}}}
-	if err := bad.SaveFile(path); err == nil {
-		t.Fatal("SaveFile with unencodable record: want error")
-	}
-	after, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatalf("old database file gone after failed save: %v", err)
-	}
-	if !bytes.Equal(before, after) {
-		t.Error("failed save corrupted the existing database file")
-	}
-
-	// No temp droppings in the directory, before or after a second
-	// successful save.
-	if err := good.SaveFile(path); err != nil {
-		t.Fatal(err)
-	}
-	entries, err := os.ReadDir(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(entries) != 1 || entries[0].Name() != "db.json" {
-		names := make([]string, 0, len(entries))
-		for _, e := range entries {
-			names = append(names, e.Name())
-		}
-		t.Errorf("directory contains %v, want only db.json", names)
-	}
-}
-
-// TestSaveFileFailsWithoutDirectory pins the error path when the temp
-// file cannot be created at all.
-func TestSaveFileFailsWithoutDirectory(t *testing.T) {
-	db := New()
-	err := db.SaveFile(filepath.Join(t.TempDir(), "no", "such", "dir", "db.json"))
-	if err == nil {
-		t.Fatal("SaveFile into missing directory: want error")
 	}
 }
 

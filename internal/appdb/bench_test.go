@@ -1,7 +1,9 @@
 package appdb
 
 import (
+	"encoding/json"
 	"fmt"
+	"io"
 	"math/rand"
 	"path/filepath"
 	"testing"
@@ -11,6 +13,7 @@ import (
 	"repro/internal/appstore"
 	"repro/internal/metrics"
 	"repro/internal/phase"
+	"repro/internal/seglog"
 )
 
 // benchRecord is a representative finalized run: a mixed composition, a
@@ -58,8 +61,10 @@ func BenchmarkFinalizeAppend(b *testing.B) {
 }
 
 // BenchmarkFinalizeSaveFile is the legacy persistence the store
-// replaces: every finalize rewrote the whole 10k-record database to a
-// JSON file, O(n) per finalize.
+// replaced: every finalize rewrote the whole 10k-record database as one
+// indented JSON document ({"records": [...]}, the legacy file Open
+// still converts) and published it with seglog.WriteFile, O(n) per
+// finalize.
 func BenchmarkFinalizeSaveFile(b *testing.B) {
 	db := New()
 	for i := 0; i < 10_000; i++ {
@@ -67,13 +72,24 @@ func BenchmarkFinalizeSaveFile(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+	save := func(w io.Writer) error {
+		var doc struct {
+			Records []Record `json:"records"`
+		}
+		for _, app := range db.Apps() {
+			doc.Records = append(doc.Records, db.Runs(app)...)
+		}
+		enc := json.NewEncoder(w)
+		enc.SetIndent("", "  ")
+		return enc.Encode(doc)
+	}
 	path := filepath.Join(b.TempDir(), "db.json")
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if err := db.Put(benchRecord(10_000 + i)); err != nil {
 			b.Fatal(err)
 		}
-		if err := db.SaveFile(path); err != nil {
+		if err := seglog.WriteFile(path, save); err != nil {
 			b.Fatal(err)
 		}
 	}

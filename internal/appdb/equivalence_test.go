@@ -1,12 +1,12 @@
 package appdb
 
 import (
-	"bytes"
+	"encoding/json"
 	"fmt"
 	"math/rand"
+	"os"
 	"path/filepath"
 	"reflect"
-	"sort"
 	"testing"
 	"time"
 
@@ -59,32 +59,22 @@ func traceRecords() []Record {
 }
 
 // TestEngineEquivalence finalizes the same trace of records through the
-// legacy in-memory/JSON engine and the segmented store and asserts
-// every read API answers identically: the engine swap is invisible to
-// callers (server finalize, placement, retraining, the fingerprint
-// dictionary).
+// in-memory engine and the segmented store and asserts every read API
+// answers identically: the engine is invisible to callers (server
+// finalize, placement, retraining, the fingerprint dictionary).
 func TestEngineEquivalence(t *testing.T) {
 	recs := traceRecords()
 
-	// Old path: in-memory Puts persisted through the whole-file JSON
-	// save/load cycle, exactly what the daemon did at shutdown.
-	jsonPath := filepath.Join(t.TempDir(), "db.json")
+	// Reference: the in-memory engine.
 	old := New()
 	for _, r := range recs {
 		if err := old.Put(r); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if err := old.SaveFile(jsonPath); err != nil {
-		t.Fatal(err)
-	}
-	old, err := LoadFile(jsonPath)
-	if err != nil {
-		t.Fatal(err)
-	}
 
-	// New path: the same finalize sequence appended to the segmented
-	// store, closed and reopened so reads come off disk.
+	// The same finalize sequence appended to the segmented store, closed
+	// and reopened so reads come off disk.
 	storePath := filepath.Join(t.TempDir(), "store")
 	nu, err := Open(storePath, appstore.Options{SegmentBytes: 2048})
 	if err != nil {
@@ -105,49 +95,49 @@ func TestEngineEquivalence(t *testing.T) {
 	defer nu.Close()
 
 	if got, want := nu.Apps(), old.Apps(); !reflect.DeepEqual(got, want) {
-		t.Errorf("Apps: store %v, json %v", got, want)
+		t.Errorf("Apps: store %v, memory %v", got, want)
 	}
 	if got, want := nu.Len(), old.Len(); got != want {
-		t.Errorf("Len: store %d, json %d", got, want)
+		t.Errorf("Len: store %d, memory %d", got, want)
 	}
 	for _, app := range old.Apps() {
 		if got, want := nu.Runs(app), old.Runs(app); !reflect.DeepEqual(got, want) {
-			t.Errorf("Runs(%s) differ:\nstore %+v\njson  %+v", app, got, want)
+			t.Errorf("Runs(%s) differ:\nstore %+v\nmemory %+v", app, got, want)
 		}
 		gl, el := nu.Latest(app)
 		wl, ew := old.Latest(app)
 		if el != nil || ew != nil || !reflect.DeepEqual(gl, wl) {
-			t.Errorf("Latest(%s): store %+v (%v), json %+v (%v)", app, gl, el, wl, ew)
+			t.Errorf("Latest(%s): store %+v (%v), memory %+v (%v)", app, gl, el, wl, ew)
 		}
 		gs, err1 := nu.Summarize(app)
 		ws, err2 := old.Summarize(app)
 		if err1 != nil || err2 != nil || !reflect.DeepEqual(gs, ws) {
-			t.Errorf("Summarize(%s): store %+v (%v), json %+v (%v)", app, gs, err1, ws, err2)
+			t.Errorf("Summarize(%s): store %+v (%v), memory %+v (%v)", app, gs, err1, ws, err2)
 		}
 	}
 	if got, want := nu.Fingerprints(), old.Fingerprints(); !reflect.DeepEqual(got, want) {
-		t.Errorf("Fingerprints: store %v, json %v", got, want)
+		t.Errorf("Fingerprints: store %v, memory %v", got, want)
 	}
 	if got, want := nu.Dictionary(), old.Dictionary(); !reflect.DeepEqual(got, want) {
-		t.Errorf("Dictionary: store %+v, json %+v", got, want)
+		t.Errorf("Dictionary: store %+v, memory %+v", got, want)
 	}
 	for _, r := range recs {
 		for _, at := range []int64{r.FinalizedAt, r.FinalizedAt + 1} {
 			if got, want := nu.HasRun(r.App, at), old.HasRun(r.App, at); got != want {
-				t.Errorf("HasRun(%s, %d): store %v, json %v", r.App, at, got, want)
+				t.Errorf("HasRun(%s, %d): store %v, memory %v", r.App, at, got, want)
 			}
 		}
 	}
 	for _, c := range appclass.All() {
 		if got, want := nu.ByClass(c), old.ByClass(c); !reflect.DeepEqual(got, want) {
-			t.Errorf("ByClass(%s): store %v, json %v", c, got, want)
+			t.Errorf("ByClass(%s): store %v, memory %v", c, got, want)
 		}
 	}
 	if got, want := nu.ClassCounts(), old.ClassCounts(); !reflect.DeepEqual(got, want) {
-		t.Errorf("ClassCounts: store %v, json %v", got, want)
+		t.Errorf("ClassCounts: store %v, memory %v", got, want)
 	}
 	if got, want := nu.TotalExecution(), old.TotalExecution(); got != want {
-		t.Errorf("TotalExecution: store %v, json %v", got, want)
+		t.Errorf("TotalExecution: store %v, memory %v", got, want)
 	}
 
 	// Scan pages agree record-for-record across both engines.
@@ -158,7 +148,7 @@ func TestEngineEquivalence(t *testing.T) {
 		{Verdict: appclass.IO},
 		{Since: 1_700_000_005_000_000_000, Until: 1_700_000_015_000_000_000},
 	} {
-		var fromStore, fromJSON []Row
+		var fromStore, fromMem []Row
 		for cursor := uint64(0); ; {
 			page, next, err := nu.Scan(f, cursor, 4)
 			if err != nil {
@@ -175,42 +165,30 @@ func TestEngineEquivalence(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			fromJSON = append(fromJSON, page...)
+			fromMem = append(fromMem, page...)
 			if next == 0 {
 				break
 			}
 			cursor = next
 		}
-		// The legacy JSON file groups records by application (Save writes
-		// apps sorted), so a loaded legacy DB has lost the global finalize
-		// order; compare the paginated results as sets. Per-application
-		// order is covered by the Runs comparison above.
-		sortRecs := func(rs []Row) {
-			sort.Slice(rs, func(a, b int) bool {
-				if rs[a].App != rs[b].App {
-					return rs[a].App < rs[b].App
-				}
-				return rs[a].Samples < rs[b].Samples
-			})
-		}
-		sortRecs(fromStore)
-		sortRecs(fromJSON)
-		if !reflect.DeepEqual(fromStore, fromJSON) {
-			t.Errorf("Scan(%+v) differs:\nstore %d records\njson  %d records", f, len(fromStore), len(fromJSON))
+		// Both engines keep the global finalize order, so the pages
+		// agree row for row.
+		if !reflect.DeepEqual(fromStore, fromMem) {
+			t.Errorf("Scan(%+v) differs:\nstore %+v\nmemory %+v", f, fromStore, fromMem)
 		}
 	}
+}
 
-	// The JSON export of the store-backed database is byte-identical to
-	// the legacy engine's: migration back out is lossless too.
-	var oldBuf, newBuf bytes.Buffer
-	if err := old.Save(&oldBuf); err != nil {
+// writeLegacy writes recs as a legacy whole-file JSON database, the
+// one-way input Open converts.
+func writeLegacy(t *testing.T, path string, recs []Record) {
+	t.Helper()
+	b, err := json.Marshal(map[string][]Record{"records": recs})
+	if err != nil {
 		t.Fatal(err)
 	}
-	if err := nu.Save(&newBuf); err != nil {
+	if err := os.WriteFile(path, b, 0o644); err != nil {
 		t.Fatal(err)
-	}
-	if !bytes.Equal(oldBuf.Bytes(), newBuf.Bytes()) {
-		t.Error("JSON export differs between engines")
 	}
 }
 
@@ -226,9 +204,7 @@ func TestOpenMigratesLegacyFile(t *testing.T) {
 		}
 	}
 	path := filepath.Join(t.TempDir(), "appdb.json")
-	if err := old.SaveFile(path); err != nil {
-		t.Fatal(err)
-	}
+	writeLegacy(t, path, recs)
 	db, err := Open(path, appstore.Options{})
 	if err != nil {
 		t.Fatal(err)

@@ -7,6 +7,8 @@ import (
 	"os"
 	"path/filepath"
 	"sync"
+
+	"repro/internal/seglog"
 )
 
 // The event log records operational incidents the database should
@@ -39,8 +41,9 @@ type eventLog struct {
 }
 
 // PutEvent appends an operational event. On the segmented store it is
-// durable (O_APPEND write of one JSON line); in memory it lives as long
-// as the DB.
+// durable: one JSON line is appended and fsynced, and the store
+// directory is fsynced when the append creates the file. In memory it
+// lives as long as the DB.
 func (db *DB) PutEvent(e Event) error {
 	if e.Type == "" {
 		return fmt.Errorf("appdb: event needs a type")
@@ -56,6 +59,7 @@ func (db *DB) PutEvent(e Event) error {
 		return nil
 	}
 	path := filepath.Join(db.store.Dir(), eventsFile)
+	_, statErr := os.Stat(path)
 	f, err := os.OpenFile(path, os.O_CREATE|os.O_RDWR|os.O_APPEND, 0o644)
 	if err != nil {
 		return fmt.Errorf("appdb: open event log: %w", err)
@@ -79,6 +83,12 @@ func (db *DB) PutEvent(e Event) error {
 	}
 	if _, err := f.Write(append(line, '\n')); err != nil {
 		return fmt.Errorf("appdb: append event: %w", err)
+	}
+	if err := f.Sync(); err != nil {
+		return fmt.Errorf("appdb: sync event log: %w", err)
+	}
+	if os.IsNotExist(statErr) {
+		return seglog.SyncDir(db.store.Dir())
 	}
 	return nil
 }

@@ -7,7 +7,8 @@ import (
 )
 
 // legacyDoc is the legacy JSON appdb file format ({"records": [...]}),
-// what appdb.SaveFile wrote before the segmented store existed.
+// what the in-memory engine saved before the segmented store existed.
+// Open converts such a file in place, one way.
 type legacyDoc struct {
 	Records []Record `json:"records"`
 }

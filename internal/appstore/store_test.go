@@ -517,7 +517,7 @@ func TestRetentionByBytesKeepsFloor(t *testing.T) {
 func TestLegacyMigrationInPlace(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "appdb.json")
-	// A legacy JSON database file as appdb.SaveFile wrote it.
+	// A legacy whole-file JSON database.
 	legacy := legacyDoc{Records: []Record{
 		testRecord("vm-a", appclass.CPU, 0),
 		testRecord("vm-b", appclass.IO, 1),

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"os"
 
 	"repro/internal/appclass"
 	"repro/internal/knn"
@@ -61,6 +62,20 @@ func (c *Classifier) Save(w io.Writer) error {
 		return fmt.Errorf("classify: save: %w", err)
 	}
 	return nil
+}
+
+// LoadFile reads a classifier artifact saved with Save from path.
+func LoadFile(path string) (*Classifier, error) {
+	f, err := os.Open(path)
+	if err != nil {
+		return nil, fmt.Errorf("classify: %w", err)
+	}
+	defer f.Close()
+	cl, err := Load(f)
+	if err != nil {
+		return nil, fmt.Errorf("%w (%s)", err, path)
+	}
+	return cl, nil
 }
 
 // Load reconstructs a classifier saved with Save.

@@ -2,7 +2,6 @@ package modelreg
 
 import (
 	"fmt"
-	"os"
 	"sort"
 	"sync"
 
@@ -66,14 +65,9 @@ func NewModel(cl *classify.Classifier, p Params, source string, loadedAtUnixNS i
 // written by `appdbtool retrain` or Classifier.Save) and wraps it as a
 // registry entry under the given serving params.
 func LoadFile(path string, p Params, loadedAtUnixNS int64) (*Model, error) {
-	f, err := os.Open(path)
+	cl, err := classify.LoadFile(path)
 	if err != nil {
-		return nil, fmt.Errorf("modelreg: open artifact: %w", err)
-	}
-	defer f.Close()
-	cl, err := classify.Load(f)
-	if err != nil {
-		return nil, fmt.Errorf("modelreg: load artifact %s: %w", path, err)
+		return nil, fmt.Errorf("modelreg: load artifact: %w", err)
 	}
 	return NewModel(cl, p, "file:"+path, loadedAtUnixNS)
 }

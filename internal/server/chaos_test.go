@@ -158,7 +158,7 @@ func driveChaos(t *testing.T, faulted bool) (*Server, chaosResult) {
 		delay := interval
 		if !p.breaker.Allow() {
 			s.counters.pollBreakerSkipped.Add(1)
-			p.recordGaps(delay)
+			p.recordGaps(delay, nil)
 		} else if err := p.pollOnce(ctx); err != nil {
 			p.breaker.Failure()
 			failures++
@@ -166,7 +166,7 @@ func driveChaos(t *testing.T, faulted bool) (*Server, chaosResult) {
 			if delay < interval {
 				delay = interval
 			}
-			p.recordGaps(delay)
+			p.recordGaps(delay, nil)
 		} else {
 			p.breaker.Success()
 			failures = 0

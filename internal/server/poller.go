@@ -154,7 +154,7 @@ func (p *poller) run(ctx context.Context, t *supervise.Task) {
 			// the skipped interval as a gap on every session this poller
 			// feeds.
 			s.counters.pollBreakerSkipped.Add(1)
-			p.recordGaps(delay)
+			p.recordGaps(delay, nil)
 		} else if err := p.pollOnce(ctx); err != nil {
 			if ctx.Err() != nil {
 				return // shutdown cancelled the fetch
@@ -166,7 +166,7 @@ func (p *poller) run(ctx context.Context, t *supervise.Task) {
 				delay = p.pc.Interval
 			}
 			s.cfg.Logf("server: poll %s: %v (attempt %d, next in %v)", p.pc.URL, err, failures, delay)
-			p.recordGaps(delay)
+			p.recordGaps(delay, nil)
 		} else {
 			p.breaker.Success()
 			failures = 0
@@ -177,11 +177,16 @@ func (p *poller) run(ctx context.Context, t *supervise.Task) {
 }
 
 // recordGaps accounts wall of lost coverage on every session this
-// poller is responsible for. Sessions already evicted fall out of the
-// known set; push-fed sessions are never in it.
-func (p *poller) recordGaps(wall time.Duration) {
+// poller is responsible for, except the nodes in fed (those a healthy
+// poll just reported; nil after a failed or skipped poll). Sessions
+// already evicted fall out of the known set; push-fed sessions are
+// never in it.
+func (p *poller) recordGaps(wall time.Duration, fed map[string]struct{}) {
 	s := p.s
 	for vm := range p.known {
+		if _, ok := fed[vm]; ok {
+			continue
+		}
 		sess, ok := s.reg.get(vm)
 		if !ok {
 			delete(p.known, vm)
@@ -213,7 +218,9 @@ func (p *poller) pollOnce(ctx context.Context) error {
 		s.counters.pollErrors.Add(1)
 		return err
 	}
-	at := s.now().Sub(s.start)
+	// Wall-clock stamps, not time since this process started: a session
+	// recovered after a restart then continues where it left off.
+	at := time.Duration(s.now().UnixNano())
 	names := s.cfg.Schema.Names()
 	fed := make(map[string]struct{}, len(state))
 	for node, nodeMetrics := range state {
@@ -241,24 +248,7 @@ func (p *poller) pollOnce(ctx context.Context) error {
 	// A node the aggregator used to report but no longer does missed
 	// this interval: its session goes gappy until the idle-TTL janitor
 	// finalizes it (or the node comes back).
-	for vm := range p.known {
-		if _, ok := fed[vm]; ok {
-			continue
-		}
-		sess, ok := s.reg.get(vm)
-		if !ok {
-			delete(p.known, vm)
-			continue
-		}
-		sess.mu.Lock()
-		if !sess.finalized {
-			sess.online.RecordGap(p.pc.Interval)
-			s.stateGen.Add(1)
-		}
-		sess.mu.Unlock()
-		s.counters.sampleGaps.Add(1)
-		s.counters.sampleGapNanos.Add(int64(p.pc.Interval))
-	}
+	p.recordGaps(p.pc.Interval, fed)
 	for vm := range fed {
 		p.known[vm] = struct{}{}
 	}

@@ -5,13 +5,16 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"sync/atomic"
 	"testing"
 	"time"
 
+	"repro/internal/appdb"
 	"repro/internal/ganglia"
 	"repro/internal/metrics"
 	"repro/internal/resilience"
+	"repro/internal/wal"
 )
 
 // servedGmetad builds a gmetad aggregator whose cluster state holds the
@@ -232,6 +235,80 @@ func TestPollNodeDisappearsMidRun(t *testing.T) {
 	}
 	if rec.Samples != 3 {
 		t.Errorf("finalized record has %d samples, want 3 (pre-vanish polls)", rec.Samples)
+	}
+}
+
+// TestPollStampsSurviveCrashRecovery polls a node ten times 5 s apart
+// into a journaled daemon, kills it, restarts it 60 s later on the same
+// journal and polls twice more. The finished record must equal an
+// uninterrupted daemon's under the same poll schedule: pull snapshots
+// carry wall-clock stamps, so the recovered session's new snapshots
+// land after its old ones.
+func TestPollStampsSurviveCrashRecovery(t *testing.T) {
+	const vm = "node-a"
+	srv := servedGmetad(t, vm)
+	clock := time.Unix(1_700_000_000, 0)
+	now := func() time.Time { return clock }
+	poll := func(s *Server, n int) {
+		t.Helper()
+		p := testPoller(s, srv)
+		for i := 0; i < n; i++ {
+			if err := p.pollOnce(context.Background()); err != nil {
+				t.Fatal(err)
+			}
+			clock = clock.Add(5 * time.Second)
+		}
+	}
+	finish := func(s *Server) appdb.Record {
+		t.Helper()
+		if w := postJSON(t, s.Handler(), "/v1/vms/"+vm+"/finish", nil); w.Code != http.StatusOK {
+			t.Fatalf("finish: %d %s", w.Code, w.Body.String())
+		}
+		rec, err := s.DB().Latest(vm)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return rec
+	}
+
+	ref := newTestServer(t, Config{Now: now})
+	poll(ref, 10)
+	clock = clock.Add(60 * time.Second)
+	poll(ref, 2)
+	want := finish(ref)
+
+	clock = time.Unix(1_700_000_000, 0)
+	dir := t.TempDir()
+	crashed, err := New(Config{Classifier: classifier(t), Journal: crashJournal(t, dir), Now: now})
+	if err != nil {
+		t.Fatal(err)
+	}
+	poll(crashed, 10)
+	// kill -9: the daemon is abandoned with its session live.
+	clock = clock.Add(60 * time.Second)
+	j, err := wal.Open(wal.Config{Dir: dir, Fsync: wal.FsyncNever})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { j.Close() })
+	restarted := newTestServer(t, Config{Journal: j, Now: now})
+	if rs, err := restarted.Recover(); err != nil || rs.Snapshots != 10 {
+		t.Fatalf("recover: %+v, %v; want 10 snapshots replayed", rs, err)
+	}
+	poll(restarted, 2)
+	got := finish(restarted)
+
+	if got.Samples != 12 || got.Samples != want.Samples {
+		t.Errorf("samples: recovered %d, uninterrupted %d, want 12", got.Samples, want.Samples)
+	}
+	if got.ExecutionTime != 115*time.Second || got.ExecutionTime != want.ExecutionTime {
+		t.Errorf("execution time: recovered %v, uninterrupted %v, want 115s", got.ExecutionTime, want.ExecutionTime)
+	}
+	if !reflect.DeepEqual(got.Phases, want.Phases) {
+		t.Errorf("stages differ:\nrecovered     %+v\nuninterrupted %+v", got.Phases, want.Phases)
+	}
+	if got.Class != want.Class || !reflect.DeepEqual(got.Composition, want.Composition) {
+		t.Errorf("recovered %s %v, uninterrupted %s %v", got.Class, got.Composition, want.Class, want.Composition)
 	}
 }
 
