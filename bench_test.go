@@ -23,6 +23,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"os"
 	"path/filepath"
 	"sync"
 	"sync/atomic"
@@ -967,4 +968,117 @@ func benchIngestBinary(b *testing.B, journal *wal.Journal, parallel bool) {
 		b.StopTimer()
 	}
 	b.ReportMetric(float64(b.N*vms*perVM)/b.Elapsed().Seconds(), "snaps/s")
+}
+
+// BenchmarkRecover measures a restart's recovery. One op is wal.Open,
+// server.New and Recover on a fresh copy of a journal directory; the
+// copy is made outside the timer.
+//
+//	journal     64 VMs × 2,000 snapshots in 8-row batches interleaved
+//	            across VMs, with no checkpoint: the end-to-end
+//	            benchmark's durable-small crash journal
+//	checkpoint  that state after one recovery: the 64 sessions sit in
+//	            its checkpoint and the journal tail is empty
+func BenchmarkRecover(b *testing.B) {
+	training, tests := loadRuns(b)
+	cl, err := classify.Train(training, classify.Config{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	schema := tests[0].trace.Schema()
+	root := b.TempDir()
+	journalDir, ckptDir := filepath.Join(root, "journal"), filepath.Join(root, "checkpoint")
+
+	j, err := wal.Open(wal.Config{Dir: journalDir, Fsync: wal.FsyncNever})
+	if err != nil {
+		b.Fatal(err)
+	}
+	// server.New stamps the journal with the model hash recovery checks.
+	if _, err := server.New(server.Config{Classifier: cl, Schema: schema, Journal: j}); err != nil {
+		b.Fatal(err)
+	}
+	const vms, perVM, rows = 64, 2000, 8
+	snaps := make([]metrics.Snapshot, rows)
+	for k := 0; k < perVM; k += rows {
+		for v := 0; v < vms; v++ {
+			trace := tests[v%len(tests)].trace
+			for r := range snaps {
+				snaps[r] = metrics.Snapshot{Time: time.Duration(k+r) * 5 * time.Second, Values: trace.At((v + k + r) % trace.Len()).Values}
+			}
+			if _, err := j.AppendBatch(fmt.Sprintf("vm-%03d", v), snaps); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+	if err := j.Close(); err != nil {
+		b.Fatal(err)
+	}
+	copyJournal(b, journalDir, ckptDir)
+	recoverJournal(b, cl, schema, ckptDir)
+
+	for _, bc := range []struct{ name, dir string }{{"journal", journalDir}, {"checkpoint", ckptDir}} {
+		b.Run(bc.name, func(b *testing.B) {
+			var restore, replay, checkpoint time.Duration
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				dir := filepath.Join(root, fmt.Sprintf("%s-%d", bc.name, i))
+				copyJournal(b, bc.dir, dir)
+				b.StartTimer()
+				rs := recoverJournal(b, cl, schema, dir)
+				b.StopTimer()
+				restore, replay, checkpoint = restore+rs.Restore, replay+rs.Replay, checkpoint+rs.Checkpoint
+				if err := os.RemoveAll(dir); err != nil {
+					b.Fatal(err)
+				}
+				b.StartTimer()
+			}
+			// Recovery's own step timers: where an op's time goes.
+			b.ReportMetric(float64(restore)/1e6/float64(b.N), "restore-ms/op")
+			b.ReportMetric(float64(replay)/1e6/float64(b.N), "replay-ms/op")
+			b.ReportMetric(float64(checkpoint)/1e6/float64(b.N), "checkpoint-ms/op")
+		})
+	}
+}
+
+// recoverJournal opens dir, recovers a daemon over it and crashes it:
+// the journal is closed with the sessions live, no shutdown.
+func recoverJournal(b *testing.B, cl *classify.Classifier, schema *metrics.Schema, dir string) server.RecoveryStats {
+	b.Helper()
+	j, err := wal.Open(wal.Config{Dir: dir, Fsync: wal.FsyncNever})
+	if err != nil {
+		b.Fatal(err)
+	}
+	srv, err := server.New(server.Config{Classifier: cl, Schema: schema, Journal: j})
+	if err != nil {
+		b.Fatal(err)
+	}
+	rs, err := srv.Recover()
+	if err != nil {
+		b.Fatal(err)
+	}
+	if err := j.Close(); err != nil {
+		b.Fatal(err)
+	}
+	return rs
+}
+
+// copyJournal copies the files of journal directory src into dst.
+func copyJournal(b *testing.B, src, dst string) {
+	b.Helper()
+	ents, err := os.ReadDir(src)
+	if err != nil {
+		b.Fatal(err)
+	}
+	if err := os.MkdirAll(dst, 0o755); err != nil {
+		b.Fatal(err)
+	}
+	for _, e := range ents {
+		data, err := os.ReadFile(filepath.Join(src, e.Name()))
+		if err == nil {
+			err = os.WriteFile(filepath.Join(dst, e.Name()), data, 0o644)
+		}
+		if err != nil {
+			b.Fatal(err)
+		}
+	}
 }

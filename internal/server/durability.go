@@ -2,8 +2,12 @@ package server
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
+	"runtime"
 	"sort"
+	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/classify"
@@ -57,11 +61,11 @@ func (s *Server) checkpoint(force bool) error {
 		return nil
 	}
 	pos := j.Pos()
-	var payload checkpointPayload
+	var sessions []sessionCheckpoint
 	for _, sess := range s.reg.all() {
 		sess.mu.Lock()
 		if !sess.finalized {
-			payload.Sessions = append(payload.Sessions, sessionCheckpoint{
+			sessions = append(sessions, sessionCheckpoint{
 				VM:             sess.vm,
 				LastSeenUnixNS: sess.lastSeen.UnixNano(),
 				State:          sess.online.ExportState(),
@@ -73,7 +77,11 @@ func (s *Server) checkpoint(force bool) error {
 
 	// ExportState deep-copies, so encoding and the disk write happen
 	// outside the quiesce.
-	seq, err := wal.SaveCheckpoint(j.Dir(), pos, s.now(), modelHash, payload)
+	var seq uint64
+	payload, err := encodeCheckpointPayload(sessions)
+	if err == nil {
+		seq, err = wal.SaveCheckpoint(j.Dir(), pos, s.now(), modelHash, payload)
+	}
 	if err != nil {
 		s.counters.checkpointErrors.Add(1)
 		return fmt.Errorf("server: checkpoint: %w", err)
@@ -85,8 +93,49 @@ func (s *Server) checkpoint(force bool) error {
 	s.ckptSaved, s.ckptGen, s.ckptHash = true, gen, modelHash
 	s.counters.checkpoints.Add(1)
 	s.cfg.Logf("server: checkpoint %d: %d session(s) at seg %d off %d",
-		seq, len(payload.Sessions), pos.Seg, pos.Off)
+		seq, len(sessions), pos.Seg, pos.Off)
 	return nil
+}
+
+// encodeCheckpointPayload returns json.Marshal of
+// checkpointPayload{Sessions: sessions}, byte for byte: the sessions
+// are encoded on GOMAXPROCS workers, each taking the next unencoded
+// session, and spliced into the document in order. No sessions encode
+// as {"sessions":null}, as the nil slice does.
+func encodeCheckpointPayload(sessions []sessionCheckpoint) ([]byte, error) {
+	if len(sessions) == 0 {
+		return []byte(`{"sessions":null}`), nil
+	}
+	parts := make([][]byte, len(sessions))
+	errs := make([]error, len(sessions))
+	var next atomic.Int64
+	var wg sync.WaitGroup
+	for w := min(runtime.GOMAXPROCS(0), len(sessions)); w > 0; w-- {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := int(next.Add(1)) - 1; i < len(sessions); i = int(next.Add(1)) - 1 {
+				parts[i], errs[i] = json.Marshal(&sessions[i])
+			}
+		}()
+	}
+	wg.Wait()
+	if err := errors.Join(errs...); err != nil {
+		return nil, fmt.Errorf("encode sessions: %w", err)
+	}
+	const head, tail = `{"sessions":[`, `]}`
+	n := len(head) + len(parts) - 1 + len(tail)
+	for _, p := range parts {
+		n += len(p)
+	}
+	doc := append(make([]byte, 0, n), head...)
+	for i, p := range parts {
+		if i > 0 {
+			doc = append(doc, ',')
+		}
+		doc = append(doc, p...)
+	}
+	return append(doc, tail...), nil
 }
 
 // StartCheckpointer launches the periodic checkpoint loop (cadence
@@ -149,128 +198,57 @@ type RecoveryStats struct {
 	// missing from the replay range: records in them are unrecoverable
 	// (deleted out of band, or pruned by a pre-floor retention pass).
 	GapSegments []uint64
+	// Restore, Replay, and Checkpoint are the wall time of recovery's
+	// three steps: restoring the checkpoint's sessions (with the model
+	// checks), the journal walk with every batch applied, and the
+	// closing checkpoint.
+	Restore, Replay, Checkpoint time.Duration
 }
 
-// Recover rebuilds live sessions after a restart: it loads the latest
-// checkpoint (if any) and restores each serialized session, checks from
-// their headers that the journal segments to replay were written under
-// the serving model, then replays the journal from the checkpoint's
-// position in one walk (see wal.Journal.Recover) — batches re-classify
-// into their sessions, finalize markers finalize into the application
-// database unless it already holds the record the marker's stamp
-// names, so each finish is stored once however often recovery runs.
-// A refused recovery leaves the journal untouched. It
-// finishes by writing a fresh checkpoint covering everything
-// recovered. Call it after New and before serving traffic; it is
-// single-threaded and must not race ingest. No-op without a journal.
+// Recover rebuilds live sessions after a restart: it restores each
+// session serialized in the checkpoint the journal's Open found (if
+// any), checks from their headers that the journal segments to replay
+// were written under the serving model, then replays the journal from
+// the checkpoint's position in one walk (see wal.Journal.Recover). The
+// walk hands each batch to one of GOMAXPROCS replay workers chosen by
+// its VM name, so every VM's batches re-classify into its session in
+// journal order while different VMs classify on different cores. A
+// finalize marker waits until every batch before it has been applied,
+// then runs on the walk: it finalizes into the application database
+// unless the database already holds the record the marker's stamp
+// names, so each finish is stored once however often recovery runs,
+// and database appends keep journal order. A refused recovery leaves
+// the journal untouched. It finishes by writing a fresh checkpoint
+// covering everything recovered. Call it once, after New and before
+// serving traffic; it must not race ingest, and it returns only after
+// every replay worker has exited. No-op without a journal.
 func (s *Server) Recover() (RecoveryStats, error) {
 	var rs RecoveryStats
 	j := s.cfg.Journal
 	if j == nil {
 		return rs, nil
 	}
-	cp, err := wal.LatestCheckpoint(j.Dir())
+	t0 := time.Now()
+	from, err := s.restoreCheckpoint(j.TakeCheckpoint(), &rs)
 	if err != nil {
-		return rs, fmt.Errorf("server: recover: %w", err)
+		return rs, err
 	}
-	activeHash := s.activeModelHash()
-	var from wal.Position
-	if cp != nil {
-		// A checkpoint's serialized sessions (per-metric drift state,
-		// fused-space segmenter history, training reservoirs) are only
-		// meaningful under the exact model that produced them, so a hash
-		// mismatch refuses recovery outright. -recover-force downgrades the
-		// refusal: the checkpoint is discarded and the journal tail alone
-		// is replayed under the current model.
-		restoreSessions := true
-		switch {
-		case cp.ModelHash == "":
-			s.cfg.Logf("server: recover: checkpoint %d predates model stamping; assuming it matches model %s", cp.Seq, s.ActiveModelID())
-		case cp.ModelHash != activeHash:
-			if !s.cfg.RecoverForce {
-				return rs, fmt.Errorf("server: recover: checkpoint %d was written under model %s but this daemon is serving model %s — serialized session state is not portable across models; start the daemon with the matching model, or pass -recover-force to discard the checkpoint and rebuild from the journal tail only",
-					cp.Seq, cp.ModelHash, activeHash)
-			}
-			restoreSessions = false
-			s.cfg.Logf("server: recover: FORCED past model mismatch: discarding checkpoint %d (model %s != active %s); sessions will be rebuilt from the journal tail only and may be incomplete",
-				cp.Seq, cp.ModelHash, activeHash)
-		}
-		if restoreSessions {
-			var payload checkpointPayload
-			if err := json.Unmarshal(cp.Payload, &payload); err != nil {
-				return rs, fmt.Errorf("server: recover: decode checkpoint %d: %w", cp.Seq, err)
-			}
-			for _, sc := range payload.Sessions {
-				online, err := classify.RestoreOnline(s.activeClassifier(), s.cfg.Schema, sc.State)
-				if err != nil {
-					return rs, fmt.Errorf("server: recover: session %s: %w", sc.VM, err)
-				}
-				// The restored segmenter (if any) carries on; only the open-set
-				// thresholds need re-attaching — they are never checkpointed.
-				s.armOnline(online)
-				sess := &session{vm: sc.VM, online: online, lastSeen: time.Unix(0, sc.LastSeenUnixNS), model: s.ActiveModelID()}
-				if _, created, err := s.reg.getOrCreate(sc.VM, func() (*session, error) {
-					return sess, nil
-				}); err != nil {
-					return rs, fmt.Errorf("server: recover: session %s: %w", sc.VM, err)
-				} else if !created {
-					return rs, fmt.Errorf("server: recover: duplicate session %s in checkpoint %d", sc.VM, cp.Seq)
-				}
-				rs.Sessions++
-			}
-		}
-		from = cp.Pos
-		rs.CheckpointSeq = cp.Seq
+	if err := s.checkReplayModels(j.Dir(), from.Seg); err != nil {
+		return rs, err
 	}
-	s.counters.recoveredSessions.Add(int64(rs.Sessions))
-
-	// The journal segments about to be replayed must also have been
-	// written under the active model: a record framed under a different
-	// model's schema/format is not safe to re-classify. Unstamped (v1)
-	// segments are allowed through with a note.
-	if hashes, herr := wal.SegmentHashes(j.Dir(), from.Seg); herr != nil {
-		s.cfg.Logf("server: recover: scan segment headers: %v", herr)
-	} else {
-		var mismatched []uint64
-		unstamped := 0
-		for seq, h := range hashes {
-			switch h {
-			case "":
-				unstamped++
-			case activeHash:
-			default:
-				mismatched = append(mismatched, seq)
-			}
-		}
-		if unstamped > 0 {
-			s.cfg.Logf("server: recover: %d journal segment(s) predate model stamping; assuming they match model %s", unstamped, s.ActiveModelID())
-		}
-		if len(mismatched) > 0 {
-			sort.Slice(mismatched, func(a, b int) bool { return mismatched[a] < mismatched[b] })
-			if !s.cfg.RecoverForce {
-				return rs, fmt.Errorf("server: recover: journal segment(s) %v were written under a different model than the active %s — refusing to replay them; start the daemon with the matching model, or pass -recover-force to replay anyway",
-					mismatched, activeHash)
-			}
-			s.cfg.Logf("server: recover: FORCED past model mismatch in journal segment(s) %v; replaying them under model %s anyway", mismatched, s.ActiveModelID())
-		}
-	}
+	t1 := time.Now()
+	rs.Restore = t1.Sub(t0)
 
 	// The walk steps over bad frames and cuts every segment after its
 	// last intact frame, so a tear this crash left is gone before any
 	// record of this run follows it.
+	rp := s.startReplay()
 	replay, err := j.Recover(from, func(pos wal.Position, rec wal.Record) error {
 		switch rec.Type {
 		case wal.RecordBatch:
-			if _, _, err := s.observeBatch(rec.VM, rec.Snaps, nil, false); err != nil {
-				rs.Errors++
-				s.cfg.Logf("server: recover: replay batch for %s at seg %d off %d: %v",
-					rec.VM, pos.Seg, pos.Off, err)
-				return nil
-			}
-			rs.Records++
-			rs.Snapshots += len(rec.Snaps)
-			s.counters.replayedSnapshots.Add(int64(len(rec.Snaps)))
+			rp.dispatch(pos, rec)
 		case wal.RecordFinalize:
+			rp.barrier()
 			rs.Records++
 			s.sawStamp(rec.At)
 			sess, ok := s.reg.get(rec.VM)
@@ -297,6 +275,7 @@ func (s *Server) Recover() (RecoveryStats, error) {
 		}
 		return nil
 	})
+	rp.stop(&rs)
 	if err != nil {
 		return rs, fmt.Errorf("server: recover: %w", err)
 	}
@@ -309,10 +288,8 @@ func (s *Server) Recover() (RecoveryStats, error) {
 		s.cfg.Logf("server: recover: JOURNAL GAP: segment(s) %v missing from %s — records in them are unrecoverable and the recovered state may be incomplete",
 			replay.MissingSegments, j.Dir())
 	}
-	if rs.Sessions > 0 || rs.Records > 0 {
-		s.cfg.Logf("server: recovered %d session(s) from checkpoint %d, replayed %d record(s) (%d snapshot(s), %d finalize(s), %d already stored, %d error(s), %d corrupt frame(s) stepped over)",
-			rs.Sessions, rs.CheckpointSeq, rs.Records, rs.Snapshots, rs.Finalized, rs.AlreadyStored, rs.Errors, rs.CorruptFrames)
-	}
+	t2 := time.Now()
+	rs.Replay = t2.Sub(t1)
 	// Checkpoint immediately: the recovered state now covers everything
 	// on disk, so pinning it (and the retention floor) to the journal's
 	// current position means a crash right after this restart replays
@@ -322,5 +299,189 @@ func (s *Server) Recover() (RecoveryStats, error) {
 	if err := s.Checkpoint(); err != nil {
 		s.cfg.Logf("server: recover: post-recovery checkpoint: %v", err)
 	}
+	rs.Checkpoint = time.Since(t2)
+	for i, d := range []time.Duration{rs.Restore, rs.Replay, rs.Checkpoint} {
+		s.counters.recoveryNanos[i].Store(d.Nanoseconds())
+	}
+	if rs.Sessions > 0 || rs.Records > 0 {
+		s.cfg.Logf("server: recovered %d session(s) from checkpoint %d, replayed %d record(s) (%d snapshot(s), %d finalize(s), %d already stored, %d error(s), %d corrupt frame(s) stepped over) in %v: restore %v, replay %v, checkpoint %v",
+			rs.Sessions, rs.CheckpointSeq, rs.Records, rs.Snapshots, rs.Finalized, rs.AlreadyStored, rs.Errors, rs.CorruptFrames,
+			time.Since(t0).Round(time.Microsecond), rs.Restore.Round(time.Microsecond), rs.Replay.Round(time.Microsecond), rs.Checkpoint.Round(time.Microsecond))
+	}
 	return rs, nil
+}
+
+// restoreCheckpoint restores the sessions serialized in cp, the
+// checkpoint recovery starts from (nil for none), counting them in rs,
+// and returns the journal position replay resumes from.
+func (s *Server) restoreCheckpoint(cp *wal.Checkpoint, rs *RecoveryStats) (wal.Position, error) {
+	if cp == nil {
+		return wal.Position{}, nil
+	}
+	activeHash := s.activeModelHash()
+	// A checkpoint's serialized sessions (per-metric drift state,
+	// fused-space segmenter history, training reservoirs) are only
+	// meaningful under the exact model that produced them, so a hash
+	// mismatch refuses recovery outright. -recover-force downgrades the
+	// refusal: the checkpoint is discarded and the journal tail alone
+	// is replayed under the current model.
+	restoreSessions := true
+	switch {
+	case cp.ModelHash == "":
+		s.cfg.Logf("server: recover: checkpoint %d predates model stamping; assuming it matches model %s", cp.Seq, s.ActiveModelID())
+	case cp.ModelHash != activeHash:
+		if !s.cfg.RecoverForce {
+			return wal.Position{}, fmt.Errorf("server: recover: checkpoint %d was written under model %s but this daemon is serving model %s — serialized session state is not portable across models; start the daemon with the matching model, or pass -recover-force to discard the checkpoint and rebuild from the journal tail only",
+				cp.Seq, cp.ModelHash, activeHash)
+		}
+		restoreSessions = false
+		s.cfg.Logf("server: recover: FORCED past model mismatch: discarding checkpoint %d (model %s != active %s); sessions will be rebuilt from the journal tail only and may be incomplete",
+			cp.Seq, cp.ModelHash, activeHash)
+	}
+	rs.CheckpointSeq = cp.Seq
+	if !restoreSessions {
+		return cp.Pos, nil
+	}
+	var payload checkpointPayload
+	if err := json.Unmarshal(cp.Payload, &payload); err != nil {
+		return wal.Position{}, fmt.Errorf("server: recover: decode checkpoint %d: %w", cp.Seq, err)
+	}
+	for _, sc := range payload.Sessions {
+		online, err := classify.RestoreOnline(s.activeClassifier(), s.cfg.Schema, sc.State)
+		if err != nil {
+			return wal.Position{}, fmt.Errorf("server: recover: session %s: %w", sc.VM, err)
+		}
+		// The restored segmenter (if any) carries on; only the open-set
+		// thresholds need re-attaching — they are never checkpointed.
+		s.armOnline(online)
+		sess := &session{vm: sc.VM, online: online, lastSeen: time.Unix(0, sc.LastSeenUnixNS), model: s.ActiveModelID()}
+		if _, created, err := s.reg.getOrCreate(sc.VM, func() (*session, error) {
+			return sess, nil
+		}); err != nil {
+			return wal.Position{}, fmt.Errorf("server: recover: session %s: %w", sc.VM, err)
+		} else if !created {
+			return wal.Position{}, fmt.Errorf("server: recover: duplicate session %s in checkpoint %d", sc.VM, cp.Seq)
+		}
+		rs.Sessions++
+	}
+	s.counters.recoveredSessions.Add(int64(rs.Sessions))
+	return cp.Pos, nil
+}
+
+// checkReplayModels checks that the journal segments replay will
+// walk, those numbered from and up, were written under the active
+// model: a record framed under a different model's schema/format is
+// not safe to re-classify. Unstamped (v1) segments are allowed through
+// with a note.
+func (s *Server) checkReplayModels(dir string, from uint64) error {
+	hashes, err := wal.SegmentHashes(dir, from)
+	if err != nil {
+		s.cfg.Logf("server: recover: scan segment headers: %v", err)
+		return nil
+	}
+	activeHash := s.activeModelHash()
+	var mismatched []uint64
+	unstamped := 0
+	for seq, h := range hashes {
+		switch h {
+		case "":
+			unstamped++
+		case activeHash:
+		default:
+			mismatched = append(mismatched, seq)
+		}
+	}
+	if unstamped > 0 {
+		s.cfg.Logf("server: recover: %d journal segment(s) predate model stamping; assuming they match model %s", unstamped, s.ActiveModelID())
+	}
+	if len(mismatched) == 0 {
+		return nil
+	}
+	sort.Slice(mismatched, func(a, b int) bool { return mismatched[a] < mismatched[b] })
+	if !s.cfg.RecoverForce {
+		return fmt.Errorf("server: recover: journal segment(s) %v were written under a different model than the active %s — refusing to replay them; start the daemon with the matching model, or pass -recover-force to replay anyway",
+			mismatched, activeHash)
+	}
+	s.cfg.Logf("server: recover: FORCED past model mismatch in journal segment(s) %v; replaying them under model %s anyway", mismatched, s.ActiveModelID())
+	return nil
+}
+
+// replayQueue bounds each replay worker's backlog, so replay holds a
+// few dozen records per worker in memory, never the journal.
+const replayQueue = 32
+
+// replayer applies journaled batches on VM-keyed workers. Batches of
+// one VM always go to the same worker, whose queue is FIFO, so each
+// session sees its batches in journal order.
+type replayer struct {
+	s      *Server
+	queues []chan replayItem
+	// pending counts batches dispatched but not yet applied; barrier
+	// waits for it to drain. Only the walk adds and waits.
+	pending sync.WaitGroup
+	workers sync.WaitGroup
+	counts  []replayCounts // one per worker, written as it exits
+}
+
+type replayItem struct {
+	pos wal.Position
+	rec wal.Record
+}
+
+type replayCounts struct{ records, snapshots, errors int }
+
+// startReplay starts one replay worker per P.
+func (s *Server) startReplay() *replayer {
+	n := runtime.GOMAXPROCS(0)
+	rp := &replayer{s: s, queues: make([]chan replayItem, n), counts: make([]replayCounts, n)}
+	for i := range rp.queues {
+		rp.queues[i] = make(chan replayItem, replayQueue)
+		rp.workers.Add(1)
+		go rp.work(i)
+	}
+	return rp
+}
+
+// work applies worker i's batches in arrival order. An apply error is
+// counted and logged and never aborts replay.
+func (rp *replayer) work(i int) {
+	defer rp.workers.Done()
+	var c replayCounts
+	for it := range rp.queues[i] {
+		if _, _, err := rp.s.observeBatch(it.rec.VM, it.rec.Snaps, nil, false); err != nil {
+			c.errors++
+			rp.s.cfg.Logf("server: recover: replay batch for %s at seg %d off %d: %v",
+				it.rec.VM, it.pos.Seg, it.pos.Off, err)
+		} else {
+			c.records++
+			c.snapshots += len(it.rec.Snaps)
+			rp.s.counters.replayedSnapshots.Add(int64(len(it.rec.Snaps)))
+		}
+		rp.pending.Done()
+	}
+	rp.counts[i] = c
+}
+
+// dispatch queues a batch record on its VM's worker, blocking while
+// that worker's queue is full.
+func (rp *replayer) dispatch(pos wal.Position, rec wal.Record) {
+	rp.pending.Add(1)
+	rp.queues[fnv1a(rec.VM)%uint32(len(rp.queues))] <- replayItem{pos: pos, rec: rec}
+}
+
+// barrier returns once every batch dispatched so far has been applied.
+func (rp *replayer) barrier() { rp.pending.Wait() }
+
+// stop closes the queues, waits for every worker to exit, and adds
+// their counts to rs.
+func (rp *replayer) stop(rs *RecoveryStats) {
+	for _, q := range rp.queues {
+		close(q)
+	}
+	rp.workers.Wait()
+	for _, c := range rp.counts {
+		rs.Records += c.records
+		rs.Snapshots += c.snapshots
+		rs.Errors += c.errors
+	}
 }

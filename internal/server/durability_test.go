@@ -827,17 +827,17 @@ func checkpointFiles(t *testing.T, dir string) []string {
 	return names
 }
 
-// checkpointsTotal reads appclassd_checkpoints_total from /metricsz.
-func checkpointsTotal(t *testing.T, s *Server) string {
+// metricszValue reads one series, labels included, from /metricsz.
+func metricszValue(t *testing.T, s *Server, series string) string {
 	t.Helper()
 	w := httptest.NewRecorder()
 	s.Handler().ServeHTTP(w, httptest.NewRequest(http.MethodGet, "/metricsz", nil))
 	for _, line := range strings.Split(w.Body.String(), "\n") {
-		if v, ok := strings.CutPrefix(line, "appclassd_checkpoints_total "); ok {
+		if v, ok := strings.CutPrefix(line, series+" "); ok {
 			return v
 		}
 	}
-	t.Fatal("no appclassd_checkpoints_total on /metricsz")
+	t.Fatalf("no %s on /metricsz", series)
 	return ""
 }
 
@@ -857,7 +857,7 @@ func TestCheckpointSkippedWhenIdle(t *testing.T) {
 	if err := s.Checkpoint(); err != nil {
 		t.Fatal(err)
 	}
-	files, total := checkpointFiles(t, dir), checkpointsTotal(t, s)
+	files, total := checkpointFiles(t, dir), metricszValue(t, s, "appclassd_checkpoints_total")
 	if len(files) != 1 || total != "1" {
 		t.Fatalf("after the first checkpoint: files %v, appclassd_checkpoints_total %s", files, total)
 	}
@@ -869,7 +869,7 @@ func TestCheckpointSkippedWhenIdle(t *testing.T) {
 	if got := checkpointFiles(t, dir); fmt.Sprint(got) != fmt.Sprint(files) {
 		t.Errorf("idle ticks changed the checkpoint files from %v to %v", files, got)
 	}
-	if got := checkpointsTotal(t, s); got != total {
+	if got := metricszValue(t, s, "appclassd_checkpoints_total"); got != total {
 		t.Errorf("idle ticks moved appclassd_checkpoints_total from %s to %s", total, got)
 	}
 	ingest(5)
@@ -879,7 +879,7 @@ func TestCheckpointSkippedWhenIdle(t *testing.T) {
 	if cp, err := wal.LatestCheckpoint(dir); err != nil || cp == nil || cp.Seq != 2 {
 		t.Errorf("checkpoint after new ingest = %+v (err %v), want sequence 2", cp, err)
 	}
-	if got := checkpointsTotal(t, s); got != "2" {
+	if got := metricszValue(t, s, "appclassd_checkpoints_total"); got != "2" {
 		t.Errorf("appclassd_checkpoints_total = %s after new ingest, want 2", got)
 	}
 }
@@ -929,7 +929,7 @@ func TestCheckpointAfterDegradedIngest(t *testing.T) {
 	if len(payload.Sessions) != 1 || payload.Sessions[0].State.Total != 3 {
 		t.Errorf("checkpoint after degraded ingest holds %+v, want deg-vm with 3 snapshots", payload.Sessions)
 	}
-	if got := checkpointsTotal(t, s); got != "2" {
+	if got := metricszValue(t, s, "appclassd_checkpoints_total"); got != "2" {
 		t.Errorf("appclassd_checkpoints_total = %s, want 2", got)
 	}
 }

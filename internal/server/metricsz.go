@@ -51,6 +51,9 @@ type counters struct {
 	recoveredSessions  atomic.Int64 // sessions restored from a checkpoint at startup
 	journalGapSegments atomic.Int64 // journal segments found missing (unrecoverable) during recovery
 	journalCorrupt     atomic.Int64 // bad journal frames recovery stepped over
+	// recoveryNanos are gauges: the wall time of the last Recover's
+	// steps, in recoverySteps order.
+	recoveryNanos [len(recoverySteps)]atomic.Int64
 
 	unknownSnapshots   atomic.Int64 // snapshots outside their voted class's open-set threshold
 	unknownSessions    atomic.Int64 // sessions finalized with an UNKNOWN open-set verdict
@@ -87,6 +90,9 @@ type counters struct {
 
 	classifications map[appclass.Class]*atomic.Int64
 }
+
+// recoverySteps label appclassd_recovery_seconds.
+var recoverySteps = [...]string{"restore", "replay", "checkpoint"}
 
 func newCounters() *counters {
 	c := &counters{classifications: make(map[appclass.Class]*atomic.Int64)}
@@ -213,6 +219,9 @@ func (s *Server) collect(emit func(name, help, typ string, v float64, labels ...
 		// is a counter (reset on restart like every other one).
 		counter("appclassd_journal_truncated_segments_total", "Closed journal segments deleted once neither kept checkpoint replays from them.", js.TruncatedSegments)
 		counter("appclassd_journal_corrupt_frames_total", "Corrupt journal frames stepped over at recovery; each cost its own record.", c.journalCorrupt.Load())
+		for i, step := range recoverySteps {
+			gauge("appclassd_recovery_seconds", "Wall time of each step of the start-up recovery: checkpoint restore, journal replay, closing checkpoint.", float64(c.recoveryNanos[i].Load())/1e9, "step", step)
+		}
 		fsyncAge := -1.0
 		if !js.LastSync.IsZero() {
 			fsyncAge = s.now().Sub(js.LastSync).Seconds()

@@ -56,24 +56,23 @@ func newRegistry(n int) *registry {
 	return r
 }
 
-// shardIndex is FNV-1a over the VM name, inlined so the per-ingest
-// shard lookup never allocates (hash/fnv's interface-shaped hasher
-// escapes to the heap).
-func (r *registry) shardIndex(vm string) int {
+// fnv1a is FNV-1a over s, inlined so a per-ingest lookup never
+// allocates (hash/fnv's interface-shaped hasher escapes to the heap).
+func fnv1a(s string) uint32 {
 	const (
 		offset32 = 2166136261
 		prime32  = 16777619
 	)
 	h := uint32(offset32)
-	for i := 0; i < len(vm); i++ {
-		h ^= uint32(vm[i])
+	for i := 0; i < len(s); i++ {
+		h ^= uint32(s[i])
 		h *= prime32
 	}
-	return int(h % uint32(len(r.shards)))
+	return h
 }
 
 func (r *registry) shardFor(vm string) *shard {
-	return r.shards[r.shardIndex(vm)]
+	return r.shards[fnv1a(vm)%uint32(len(r.shards))]
 }
 
 // get returns the live session for vm, if any.

@@ -1,6 +1,7 @@
 package wal
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -63,11 +64,12 @@ func listCheckpoints(dir string) ([]seglog.Seg, error) {
 // directory fsync), then prunes all but the newest checkpointsToKeep
 // files. modelHash is the hex compatibility hash of the model the
 // payload was serialized under ("" to leave the checkpoint unstamped).
-// payload is the caller's state as a value: it is JSON-encoded in the
-// same pass as the envelope. Bytes already encoded go in as a
-// json.RawMessage; a plain []byte would be encoded as a base64 string.
-// It returns the new checkpoint's sequence.
-func SaveCheckpoint(dir string, pos Position, takenAt time.Time, modelHash string, payload any) (uint64, error) {
+// payload is the caller's state already encoded as json.Marshal
+// encodes it (compact, HTML-escaped); an empty payload is null. It is
+// written between the envelope's bytes as it is, without a second
+// pass, so the file is byte for byte json.Marshal of a Checkpoint
+// whose Payload is payload. It returns the new checkpoint's sequence.
+func SaveCheckpoint(dir string, pos Position, takenAt time.Time, modelHash string, payload []byte) (uint64, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return 0, fmt.Errorf("wal: create %s: %w", dir, err)
 	}
@@ -79,20 +81,24 @@ func SaveCheckpoint(dir string, pos Position, takenAt time.Time, modelHash strin
 	if n := len(cps); n > 0 {
 		seq = cps[n-1].Seq + 1
 	}
-	// The outer Payload shadows Checkpoint.Payload and is its last
-	// field, so the document has Checkpoint's fields in Checkpoint's
-	// order: the bytes a RawMessage of the encoded payload would give,
-	// without compacting those bytes a second time.
-	doc, err := json.Marshal(struct {
-		Checkpoint
-		Payload any `json:"payload"`
-	}{Checkpoint{Seq: seq, Pos: pos, TakenAtUnixNS: takenAt.UnixNano(), ModelHash: modelHash}, payload})
+	// Payload is Checkpoint's last field, and a nil one encodes as
+	// null: the envelope is that document up to the null, then the
+	// payload bytes, then the closing brace.
+	head, err := json.Marshal(Checkpoint{Seq: seq, Pos: pos, TakenAtUnixNS: takenAt.UnixNano(), ModelHash: modelHash})
 	if err != nil {
 		return 0, fmt.Errorf("wal: encode checkpoint: %w", err)
 	}
+	head = bytes.TrimSuffix(head, []byte("null}"))
+	if len(payload) == 0 {
+		payload = []byte("null")
+	}
 	if err := seglog.WriteFile(checkpointNames.Path(dir, seq), func(w io.Writer) error {
-		_, err := w.Write(doc)
-		return err
+		for _, part := range [][]byte{head, payload, []byte("}")} {
+			if _, err := w.Write(part); err != nil {
+				return err
+			}
+		}
+		return nil
 	}); err != nil {
 		return 0, fmt.Errorf("wal: save checkpoint: %w", err)
 	}

@@ -83,9 +83,9 @@ func TestCorruptLatestFallsBackToPrevious(t *testing.T) {
 }
 
 // TestSaveCheckpointBytesUnchanged pins the checkpoint file format:
-// encoding the payload in one pass with the envelope writes exactly
-// the bytes of the two-pass form, json.Marshal of a Checkpoint whose
-// Payload is the separately marshalled payload. So a checkpoint written
+// SaveCheckpoint writes the payload json.Marshal gave it between the
+// envelope's bytes, and the file is exactly json.Marshal of a
+// Checkpoint whose Payload is that payload. So a checkpoint written
 // either way recovers under code that writes the other.
 func TestSaveCheckpointBytesUnchanged(t *testing.T) {
 	type state struct {
@@ -114,15 +114,15 @@ func TestSaveCheckpointBytesUnchanged(t *testing.T) {
 			dir := t.TempDir()
 			at := time.Unix(1700000000, 123)
 			pos := Position{Seg: 7, Off: 4242}
-			seq, err := SaveCheckpoint(dir, pos, at, "cafe0123", payload)
+			inner, err := json.Marshal(payload)
+			if err != nil {
+				t.Fatal(err)
+			}
+			seq, err := SaveCheckpoint(dir, pos, at, "cafe0123", inner)
 			if err != nil {
 				t.Fatal(err)
 			}
 			got, err := os.ReadFile(checkpointNames.Path(dir, seq))
-			if err != nil {
-				t.Fatal(err)
-			}
-			inner, err := json.Marshal(payload)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -143,13 +143,9 @@ func TestSaveCheckpointBytesUnchanged(t *testing.T) {
 			if err != nil || cp == nil {
 				t.Fatalf("LatestCheckpoint = %+v, %v", cp, err)
 			}
-			var compact bytes.Buffer
-			if err := json.Compact(&compact, inner); err != nil {
-				t.Fatal(err)
-			}
 			if cp.Seq != seq || cp.Pos != pos || cp.TakenAtUnixNS != at.UnixNano() || cp.ModelHash != "cafe0123" ||
-				!bytes.Equal(cp.Payload, compact.Bytes()) {
-				t.Fatalf("read back %+v (payload %s), want payload %s", cp, cp.Payload, compact.Bytes())
+				!bytes.Equal(cp.Payload, inner) {
+				t.Fatalf("read back %+v (payload %s), want payload %s", cp, cp.Payload, inner)
 			}
 		})
 	}

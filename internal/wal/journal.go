@@ -164,6 +164,9 @@ type Journal struct {
 	// (retainSet false) means no checkpoint has been seen.
 	retainSeg uint64
 	retainSet bool
+	// opened is the newest readable checkpoint Open found, held for
+	// recovery until TakeCheckpoint hands it over.
+	opened *Checkpoint
 	// scrubNext is the scrub cursor: the next sealed segment sequence
 	// Scrub examines, so successive low-rate passes cycle the journal.
 	scrubNext uint64
@@ -193,7 +196,9 @@ type Journal struct {
 // segment after any existing ones. Existing segments are never appended
 // to (their tails may be torn from a previous crash); they remain
 // readable for Replay until retention deletes them. Temp files a crash
-// left behind mid-checkpoint or mid-repair are removed.
+// left behind mid-checkpoint or mid-repair are removed. The newest
+// readable checkpoint is parsed once: it seeds the retention floor and
+// waits for TakeCheckpoint.
 func Open(cfg Config) (*Journal, error) {
 	if cfg.Dir == "" {
 		return nil, fmt.Errorf("wal: empty journal directory")
@@ -232,12 +237,14 @@ func Open(cfg Config) (*Journal, error) {
 	if n := len(segs); n > 0 {
 		next = segs[n-1].Seq + 1
 	}
-	// Seed the retention floor from the newest checkpoint, so the next
-	// checkpoint trims only what that one no longer needs.
-	if cp, err := LatestCheckpoint(cfg.Dir); err != nil {
+	// Seed the retention floor from the newest readable checkpoint, so
+	// the next checkpoint trims only what that one no longer needs, and
+	// keep it for recovery: the floor and the replay start are then one
+	// checkpoint's, and a start parses it once.
+	if j.opened, err = LatestCheckpoint(cfg.Dir); err != nil {
 		return nil, err
-	} else if cp != nil {
-		j.retainSeg, j.retainSet = cp.Pos.Seg, true
+	} else if j.opened != nil {
+		j.retainSeg, j.retainSet = j.opened.Pos.Seg, true
 	}
 	if err := j.w.Create(next); err != nil {
 		return nil, fmt.Errorf("wal: %w", err)
@@ -247,6 +254,20 @@ func Open(cfg Config) (*Journal, error) {
 		go j.syncLoop()
 	}
 	return j, nil
+}
+
+// TakeCheckpoint returns the newest readable checkpoint Open found in
+// the journal directory (an unreadable newer one skipped, as
+// LatestCheckpoint does), or nil if there was none. The journal seeded
+// its retention floor from this checkpoint, so recovery replays from
+// it. The journal keeps no reference to it: a second call returns nil,
+// and the payload is freed once the caller drops it.
+func (j *Journal) TakeCheckpoint() *Checkpoint {
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	cp := j.opened
+	j.opened = nil
+	return cp
 }
 
 // Dir returns the journal directory.

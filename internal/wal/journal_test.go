@@ -318,7 +318,8 @@ func TestPruneRespectsRetainFloor(t *testing.T) {
 // TestOpenSeedsRetainFloorFromCheckpoint: a journal reopened over a
 // directory holding a checkpoint starts with its floor at that
 // checkpoint's segment, so its first checkpoint already trims what the
-// old one no longer needs, and keeps what it does.
+// old one no longer needs, and keeps what it does. TakeCheckpoint
+// hands that checkpoint over once.
 func TestOpenSeedsRetainFloorFromCheckpoint(t *testing.T) {
 	dir := t.TempDir()
 	cfg := Config{Dir: dir, Fsync: FsyncNever, SegmentBytes: 2 << 10}
@@ -334,6 +335,12 @@ func TestOpenSeedsRetainFloorFromCheckpoint(t *testing.T) {
 	}
 
 	j2 := openTestJournal(t, cfg)
+	if cp := j2.TakeCheckpoint(); cp == nil || cp.Pos != pos || string(cp.Payload) != "{}" {
+		t.Errorf("TakeCheckpoint = %+v, want the checkpoint at %+v", cp, pos)
+	}
+	if cp := j2.TakeCheckpoint(); cp != nil {
+		t.Errorf("second TakeCheckpoint = %+v, want nil", cp)
+	}
 	appendBatches(t, j2, 25)
 	pos2 := checkpointNow(t, j2)
 	st := j2.Stats()
