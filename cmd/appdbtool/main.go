@@ -25,9 +25,9 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"net/url"
 	"os"
 	"sort"
-	"strconv"
 	"time"
 
 	"repro/internal/appclass"
@@ -181,23 +181,11 @@ func run(cmd string, args []string, stdout io.Writer) error {
 		limit := fs.Int("limit", 0, "page size (default 50, max 1000)")
 		cursor := fs.Uint64("cursor", 0, "resume a previous page (0 starts at the newest run)")
 		return withDB(args, fs, func(db *appdb.DB) error {
-			f := appdb.Filter{
-				App:     *app,
-				Class:   appclass.Class(*class),
-				Verdict: appclass.Class(*verdict),
-			}
-			if f.Class != "" && !appclass.Valid(f.Class) {
-				return fmt.Errorf("ls: unknown class %q", f.Class)
-			}
-			if f.Verdict != "" && f.Verdict != appclass.Unknown && !appclass.Valid(f.Verdict) {
-				return fmt.Errorf("ls: unknown verdict %q", f.Verdict)
-			}
-			var err error
-			if f.Since, err = parseTime(*since); err != nil {
-				return fmt.Errorf("ls: -since: %w", err)
-			}
-			if f.Until, err = parseTime(*until); err != nil {
-				return fmt.Errorf("ls: -until: %w", err)
+			f, err := appstore.ParseFilter(url.Values{
+				"app": {*app}, "class": {*class}, "verdict": {*verdict}, "since": {*since}, "until": {*until},
+			}.Get)
+			if err != nil {
+				return fmt.Errorf("ls: %w", err)
 			}
 			rows, next, err := db.Scan(f, *cursor, *limit)
 			if err != nil {
@@ -367,18 +355,4 @@ func withArgPath(args []string, fn func(string) error) error {
 		return fmt.Errorf("expected exactly one database path, got %v", args)
 	}
 	return fn(args[0])
-}
-
-// parseTime accepts RFC3339 or integer unix seconds; zero when empty.
-func parseTime(v string) (int64, error) {
-	if v == "" {
-		return 0, nil
-	}
-	if secs, err := strconv.ParseInt(v, 10, 64); err == nil {
-		return secs * int64(time.Second), nil
-	}
-	if t, err := time.Parse(time.RFC3339, v); err == nil {
-		return t.UnixNano(), nil
-	}
-	return 0, fmt.Errorf("want RFC3339 or unix seconds, got %q", v)
 }

@@ -237,6 +237,39 @@ func TestLs(t *testing.T) {
 	}
 }
 
+// TestLsFiltersRunsLikeV1Runs runs both edges of the int64-nanosecond
+// span through ls, in unix seconds and in RFC3339: ls takes the times
+// /v1/runs takes and refuses, rather than wraps, the ones past them.
+func TestLsFiltersRunsLikeV1Runs(t *testing.T) {
+	path := writeTestDB(t)
+	for _, tc := range []struct {
+		flag, value string
+		ok          bool
+	}{
+		{"-since", "1677-09-21T00:12:44Z", true},
+		{"-since", "-9223372036", true},
+		{"-until", "2262-04-11T23:47:16Z", true},
+		{"-until", "9223372036", true},
+		{"-since", "1677-09-21T00:12:43Z", false},
+		{"-since", "-9223372037", false},
+		{"-until", "2262-04-11T23:47:17Z", false},
+		{"-until", "9223372037", false},
+		{"-since", "10000000000", false},
+		{"-since", "2300-01-01T00:00:00Z", false},
+	} {
+		var out bytes.Buffer
+		err := run("ls", []string{tc.flag, tc.value, path}, &out)
+		switch {
+		case tc.ok && err != nil:
+			t.Errorf("ls %s %s: %v", tc.flag, tc.value, err)
+		case tc.ok && !strings.Contains(out.String(), "4 record(s), end of database"):
+			t.Errorf("ls %s %s output:\n%s", tc.flag, tc.value, out.String())
+		case !tc.ok && (err == nil || !strings.Contains(err.Error(), "must be RFC3339 or unix seconds within")):
+			t.Errorf("ls %s %s = %v, want the span refusal; output:\n%s", tc.flag, tc.value, err, out.String())
+		}
+	}
+}
+
 func TestMigrate(t *testing.T) {
 	path, legacy := writeLegacyDB(t)
 	var out bytes.Buffer

@@ -1,6 +1,7 @@
 package appstore
 
 import (
+	"strconv"
 	"testing"
 	"time"
 
@@ -112,4 +113,48 @@ func TestDecodeEncodeRoundTrip(t *testing.T) {
 	if got.ExecutionTime != time.Duration(9+1)*time.Second {
 		t.Errorf("ExecutionTime = %v", got.ExecutionTime)
 	}
+}
+
+// FuzzParseFilter feeds arbitrary run-query parameters to ParseFilter:
+// it never panics, every time it accepts lies inside the span of int64
+// nanoseconds, and an accepted unix-seconds value round-trips.
+func FuzzParseFilter(f *testing.F) {
+	for _, seed := range [][4]string{
+		{"cpu", "unknown", "3500", ""},
+		{"", "", "1677-09-21T00:12:44Z", "2262-04-11T23:47:16Z"},
+		{"", "", "-9223372036", "9223372036"},
+		{"", "", "-9223372037", "9223372037"},
+		{"", "", "10000000000", "2300-01-01T00:00:00Z"},
+		{"bogus", "io", "", ""},
+		{"", "", "2026-01-01T00:00:00+14:00", "-0"},
+	} {
+		f.Add(seed[0], seed[1], seed[2], seed[3])
+	}
+	f.Fuzz(func(t *testing.T, class, verdict, since, until string) {
+		q := map[string]string{"app": "a", "class": class, "verdict": verdict, "model": "m", "since": since, "until": until}
+		flt, err := ParseFilter(func(k string) string { return q[k] })
+		if err != nil {
+			return
+		}
+		for _, b := range []struct {
+			in string
+			ns int64
+		}{{since, flt.Since}, {until, flt.Until}} {
+			if b.in == "" {
+				if b.ns != 0 {
+					t.Fatalf("absent bound parsed to %d", b.ns)
+				}
+				continue
+			}
+			at := time.Unix(0, b.ns)
+			if at.Before(minRunTime) || at.After(maxRunTime) {
+				t.Fatalf("%q parsed to %d, outside the span", b.in, b.ns)
+			}
+			if secs, err := strconv.ParseInt(b.in, 10, 64); err == nil {
+				if b.ns != secs*int64(time.Second) || at.Unix() != secs {
+					t.Fatalf("%q parsed to %d ns, want %d s", b.in, b.ns, secs)
+				}
+			}
+		}
+	})
 }

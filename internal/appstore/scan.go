@@ -1,6 +1,11 @@
 package appstore
 
 import (
+	"fmt"
+	"math"
+	"strconv"
+	"time"
+
 	"repro/internal/appclass"
 )
 
@@ -19,6 +24,64 @@ type Filter struct {
 	// (legacy migrations) only match when both bounds are zero.
 	Since int64
 	Until int64
+}
+
+// The time bounds compare int64 nanoseconds, which reach only from
+// minRunTime to maxRunTime; ParseFilter refuses a time outside that
+// span rather than let it wrap.
+var minRunTime, maxRunTime = time.Unix(0, math.MinInt64), time.Unix(0, math.MaxInt64)
+
+const runTimeSpan = "RFC3339 or unix seconds within 1677-09-21T00:12:44Z..2262-04-11T23:47:16Z"
+
+// ParseFilter builds a Filter from the run-query parameters app, class,
+// verdict, model, since and until, read through get (url.Values.Get
+// fits). A class must be a known class and a verdict a class or
+// "unknown"; since and until take RFC3339 or integer unix seconds
+// within the span of int64 nanoseconds. GET /v1/runs answers its error
+// text as a 400 and appdbtool ls reports it.
+func ParseFilter(get func(key string) string) (Filter, error) {
+	f := Filter{
+		App:     get("app"),
+		Class:   appclass.Class(get("class")),
+		Verdict: appclass.Class(get("verdict")),
+		Model:   get("model"),
+	}
+	if f.Class != "" && !appclass.Valid(f.Class) {
+		return Filter{}, fmt.Errorf("unknown class %q", f.Class)
+	}
+	if f.Verdict != "" && f.Verdict != appclass.Unknown && !appclass.Valid(f.Verdict) {
+		return Filter{}, fmt.Errorf("unknown verdict %q", f.Verdict)
+	}
+	var ok bool
+	if f.Since, ok = parseRunTime(get("since")); !ok {
+		return Filter{}, fmt.Errorf("since must be %s", runTimeSpan)
+	}
+	if f.Until, ok = parseRunTime(get("until")); !ok {
+		return Filter{}, fmt.Errorf("until must be %s", runTimeSpan)
+	}
+	return f, nil
+}
+
+// parseRunTime accepts RFC3339 or integer unix seconds in the span of
+// runTimeSpan, as unix nanoseconds; zero when absent.
+func parseRunTime(v string) (int64, bool) {
+	if v == "" {
+		return 0, true
+	}
+	var t time.Time
+	if secs, err := strconv.ParseInt(v, 10, 64); err == nil {
+		// Bound secs before time.Unix, whose own arithmetic wraps too.
+		if secs < minRunTime.Unix() || secs > maxRunTime.Unix() {
+			return 0, false
+		}
+		t = time.Unix(secs, 0)
+	} else if t, err = time.Parse(time.RFC3339, v); err != nil {
+		return 0, false
+	}
+	if t.Before(minRunTime) || t.After(maxRunTime) {
+		return 0, false
+	}
+	return t.UnixNano(), true
 }
 
 // DefaultScanLimit and MaxScanLimit bound a Scan page.

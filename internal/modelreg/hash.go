@@ -1,14 +1,13 @@
-// Package modelreg is the daemon's model lifecycle subsystem: a
-// versioned registry of immutable classifier artifacts, each identified
-// by a deterministic compatibility hash over everything that affects
-// serving behaviour — expert-metric schema, fused-kernel weights,
-// interned k-NN training set, open-set calibration, phase-segmentation
-// parameters, and the journal's on-disk format version. Two daemons (or
-// one daemon across a restart) agree on a hash exactly when their
-// models classify identically and their checkpoints/journals are
-// interchangeable, so the hash is the unit of refusal for crash
-// recovery and session handoff, and the unit of identity for shadow
-// serving and hot swap.
+// Package modelreg holds the daemon's model artifacts: immutable
+// trained classifiers, each identified by a deterministic compatibility
+// hash over everything that affects serving behaviour — expert-metric
+// schema, fused-kernel weights, interned k-NN training set, open-set
+// calibration, phase-segmentation parameters, and the journal's on-disk
+// format version. Two daemons (or one daemon across a restart) agree on
+// a hash exactly when their models classify identically and their
+// checkpoints/journals are interchangeable, so the hash is the unit of
+// refusal for crash recovery and session handoff, and the unit of
+// identity for shadow serving and hot swap.
 package modelreg
 
 import (
@@ -32,8 +31,8 @@ type Hash [sha256.Size]byte
 // String returns the full hex form.
 func (h Hash) String() string { return hex.EncodeToString(h[:]) }
 
-// Short returns the 12-hex-character prefix — the registry's model ID,
-// long enough that collisions within one registry are implausible and
+// Short returns the 12-hex-character prefix — the model ID, long
+// enough that collisions among one daemon's models are implausible and
 // short enough for URLs and log lines.
 func (h Hash) Short() string { return hex.EncodeToString(h[:6]) }
 

@@ -74,7 +74,7 @@ func TestRetrain(t *testing.T) {
 			t.Errorf("refit classifies %s signature as %s", c, got)
 		}
 	}
-	// And wrap cleanly as a registry model.
+	// And wrap cleanly as a model.
 	if _, err := NewModel(cl, DefaultParams(), "retrain", 1); err != nil {
 		t.Fatalf("NewModel: %v", err)
 	}

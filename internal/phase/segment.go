@@ -156,9 +156,9 @@ type entry struct {
 }
 
 // Segmenter is an online change-point detector over a per-snapshot
-// feature stream. Observe is the hot path: it updates two sliding
-// half-window mean accumulators and the open phase in O(q) time with no
-// steady-state allocation (the ring buffer and feature slices are
+// feature stream. Observe is the hot path: it sums the two half-windows
+// from the ring in O(W·q) time and updates the open phase in O(q), with
+// no steady-state allocation (the ring buffer and feature slices are
 // preallocated on first use; closing a phase allocates its accumulator,
 // amortized over at least MinLen snapshots).
 //
@@ -175,11 +175,6 @@ type Segmenter struct {
 	ring []entry
 	head int // index of the oldest entry
 	n    int // entries currently buffered (≤ 2W)
-
-	// sumOld and sumNew are the feature sums of the older and newer
-	// half-windows, maintained incrementally as entries shift between
-	// halves.
-	sumOld, sumNew []float64
 
 	closed []accum
 	cur    accum
@@ -212,8 +207,6 @@ func (s *Segmenter) init(q int) {
 	for i := range s.ring {
 		s.ring[i].feat = make([]float64, q)
 	}
-	s.sumOld = make([]float64, q)
-	s.sumNew = make([]float64, q)
 	s.cur = newAccum(q)
 }
 
@@ -232,37 +225,16 @@ func (s *Segmenter) Observe(at time.Duration, class appclass.Class, feat []float
 	}
 	w := s.cfg.Window
 
-	// Shift the ring: the entry leaving the newer half joins the older
-	// half; the entry leaving the older half (the overwritten oldest)
-	// drops out entirely.
+	// Shift the ring: a full ring overwrites its oldest entry.
+	e := &s.ring[(s.head+s.n)%len(s.ring)]
 	if s.n == 2*w {
-		oldest := &s.ring[s.head]
-		mid := &s.ring[(s.head+w)%len(s.ring)]
-		for i := 0; i < s.q; i++ {
-			s.sumOld[i] += mid.feat[i] - oldest.feat[i]
-			s.sumNew[i] += feat[i] - mid.feat[i]
-		}
-		oldest.at = at
-		oldest.class = class
-		copy(oldest.feat, feat)
 		s.head = (s.head + 1) % len(s.ring)
 	} else {
-		e := &s.ring[(s.head+s.n)%len(s.ring)]
-		e.at = at
-		e.class = class
-		copy(e.feat, feat)
 		s.n++
-		if s.n <= w {
-			// Still filling the older half.
-			for i := 0; i < s.q; i++ {
-				s.sumOld[i] += feat[i]
-			}
-		} else {
-			for i := 0; i < s.q; i++ {
-				s.sumNew[i] += feat[i]
-			}
-		}
 	}
+	e.at = at
+	e.class = class
+	copy(e.feat, feat)
 	s.cur.add(at, class, feat)
 	s.total++
 	if s.n < 2*w {
@@ -278,7 +250,7 @@ func (s *Segmenter) Observe(at time.Duration, class appclass.Class, feat []float
 	}
 	var d2 float64
 	for i := 0; i < s.q; i++ {
-		diff := (s.sumNew[i] - s.sumOld[i]) / float64(w)
+		diff := (s.halfSum(i, w) - s.halfSum(i, 0)) / float64(w)
 		d2 += diff * diff
 	}
 	dist := math.Sqrt(d2)
@@ -296,6 +268,27 @@ func (s *Segmenter) Observe(at time.Duration, class appclass.Class, feat []float
 		s.split()
 	}
 	return nil
+}
+
+// halfSum returns feature i summed over the W ring entries from
+// position from (0 is the oldest; W starts the newer half), added
+// oldest first over at most two contiguous spans of the ring. The sum
+// depends on the buffered entries alone, not on how the ring came to
+// hold them, so a restored segmenter computes exactly what an
+// uninterrupted one does.
+func (s *Segmenter) halfSum(i, from int) float64 {
+	w := s.cfg.Window
+	p := (s.head + from) % len(s.ring)
+	first := s.ring[p:min(p+w, len(s.ring))]
+	var sum float64
+	for k := range first {
+		sum += first[k].feat[i]
+	}
+	rest := s.ring[:w-len(first)]
+	for k := range rest {
+		sum += rest[k].feat[i]
+	}
+	return sum
 }
 
 // split closes the current phase at the half-window boundary: the W

@@ -1,7 +1,10 @@
 package phase
 
 import (
+	"bytes"
+	"encoding/json"
 	"math"
+	"math/rand"
 	"reflect"
 	"testing"
 	"time"
@@ -190,6 +193,46 @@ func TestSegmenterRestoreResumesIdentically(t *testing.T) {
 		if orig.Total() != restored.Total() {
 			t.Errorf("cut %d: totals diverge: %d vs %d", cut, orig.Total(), restored.Total())
 		}
+	}
+}
+
+// TestSegmenterRestoredEveryStepMatches restores a segmenter from its
+// own export after every snapshot of a noisy multi-phase stream and
+// requires its exported state, half-window distance included, to equal
+// an uninterrupted segmenter's bit for bit at every step.
+func TestSegmenterRestoredEveryStepMatches(t *testing.T) {
+	cfg := Config{Window: 8, MinLen: 5, Threshold: 1.0}
+	whole, hopped := NewSegmenter(cfg), NewSegmenter(cfg)
+	rng := rand.New(rand.NewSource(3))
+	centers := [][2]float64{{2, 0}, {-2, 1}, {0, 3}, {1.3, -0.7}}
+	classes := []appclass.Class{appclass.CPU, appclass.IO, appclass.Mem, appclass.Net}
+	for i := 0; i < 480; i++ {
+		k := (i / 60) % len(centers)
+		feat := []float64{centers[k][0] + 0.3*rng.NormFloat64(), centers[k][1] + 0.3*rng.NormFloat64()}
+		at := time.Duration(i) * time.Second
+		if err := whole.Observe(at, classes[k], feat); err != nil {
+			t.Fatal(err)
+		}
+		if err := hopped.Observe(at, classes[k], feat); err != nil {
+			t.Fatal(err)
+		}
+		want, err := json.Marshal(whole.ExportState())
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := json.Marshal(hopped.ExportState())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, want) {
+			t.Fatalf("step %d: restored state diverges:\n got %s\nwant %s", i, got, want)
+		}
+		if hopped, err = RestoreSegmenter(hopped.ExportState()); err != nil {
+			t.Fatalf("step %d: restore: %v", i, err)
+		}
+	}
+	if n := len(whole.Phases()); n < 6 {
+		t.Fatalf("stream has %d phases, want at least 6", n)
 	}
 }
 

@@ -142,7 +142,6 @@ func RestoreSegmenter(st SegmenterState) (*Segmenter, error) {
 		return nil, fmt.Errorf("phase: state buffers %d ring entries, window %d holds at most %d",
 			len(st.Ring), cfg.Window, len(s.ring))
 	}
-	w := cfg.Window
 	for i, es := range st.Ring {
 		if len(es.Feat) != st.Dims {
 			return nil, fmt.Errorf("phase: ring entry %d has %d dims, state says %d", i, len(es.Feat), st.Dims)
@@ -151,15 +150,6 @@ func RestoreSegmenter(st SegmenterState) (*Segmenter, error) {
 		e.at = time.Duration(es.AtNS)
 		e.class = es.Class
 		copy(e.feat, es.Feat)
-		if i < w {
-			for j, v := range es.Feat {
-				s.sumOld[j] += v
-			}
-		} else {
-			for j, v := range es.Feat {
-				s.sumNew[j] += v
-			}
-		}
 	}
 	s.head = 0
 	s.n = len(st.Ring)

@@ -3,7 +3,6 @@ package server
 import (
 	"embed"
 	"io/fs"
-	"math"
 	"net/http"
 	"strconv"
 	"time"
@@ -48,62 +47,15 @@ type runJSON struct {
 	MatchScore    float64                    `json:"match_score,omitempty"`
 }
 
-// The run filters compare int64 nanoseconds, which reach only from
-// minRunTime to maxRunTime; parseTimeParam refuses a time outside
-// that span rather than let it wrap.
-var minRunTime, maxRunTime = time.Unix(0, math.MinInt64), time.Unix(0, math.MaxInt64)
-
-const runTimeSpan = "RFC3339 or unix seconds within 1677-09-21T00:12:44Z..2262-04-11T23:47:16Z"
-
-// parseTimeParam accepts RFC3339 or integer unix seconds in the span
-// of runTimeSpan, as unix nanoseconds; zero when absent.
-func parseTimeParam(v string) (int64, bool) {
-	if v == "" {
-		return 0, true
-	}
-	var t time.Time
-	if secs, err := strconv.ParseInt(v, 10, 64); err == nil {
-		// Bound secs before time.Unix, whose own arithmetic wraps too.
-		if secs < minRunTime.Unix() || secs > maxRunTime.Unix() {
-			return 0, false
-		}
-		t = time.Unix(secs, 0)
-	} else if t, err = time.Parse(time.RFC3339, v); err != nil {
-		return 0, false
-	}
-	if t.Before(minRunTime) || t.After(maxRunTime) {
-		return 0, false
-	}
-	return t.UnixNano(), true
-}
-
 // handleRuns serves the paginated finalized-run query API over the
 // application database: GET /v1/runs?app=&class=&verdict=&model=&since=
 // &until=&cursor=&limit=. Newest first; the response's next_cursor
 // resumes the scan (0 when exhausted).
 func (s *Server) handleRuns(w http.ResponseWriter, r *http.Request) {
 	q := r.URL.Query()
-	f := appstore.Filter{
-		App:     q.Get("app"),
-		Class:   appclass.Class(q.Get("class")),
-		Verdict: appclass.Class(q.Get("verdict")),
-		Model:   q.Get("model"),
-	}
-	if f.Class != "" && !appclass.Valid(f.Class) {
-		writeError(w, http.StatusBadRequest, "unknown class %q", f.Class)
-		return
-	}
-	if f.Verdict != "" && f.Verdict != appclass.Unknown && !appclass.Valid(f.Verdict) {
-		writeError(w, http.StatusBadRequest, "unknown verdict %q", f.Verdict)
-		return
-	}
-	var ok bool
-	if f.Since, ok = parseTimeParam(q.Get("since")); !ok {
-		writeError(w, http.StatusBadRequest, "since must be %s", runTimeSpan)
-		return
-	}
-	if f.Until, ok = parseTimeParam(q.Get("until")); !ok {
-		writeError(w, http.StatusBadRequest, "until must be %s", runTimeSpan)
+	f, err := appstore.ParseFilter(q.Get)
+	if err != nil {
+		writeError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
 	var cursor uint64

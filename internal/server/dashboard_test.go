@@ -150,6 +150,44 @@ func TestRunsEndpointFilters(t *testing.T) {
 	}
 }
 
+// TestRunsFilterTimeSpan runs both edges of the int64-nanosecond span
+// through /v1/runs, in unix seconds and in RFC3339, and pins the exact
+// 400 bodies of every refused filter.
+func TestRunsFilterTimeSpan(t *testing.T) {
+	s := newTestServer(t, Config{})
+	seedRuns(t, s.DB(), 3)
+	h := s.Handler()
+	const span = `RFC3339 or unix seconds within 1677-09-21T00:12:44Z..2262-04-11T23:47:16Z`
+	for _, tc := range []struct{ query, refusal string }{
+		{"?since=1677-09-21T00:12:44Z", ""},
+		{"?since=-9223372036", ""},
+		{"?until=2262-04-11T23:47:16Z", ""},
+		{"?until=9223372036", ""},
+		{"?since=1677-09-21T00:12:43Z", "since must be " + span},
+		{"?since=-9223372037", "since must be " + span},
+		{"?until=2262-04-11T23:47:17Z", "until must be " + span},
+		{"?until=9223372037", "until must be " + span},
+		{"?since=10000000000", "since must be " + span},
+		{"?until=2300-01-01T00:00:00Z", "until must be " + span},
+		{"?class=bogus", `unknown class "bogus"`},
+		{"?verdict=bogus", `unknown verdict "bogus"`},
+	} {
+		w := httptest.NewRecorder()
+		h.ServeHTTP(w, httptest.NewRequest(http.MethodGet, "/v1/runs"+tc.query, nil))
+		if tc.refusal == "" {
+			if w.Code != http.StatusOK {
+				t.Errorf("GET /v1/runs%s = %d %s, want 200", tc.query, w.Code, w.Body.String())
+			}
+			continue
+		}
+		want := httptest.NewRecorder()
+		writeError(want, http.StatusBadRequest, "%s", tc.refusal)
+		if w.Code != http.StatusBadRequest || w.Body.String() != want.Body.String() {
+			t.Errorf("GET /v1/runs%s = %d %s, want 400 %s", tc.query, w.Code, w.Body.String(), want.Body.String())
+		}
+	}
+}
+
 func TestStatusEndpoint(t *testing.T) {
 	s := newTestServer(t, Config{})
 	seedRuns(t, s.DB(), 3)

@@ -3,6 +3,7 @@ package server
 import (
 	"bytes"
 	"context"
+	"errors"
 	"fmt"
 	"io"
 	"math"
@@ -12,6 +13,7 @@ import (
 	"repro/internal/appclass"
 	"repro/internal/metrics"
 	"repro/internal/modelreg"
+	"repro/internal/wire"
 )
 
 // maxIngestBody caps one ingest request's body; it doubles as the
@@ -92,6 +94,19 @@ const maxSnapshotSeconds = math.MaxInt64 / float64(time.Second)
 func validSnapshotTime(sec float64) bool {
 	ns := sec * float64(time.Second)
 	return ns >= math.MinInt64 && ns < math.MaxInt64
+}
+
+// vmNameError says why vm cannot name a session, nil when it can: a
+// name is 1..wire.MaxVMName bytes, the span the journal and the binary
+// wire encode. The text reads after "snapshot N ".
+func vmNameError(vm string) error {
+	switch {
+	case vm == "":
+		return errors.New("has no vm")
+	case len(vm) > wire.MaxVMName:
+		return fmt.Errorf("vm name is %d bytes, over the %d-byte limit", len(vm), wire.MaxVMName)
+	}
+	return nil
 }
 
 // countRejected counts a request refused with 400 or 413, on either

@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"repro/internal/metrics"
-	"repro/internal/wire"
 )
 
 // ingestSnapshot is one pushed sample. Values carries the full metric
@@ -93,11 +92,8 @@ func (s *Server) groupJSON(sc *ingestScratch, in []ingestSnapshot) *ingestError 
 	sc.groups, sc.at = sc.groups[:0], sc.at[:0]
 	for i := range in {
 		snap := &in[i]
-		if snap.VM == "" {
-			return ingestErrorf(http.StatusBadRequest, "snapshot %d has no vm", i)
-		}
-		if len(snap.VM) > wire.MaxVMName {
-			return ingestErrorf(http.StatusBadRequest, "snapshot %d vm name is %d bytes, over the %d-byte limit", i, len(snap.VM), wire.MaxVMName)
+		if err := vmNameError(snap.VM); err != nil {
+			return ingestErrorf(http.StatusBadRequest, "snapshot %d %v", i, err)
 		}
 		if !validSnapshotTime(snap.TimeSeconds) {
 			return ingestErrorf(http.StatusBadRequest, "snapshot %d (%s) time_s %g is outside ±%.4g, the span of int64 nanoseconds",

@@ -1,11 +1,13 @@
 package server
 
 import (
+	"cmp"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"net/http"
 	"path/filepath"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -234,14 +236,14 @@ func (s *Server) Promote(id string) (time.Duration, error) {
 func (s *Server) promote(id string, rollback bool) (time.Duration, error) {
 	s.swapMu.Lock()
 	defer s.swapMu.Unlock()
-	m, state, ok := s.models.Get(id)
+	m, ok := s.models[id]
 	if !ok {
 		return 0, fmt.Errorf("%w: %s", errModelNotFound, id)
 	}
-	if state == modelreg.StateActive {
+	cur := s.active.Load()
+	if cur.model.ID == id {
 		return 0, fmt.Errorf("%w: model %s is already active", errModelConflict, id)
 	}
-	cur := s.active.Load()
 	if err := expertMetricsMatch(cur.model.Classifier, m.Classifier); err != nil {
 		return 0, fmt.Errorf("%w: %v", errModelConflict, err)
 	}
@@ -283,15 +285,11 @@ func (s *Server) promote(id string, rollback bool) (time.Duration, error) {
 	if rebindErrors > 0 {
 		s.counters.rebindErrors.Add(int64(rebindErrors))
 	}
-	if err := s.models.SetActive(id); err != nil {
-		// Cannot happen: the model was fetched from the registry above and
-		// promotes are serialized by swapMu.
-		s.cfg.Logf("server: promote %s: registry: %v", id, err)
-	}
+	s.retired[cur.model.ID] = true
+	delete(s.retired, id)
 	// Any running shadow evaluation measured disagreement against the
 	// OLD active model; its numbers are meaningless now.
 	if se := s.shadow.Swap(nil); se != nil && se.model.ID != id {
-		s.models.ClearCandidate()
 		s.cfg.Logf("server: promote %s: shadow evaluation of %s reset (baseline changed)", id, se.model.ID)
 	}
 	// Any swap invalidates a running probation: its guard measured the
@@ -334,8 +332,9 @@ func expertMetricsMatch(a, b *classify.Classifier) error {
 	return nil
 }
 
-// installCandidate registers m (if new) and starts shadow-evaluating
-// it. Caller holds swapMu.
+// installCandidate records m among the known models, replacing an
+// entry with its ID, and starts shadow-evaluating it. Caller holds
+// swapMu.
 func (s *Server) installCandidate(m *modelreg.Model) error {
 	cur := s.active.Load()
 	if m.Hash == cur.model.Hash {
@@ -352,16 +351,25 @@ func (s *Server) installCandidate(m *modelreg.Model) error {
 	if err != nil {
 		return err
 	}
-	if _, _, ok := s.models.Get(m.ID); !ok {
-		if err := s.models.Add(m); err != nil {
-			return err
-		}
-	}
-	if err := s.models.SetCandidate(m.ID); err != nil {
-		return err
-	}
+	s.models[m.ID] = m
+	delete(s.retired, m.ID)
 	s.shadow.Store(se)
 	return nil
+}
+
+// modelState derives a known model's lifecycle state from what is
+// serving: the active pair, the shadow, the retired set. Caller holds
+// swapMu.
+func (s *Server) modelState(id string) modelreg.State {
+	switch se := s.shadow.Load(); {
+	case id == s.ActiveModelID():
+		return modelreg.StateActive
+	case se != nil && se.model.ID == id:
+		return modelreg.StateCandidate
+	case s.retired[id]:
+		return modelreg.StateRetired
+	}
+	return modelreg.StateLoaded
 }
 
 // modelJSON is one row of GET /v1/models.
@@ -375,20 +383,28 @@ type modelJSON struct {
 	Params modelreg.Params `json:"params"`
 }
 
-func (s *Server) modelJSON(e modelreg.Entry) modelJSON {
+func newModelJSON(m *modelreg.Model, state modelreg.State) modelJSON {
 	return modelJSON{
-		ID:       e.Model.ID,
-		Hash:     e.Model.Hash.String(),
-		State:    string(e.State),
-		Source:   e.Model.Source,
-		LoadedAt: time.Unix(0, e.Model.LoadedAtUnixNS).UTC().Format(time.RFC3339),
-		Params:   e.Model.Params,
+		ID:       m.ID,
+		Hash:     m.Hash.String(),
+		State:    string(state),
+		Source:   m.Source,
+		LoadedAt: time.Unix(0, m.LoadedAtUnixNS).UTC().Format(time.RFC3339),
+		Params:   m.Params,
 	}
 }
 
-// handleModels serves GET /v1/models: the registry plus the live shadow
-// report.
+// modelRank orders the GET /v1/models rows by state.
+var modelRank = map[modelreg.State]int{
+	modelreg.StateActive: 0, modelreg.StateCandidate: 1, modelreg.StateLoaded: 2, modelreg.StateRetired: 3,
+}
+
+// handleModels serves GET /v1/models: every known model — active, then
+// candidate, loaded and retired, each by ID — plus the live shadow
+// report. It holds swapMu, so a listing waits for a transition in
+// flight.
 func (s *Server) handleModels(w http.ResponseWriter, r *http.Request) {
+	s.swapMu.Lock()
 	out := struct {
 		Active    string         `json:"active"`
 		Models    []modelJSON    `json:"models"`
@@ -396,9 +412,14 @@ func (s *Server) handleModels(w http.ResponseWriter, r *http.Request) {
 		Probation *probationView `json:"probation,omitempty"`
 		SwapPause float64        `json:"last_swap_pause_s,omitempty"`
 	}{Active: s.ActiveModelID(), Probation: s.probationView()}
-	for _, e := range s.models.List() {
-		out.Models = append(out.Models, s.modelJSON(e))
+	for id, m := range s.models {
+		out.Models = append(out.Models, newModelJSON(m, s.modelState(id)))
 	}
+	s.swapMu.Unlock()
+	slices.SortFunc(out.Models, func(a, b modelJSON) int {
+		ra, rb := modelRank[modelreg.State(a.State)], modelRank[modelreg.State(b.State)]
+		return cmp.Or(cmp.Compare(ra, rb), strings.Compare(a.ID, b.ID))
+	})
 	if se := s.shadow.Load(); se != nil {
 		v := se.view()
 		out.Shadow = &v
@@ -453,7 +474,7 @@ func (s *Server) handleModelLoad(w http.ResponseWriter, r *http.Request) {
 	}
 	s.counters.modelLoads.Add(1)
 	s.cfg.Logf("server: loaded candidate model %s (hash %s) from %s; shadow evaluation started", m.ID, m.Hash.String(), path)
-	writeJSON(w, http.StatusCreated, s.modelJSON(modelreg.Entry{Model: m, State: modelreg.StateCandidate}))
+	writeJSON(w, http.StatusCreated, newModelJSON(m, modelreg.StateCandidate))
 }
 
 // handleModelPromote serves POST /v1/models/{id}/promote.
@@ -484,8 +505,7 @@ func (s *Server) handleModelDelete(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
 	s.swapMu.Lock()
 	defer s.swapMu.Unlock()
-	_, state, ok := s.models.Get(id)
-	if !ok {
+	if _, ok := s.models[id]; !ok {
 		writeError(w, http.StatusNotFound, "no model %s", id)
 		return
 	}
@@ -495,14 +515,15 @@ func (s *Server) handleModelDelete(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusConflict, "model %s guards the probation of %s; retry after the window closes", id, pb.newID)
 		return
 	}
-	if state == modelreg.StateCandidate {
-		s.shadow.Store(nil)
-		s.models.ClearCandidate()
-	}
-	if err := s.models.Remove(id); err != nil {
-		writeError(w, http.StatusConflict, "%v", err)
+	switch s.modelState(id) {
+	case modelreg.StateActive:
+		writeError(w, http.StatusConflict, "modelreg: model %s is active", id)
 		return
+	case modelreg.StateCandidate:
+		s.shadow.Store(nil)
 	}
+	delete(s.models, id)
+	delete(s.retired, id)
 	s.counters.modelDiscards.Add(1)
 	s.cfg.Logf("server: discarded model %s", id)
 	writeJSON(w, http.StatusOK, map[string]any{"removed": id})
@@ -543,14 +564,15 @@ func (s *Server) retrainOnce() {
 		s.cfg.Logf("server: retrain: refit matches the active model (%s); nothing to evaluate", m.ID)
 		return
 	}
-	if _, state, ok := s.models.Get(m.ID); ok && state == modelreg.StateCandidate {
+	se := s.shadow.Load()
+	if se != nil && se.model.ID == m.ID {
 		s.cfg.Logf("server: retrain: refit matches the current candidate (%s)", m.ID)
 		return
 	}
-	if cand := s.models.Candidate(); cand != nil && strings.HasPrefix(cand.Source, "file:") {
+	if se != nil && strings.HasPrefix(se.model.Source, "file:") {
 		// An operator staged this candidate deliberately; a background
 		// refit must not displace it.
-		s.cfg.Logf("server: retrain: produced model %s but candidate slot holds operator-loaded %s; keeping it on file", m.ID, cand.ID)
+		s.cfg.Logf("server: retrain: produced model %s but candidate slot holds operator-loaded %s; keeping it on file", m.ID, se.model.ID)
 		if s.cfg.RetrainOut != "" {
 			if err := modelreg.SaveFile(s.cfg.RetrainOut, cl); err != nil {
 				s.cfg.Logf("server: retrain: save artifact: %v", err)

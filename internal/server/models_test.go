@@ -437,6 +437,23 @@ func TestModelEndpointsErrors(t *testing.T) {
 	}
 }
 
+// candidate returns the model the shadow evaluates, nil with none
+// staged.
+func candidate(s *Server) *modelreg.Model {
+	if se := s.shadow.Load(); se != nil {
+		return se.model
+	}
+	return nil
+}
+
+// addModel makes m a known model that is not serving: loaded, as a
+// candidate displaced by a later load leaves it.
+func addModel(s *Server, m *modelreg.Model) {
+	s.swapMu.Lock()
+	s.models[m.ID] = m
+	s.swapMu.Unlock()
+}
+
 // seedRetrainDB stamps labeled, sampled records into the server's
 // application database, the way finalize does for real sessions.
 func seedRetrainDB(t *testing.T, db *appdb.DB) {
@@ -471,14 +488,14 @@ func TestRetrainOnceInstallsCandidate(t *testing.T) {
 
 	// Too little labeled data: counted as an error, nothing installed.
 	s.retrainOnce()
-	if s.counters.retrainErrors.Load() != 1 || s.models.Candidate() != nil {
+	if s.counters.retrainErrors.Load() != 1 || candidate(s) != nil {
 		t.Fatalf("retrain on empty db: errors=%d candidate=%v",
-			s.counters.retrainErrors.Load(), s.models.Candidate())
+			s.counters.retrainErrors.Load(), candidate(s))
 	}
 
 	seedRetrainDB(t, s.cfg.DB)
 	s.retrainOnce()
-	cand := s.models.Candidate()
+	cand := candidate(s)
 	if cand == nil {
 		t.Fatal("retrain did not install a candidate")
 	}
@@ -494,7 +511,7 @@ func TestRetrainOnceInstallsCandidate(t *testing.T) {
 
 	// A second pass refits the identical model: no churn.
 	s.retrainOnce()
-	if got := s.models.Candidate(); got == nil || got.ID != cand.ID {
+	if got := candidate(s); got == nil || got.ID != cand.ID {
 		t.Fatalf("idempotent retrain replaced the candidate: %v", got)
 	}
 }
@@ -509,11 +526,11 @@ func TestRetrainNeverDisplacesOperatorCandidate(t *testing.T) {
 	if w := postJSON(t, s.Handler(), "/v1/models", map[string]any{"path": "op.json"}); w.Code != http.StatusCreated {
 		t.Fatalf("load operator candidate: %d %s", w.Code, w.Body.String())
 	}
-	opCand := s.models.Candidate()
+	opCand := candidate(s)
 
 	seedRetrainDB(t, s.cfg.DB)
 	s.retrainOnce()
-	if got := s.models.Candidate(); got == nil || got.ID != opCand.ID {
+	if got := candidate(s); got == nil || got.ID != opCand.ID {
 		t.Fatalf("background retrain displaced the operator candidate: %v", got)
 	}
 	// The refit is not lost: it landed on disk for later evaluation.
@@ -544,5 +561,48 @@ func TestFinalizeStampsTrainingSamples(t *testing.T) {
 	}
 	if len(rec.TrainMetrics) != metrics.ExpertSchema().Len() {
 		t.Fatalf("record sampled metrics = %v", rec.TrainMetrics)
+	}
+}
+
+// TestModelListingDuringPromotes lists /v1/models while another
+// goroutine promotes two models back and forth. Every listing must
+// show both models and exactly one active row, the one the active
+// field names; under -race it checks that the known models are only
+// reached under swapMu.
+func TestModelListingDuringPromotes(t *testing.T) {
+	modelDir := t.TempDir()
+	s := newTestServer(t, Config{Schema: metrics.ExpertSchema(), ModelDir: modelDir})
+	h := s.Handler()
+	ids := []string{loadModel(t, h, modelDir, "alt.json", altClassifier(t)).ID, s.ActiveModelID()}
+
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for i := 0; i < 20; i++ {
+			if _, err := s.Promote(ids[i%2]); err != nil {
+				t.Errorf("promote %s: %v", ids[i%2], err)
+				return
+			}
+		}
+	}()
+	for running := true; running; {
+		select {
+		case <-done:
+			running = false
+		default:
+		}
+		active, rows := listModels(t, h)
+		actives := 0
+		for _, r := range rows {
+			if r.state == string(modelreg.StateActive) {
+				actives++
+				if r.id != active {
+					t.Fatalf("active row %s, active field %s", r.id, active)
+				}
+			}
+		}
+		if len(rows) != 2 || actives != 1 {
+			t.Fatalf("listing during promotes: %+v", rows)
+		}
 	}
 }

@@ -206,8 +206,10 @@ func (p *poller) recordGaps(wall time.Duration, fed map[string]struct{}) {
 // pollOnce fetches the cluster state once under the per-attempt
 // deadline and routes every node that reports the full schema into its
 // session. Nodes missing schema metrics (e.g. a gmond that has not
-// announced everything yet) are skipped and counted, not fatal; a known
-// node absent from a healthy response records a gap instead.
+// announced everything yet) are skipped and counted, not fatal. A node
+// the push paths would refuse — a name outside 1..wire.MaxVMName bytes,
+// a NaN or ±Inf value — is skipped too, and counted as a refused push
+// snapshot is. A known node the poll did not feed records a gap.
 func (p *poller) pollOnce(ctx context.Context) error {
 	s := p.s
 	s.counters.polls.Add(1)
@@ -225,17 +227,24 @@ func (p *poller) pollOnce(ctx context.Context) error {
 	fed := make(map[string]struct{}, len(state))
 	for node, nodeMetrics := range state {
 		values := make([]float64, len(names))
-		complete := true
+		complete, valid := true, vmNameError(node) == nil
 		for j, name := range names {
 			v, ok := nodeMetrics[name]
 			if !ok {
 				complete = false
 				break
 			}
+			if v-v != 0 { // NaN or ±Inf
+				valid = false
+			}
 			values[j] = v
 		}
 		if !complete {
 			s.counters.pollSkipped.Add(1)
+			continue
+		}
+		if !valid {
+			s.counters.ingestErrors.Add(1)
 			continue
 		}
 		if _, err := s.observe(node, at, values); err != nil {

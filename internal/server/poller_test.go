@@ -3,9 +3,11 @@ package server
 import (
 	"context"
 	"io"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"reflect"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -399,5 +401,66 @@ func TestStartPollerRequiresURL(t *testing.T) {
 	s := newTestServer(t, Config{})
 	if err := s.StartPoller(PollConfig{}); err == nil {
 		t.Error("empty URL: want error")
+	}
+}
+
+// TestPollSkipsNodesThePushPathsRefuse runs one poll over a node with
+// a NaN expert metric, one with +Inf in a non-expert metric, one with
+// an empty name and one with a 1,100-byte name next to a healthy node.
+// Only the healthy node reaches a session; the others count as refused
+// ingest, not as journal failures, so durability stays armed and the
+// next checkpoint encodes.
+func TestPollSkipsNodesThePushPathsRefuse(t *testing.T) {
+	j, err := wal.Open(wal.Config{Dir: t.TempDir(), Fsync: wal.FsyncNever})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { j.Close() })
+	s := newTestServer(t, Config{Journal: j, DegradeOnWALError: true})
+
+	long := strings.Repeat("n", 1100)
+	bad := map[string]map[string]float64{
+		"nan-node": {metrics.CPUUser: math.NaN()},
+		"inf-node": {metrics.MemFree: math.Inf(1)},
+		"":         {},
+		long:       {},
+	}
+	bus := ganglia.NewBus()
+	gm, err := ganglia.NewGmetad("test-cluster", bus)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, node := range []string{"healthy", "nan-node", "inf-node", "", long} {
+		for _, name := range metrics.DefaultNames() {
+			v, ok := bad[node][name]
+			if !ok {
+				v = 1
+			}
+			bus.Announce(ganglia.Announcement{Node: node, Metric: name, Value: v, At: time.Second})
+		}
+	}
+	srv := httptest.NewServer(gm.Handler(func() time.Duration { return 2 * time.Second }))
+	t.Cleanup(srv.Close)
+
+	if err := testPoller(s, srv).pollOnce(context.Background()); err != nil {
+		t.Fatalf("pollOnce: %v", err)
+	}
+	if got := s.Sessions(); got != 1 {
+		t.Errorf("%d sessions after the poll, want 1", got)
+	}
+	if _, ok := s.reg.get("healthy"); !ok {
+		t.Error("healthy node got no session")
+	}
+	if got := s.counters.journalErrors.Load(); got != 0 {
+		t.Errorf("journal errors = %d, want 0", got)
+	}
+	if s.DurabilityDegraded() {
+		t.Error("durability degraded after the poll")
+	}
+	if err := s.Checkpoint(); err != nil {
+		t.Errorf("Checkpoint: %v", err)
+	}
+	if got := s.counters.ingestErrors.Load(); got != 4 {
+		t.Errorf("ingest errors = %d, want 4", got)
 	}
 }

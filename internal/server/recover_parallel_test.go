@@ -72,10 +72,7 @@ func replayScript(t *testing.T, s *Server, checkpoint func()) {
 			t.Fatalf("finish %s: %d %s", name(i), w.Code, w.Body.String())
 		}
 	}
-	// At most 2W = 16 snapshots per session before the checkpoint: a
-	// restored segmenter re-adds its half-window sums from the ring,
-	// which equals the running sums only until the ring first shifts.
-	for r := 0; r < 2; r++ {
+	for r := 0; r < 6; r++ {
 		for i := 0; i < vms; i++ {
 			batch(i)
 		}

@@ -292,9 +292,7 @@ func TestSelfHealingChaos(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := s.models.Add(bad); err != nil {
-		t.Fatal(err)
-	}
+	addModel(s, bad)
 	if _, err := s.Promote(bad.ID); err != nil {
 		t.Fatalf("promote bad model: %v", err)
 	}
@@ -399,9 +397,7 @@ func TestProbationPassesQuietly(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := s.models.Add(good); err != nil {
-		t.Fatal(err)
-	}
+	addModel(s, good)
 	if _, err := s.Promote(good.ID); err != nil {
 		t.Fatal(err)
 	}

@@ -217,18 +217,21 @@ type Server struct {
 	// session (nil with segmentation disabled). Immutable after New.
 	segCfg *phase.Config
 
-	// models is the versioned model registry; active is the serving
-	// model + open-set threshold pair, swapped atomically by Promote;
-	// shadow is the candidate evaluation riding along live traffic (nil
-	// when no candidate is staged); probation is the reverse evaluation
-	// guarding the most recent promote (nil outside a probation window).
-	// swapMu serializes model lifecycle transitions (load, promote,
+	// active is the serving model + open-set threshold pair, swapped
+	// atomically by Promote; shadow is the candidate evaluation riding
+	// along live traffic (nil when no candidate is staged); probation is
+	// the reverse evaluation guarding the most recent promote (nil
+	// outside a probation window). models holds every known model by ID
+	// and retired the ones displaced from serving; a model's state is
+	// derived from these (see modelState). swapMu guards models and
+	// retired and serializes model lifecycle transitions (load, promote,
 	// discard, retrain-install, rollback) against each other — never
 	// held during classification.
-	models    *modelreg.Registry
 	active    atomic.Pointer[activeModel]
 	shadow    atomic.Pointer[shadowEval]
 	probation atomic.Pointer[probationEval]
+	models    map[string]*modelreg.Model
+	retired   map[string]bool
 	swapMu    sync.Mutex
 
 	// sup keeps the daemon's long-lived background loops (janitor,
@@ -309,43 +312,36 @@ func New(cfg Config) (*Server, error) {
 	if cfg.Placement != nil {
 		cfg.Placement.SetLive(s.liveComposition)
 	}
-	if cfg.SegmentWindow >= 0 {
-		s.segCfg = &phase.Config{Window: cfg.SegmentWindow, MinLen: phase.DefaultMinLen, Threshold: phase.DefaultThreshold}
-		if s.segCfg.Window == 0 {
-			s.segCfg.Window = phase.DefaultWindow
-		}
-	}
-	var openset *classify.OpenSet
-	if cfg.UnknownSlack >= 0 {
-		os, err := cfg.Classifier.CalibrateOpenSet(classify.OpenSetConfig{Slack: cfg.UnknownSlack})
-		if err != nil {
-			return nil, fmt.Errorf("server: calibrate open-set thresholds: %w", err)
-		}
-		openset = os
-	}
-
 	// The boot model: the configured classifier under the effective
-	// serving params, hashed, registered active, and stamped onto the
-	// journal so every segment written from here carries its identity.
-	params := modelreg.Params{
-		OpenSetQuantile: -1, OpenSetSlack: -1,
-		SegWindow: -1, SegMinLen: -1, SegThreshold: -1,
+	// serving params, hashed, calibrated like any loaded model, made
+	// active, and stamped onto the journal so every segment written from
+	// here carries its identity.
+	params := modelreg.DefaultParams()
+	switch {
+	case cfg.UnknownSlack > 0:
+		params.OpenSetSlack = cfg.UnknownSlack
+	case cfg.UnknownSlack != 0: // negative or NaN: the open-set test is off
+		params.OpenSetQuantile, params.OpenSetSlack = -1, -1
 	}
-	if openset != nil {
-		oc := openset.Config()
-		params.OpenSetQuantile, params.OpenSetSlack = oc.Quantile, oc.Slack
-		for cl, cerr := range openset.SkippedClasses() {
-			cfg.Logf("server: OPEN-SET CALIBRATION SKIPPED class %s: %v — the class will never flag unknown", cl, cerr)
-		}
+	switch {
+	case cfg.SegmentWindow > 0:
+		params.SegWindow = cfg.SegmentWindow
+	case cfg.SegmentWindow < 0:
+		params.SegWindow, params.SegMinLen, params.SegThreshold = -1, -1, -1
 	}
-	if c := s.segCfg; c != nil {
-		params.SegWindow, params.SegMinLen, params.SegThreshold = c.Window, c.MinLen, c.Threshold
+	if params.SegWindow >= 0 {
+		s.segCfg = &phase.Config{Window: params.SegWindow, MinLen: params.SegMinLen, Threshold: params.SegThreshold}
 	}
 	boot, err := modelreg.NewModel(cfg.Classifier, params, "boot", s.start.UnixNano())
 	if err != nil {
 		return nil, fmt.Errorf("server: hash boot model: %w", err)
 	}
-	s.models = modelreg.NewRegistry(boot)
+	openset, err := s.calibrateFor(boot)
+	if err != nil {
+		return nil, fmt.Errorf("server: calibrate open-set thresholds: %w", err)
+	}
+	s.models = map[string]*modelreg.Model{boot.ID: boot}
+	s.retired = make(map[string]bool)
 	s.active.Store(&activeModel{model: boot, openset: openset})
 	if cfg.Journal != nil {
 		if err := cfg.Journal.SetModelHash(boot.Hash); err != nil {

@@ -176,10 +176,13 @@ func decodePayload(p []byte) (Record, error) {
 			return Record{}, fmt.Errorf("wal: batch record body is %d bytes, want %d", len(p), count*per)
 		}
 		snaps := make([]metrics.Snapshot, count)
+		// One backing array per record; each snapshot's capacity ends
+		// with its row, so an append to one cannot run into the next.
+		backing := make([]float64, count*dims)
 		for i := 0; i < count; i++ {
 			at := time.Duration(binary.LittleEndian.Uint64(p[:8]))
 			p = p[8:]
-			vals := make([]float64, dims)
+			vals := backing[i*dims : (i+1)*dims : (i+1)*dims]
 			for j := 0; j < dims; j++ {
 				vals[j] = math.Float64frombits(binary.LittleEndian.Uint64(p[:8]))
 				p = p[8:]
